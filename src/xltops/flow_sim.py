@@ -7,6 +7,14 @@ per-flow microsimulation; floating point appears only at output.
 Conventions: stations are 0-based indices along the travel direction;
 link ``s`` is the stretch departing station ``s`` (0 .. S-2).  Loads are
 passengers per train, i.e. rate times headway H.
+
+Entry rates E are thinned proportionally over destinations, so loads are
+linear in them, loads = H·coef·E: load[n][s] = H·Σ_{z<=s} acc[n][z][s]/A_z·E_z
+with the suffix sum over destinations acc[n][z][S-1] = 0,
+acc[n][z][s] = acc[n][z][s+1] + A[z][s+1]·share(n, z, s+1), where A_z is
+the demand rate from z (an origin with A_z = 0 adds nothing).
+``load_coefficients`` builds the table in one backward pass per origin,
+O(N·S²); ``simulate_loads`` and the metering LP both read loads from it.
 """
 
 from __future__ import annotations
@@ -183,6 +191,46 @@ def section_capacities(spec: ProtocolSpec, k: int = 0) -> tuple[Fraction, ...]:
     return tuple(caps)
 
 
+def load_coefficients(
+    assignment: AssignmentTensor, line: LineInstance
+) -> list[list[list[Fraction]]]:
+    """coef[n][s][z]: passengers per train on section n over link s per unit of E_z."""
+    S = line.S
+    zero = Fraction(0)
+    coef = [[[zero] * S for _ in range(S - 1)] for _ in range(assignment.N)]
+    for z in range(S):
+        A_z = line.demand_rate(z)
+        if A_z == 0:
+            continue
+        row = line.A[z]
+        scale = line.H / A_z
+        for table, plane in zip(coef, assignment.value):
+            shares = plane[z]
+            acc = c = zero
+            for sp in range(S - 1, z, -1):
+                if shares[sp] and row[sp]:
+                    acc += row[sp] * shares[sp]
+                    c = acc * scale
+                table[sp - 1][z] = c
+    return coef
+
+
+def load_profile(
+    coef: Sequence[Sequence[Sequence[Fraction]]],
+    entry_rates: Sequence[Fraction],
+    C_n: Sequence[Fraction],
+) -> LoadProfile:
+    """Loads coef·E, with the (section, link) pairs loaded beyond C_n."""
+    E = [Fraction(e) for e in entry_rates]
+    load = tuple(
+        tuple(sum((c * e for c, e in zip(row, E) if c and e), Fraction(0)) for row in table)
+        for table in coef
+    )
+    caps = tuple(Fraction(c) for c in C_n)
+    over = tuple((n, s) for n, row in enumerate(load) for s, x in enumerate(row) if x > caps[n])
+    return LoadProfile(load=load, C_n=caps, overcrowded=over)
+
+
 def simulate_loads(
     assignment: AssignmentTensor,
     entry_rates: Sequence[Fraction],
@@ -194,43 +242,27 @@ def simulate_loads(
     Entry rates are thinned proportionally over destinations:
     E_zs' = E_z * A_zs' / A_z.  Overcrowding is reported, not fatal.
     """
-    S = line.S
-    N = assignment.N
-    E = [Fraction(e) for e in entry_rates]
-    load = [[Fraction(0)] * (S - 1) for _ in range(N)]
-    for s in range(S - 1):
-        for n in range(N):
-            total = Fraction(0)
-            for z in range(s + 1):
-                A_z = line.demand_rate(z)
-                if A_z == 0 or E[z] == 0:
-                    continue
-                for sp in range(s + 1, S):
-                    share = assignment.share(n, z, sp)
-                    if share:
-                        total += E[z] * line.A[z][sp] / A_z * share
-            load[n][s] = line.H * total
-    caps = tuple(Fraction(c) for c in C_n)
-    over = tuple(
-        (n, s)
-        for n in range(N)
-        for s in range(S - 1)
-        if load[n][s] > caps[n]
-    )
-    return LoadProfile(
-        load=tuple(tuple(row) for row in load), C_n=caps, overcrowded=over
-    )
+    if len(entry_rates) != line.S:
+        raise DimensionMismatch(f"{len(entry_rates)} entry rates for {line.S} stations")
+    return load_profile(load_coefficients(assignment, line), entry_rates, C_n)
 
 
-def max_unit_density(profile: LoadProfile, section_sizes: Sequence[int]) -> Fraction:
-    """Largest passengers-per-unit figure anywhere in the profile."""
+def max_unit_density(
+    profile: LoadProfile | Sequence[Sequence[Fraction]], section_sizes: Sequence[int]
+) -> Fraction:
+    """Largest passengers-per-unit figure anywhere in a profile or in load rows."""
+    rows = profile.load if isinstance(profile, LoadProfile) else profile
     worst = Fraction(0)
-    for n, row in enumerate(profile.load):
-        if section_sizes[n] == 0:
-            continue
-        for x in row:
-            worst = max(worst, x / section_sizes[n])
+    for n, row in enumerate(rows):
+        if section_sizes[n] and row:
+            worst = max(worst, max(row) / section_sizes[n])
     return worst
+
+
+def max_load_point(profile: LoadProfile) -> int:
+    """The first link (0-based) of maximum total load: ties go to the left."""
+    totals = [profile.link_total(s) for s in range(profile.links)]
+    return totals.index(max(totals))
 
 
 def size_sections_proportional(
@@ -264,8 +296,7 @@ def capacity_report(
     The reference is the largest ordinary train fully fitting the
     shortest platform (overridable, e.g. for effective platform lengths).
     """
-    totals = [profile.link_total(s) for s in range(profile.links)]
-    mlp = max(range(len(totals)), key=lambda s: (totals[s], -s))
+    mlp = max_load_point(profile)
     occupancy = tuple(
         (profile.load[n][mlp] / profile.C_n[n]) if profile.C_n[n] > 0 else Fraction(0)
         for n in range(profile.N)

@@ -111,28 +111,6 @@ def _simplex_max(
     return x
 
 
-def _load_coefficients(
-    assignment: flow_sim.AssignmentTensor, line: LineInstance
-) -> list[list[list[Fraction]]]:
-    """coef[n][s][z] multiplying E_z in load[n][link s]."""
-    S = line.S
-    N = assignment.N
-    coef = [[[Fraction(0)] * S for _ in range(S - 1)] for _ in range(N)]
-    for n in range(N):
-        for s in range(S - 1):
-            for z in range(s + 1):
-                A_z = line.demand_rate(z)
-                if A_z == 0:
-                    continue
-                total = Fraction(0)
-                for sp in range(s + 1, S):
-                    share = assignment.share(n, z, sp)
-                    if share:
-                        total += line.A[z][sp] / A_z * share
-                coef[n][s][z] = line.H * total
-    return coef
-
-
 def solve_inner_lp(
     problem: MeteringProblem,
     station_types: Sequence[str],
@@ -149,7 +127,7 @@ def solve_inner_lp(
     S = line.S
     lo = tuple(line.M_min)
     hi = tuple(line.demand_rate(z) for z in range(S))
-    coef = _load_coefficients(assignment, line)
+    coef = flow_sim.load_coefficients(assignment, line)
 
     # Shift x = E - lo; x >= 0.  Box rows then load rows.
     A_ub: list[list[Fraction]] = []
@@ -183,7 +161,7 @@ def solve_inner_lp(
         if sum((row[z] * x[z] for z in range(S)), Fraction(0)) == b:
             binding.append(tag)
 
-    profile = flow_sim.simulate_loads(assignment, E, line, C_n)
+    profile = flow_sim.load_profile(coef, E, C_n)
     return MeteringSolution(
         E=E,
         station_types=tuple(station_types),
@@ -263,8 +241,7 @@ class EvenDensityReport:
 def even_density_check(solution: MeteringSolution) -> EvenDensityReport:
     """Per-section passenger density at the maximum load point."""
     profile = solution.profile
-    totals = [profile.link_total(s) for s in range(profile.links)]
-    mlp = max(range(len(totals)), key=lambda s: (totals[s], -s))
+    mlp = flow_sim.max_load_point(profile)
     densities = tuple(
         profile.load[n][mlp] / solution.section_sizes[n]
         if solution.section_sizes[n]

@@ -285,7 +285,7 @@ def _cmd_analyze(args) -> int:
     writer.writerow(["", *graph.types])
     for i in graph.types:
         writer.writerow([i, *(matrix[(i, j)] for j in graph.types)])
-    pair, worst = routing.worst_pair(graph)
+    pair, worst = routing.matrix_worst_pair(matrix)
     buf.write(f"worst,{pair[0]},{pair[1]},{worst}\n")
     _emit(buf.getvalue(), args.out)
     return 0

@@ -138,9 +138,15 @@ def transfer_matrix(graph: ConnectivityGraph) -> dict[tuple[str, str], int]:
     }
 
 
-def worst_pair(graph: ConnectivityGraph) -> tuple[tuple[str, str], int]:
-    """Hardest ordered pair (lexicographically smallest witness) and its cost."""
-    matrix = transfer_matrix(graph)  # raises UnreachableError if disconnected
+def matrix_worst_pair(
+    matrix: dict[tuple[str, str], int]
+) -> tuple[tuple[str, str], int]:
+    """Hardest ordered pair of a transfer matrix (lexicographically smallest witness)."""
     worst = max(matrix.values())
     witness = min(pair for pair, t in matrix.items() if t == worst)
     return witness, worst
+
+
+def worst_pair(graph: ConnectivityGraph) -> tuple[tuple[str, str], int]:
+    """Hardest ordered pair (lexicographically smallest witness) and its cost."""
+    return matrix_worst_pair(transfer_matrix(graph))  # raises UnreachableError if disconnected

@@ -462,14 +462,19 @@ def greedy_presentation_refine(
 
     parts = derive_parts(spec, k)
 
-    # Aggregate demand per origin-destination type pair.
-    pair_flows: dict[tuple[str, str], list[tuple[int, int, Fraction]]] = {}
+    # Aggregate demand per origin-destination type pair, and its passengers
+    # per train on each link before any split.
+    totals: dict[tuple[str, str], Fraction] = {}
+    per_link: dict[tuple[str, str], list[Fraction]] = {}
     for z in range(S):
         for sp in range(z + 1, S):
             if A[z][sp] > 0:
                 pair = (line.station_types[z], line.station_types[sp])
-                pair_flows.setdefault(pair, []).append((z, sp, A[z][sp]))
-    totals = {pair: sum(f for _, _, f in flows) for pair, flows in pair_flows.items()}
+                totals[pair] = totals.get(pair, 0) + A[z][sp]
+                pax = per_link.setdefault(pair, [Fraction(0)] * (S - 1))
+                riders = H * A[z][sp]
+                for link in range(z, sp):
+                    pax[link] += riders
     order = sorted(totals, key=lambda pair: (-totals[pair], pair))
 
     def feasible_parts(i: str, j: str) -> list:
@@ -489,21 +494,14 @@ def greedy_presentation_refine(
         lo, hi = part.sections
         span = list(range(lo, hi + 1))
         total_units = sum(sizes[n - 1] for n in span)
-        for z, sp, rate in pair_flows[pair]:
-            for n in span:
-                share = Fraction(sizes[n - 1], total_units)
-                for link in range(z, sp):
-                    target[n - 1][link] += H * rate * share
+        pax = per_link[pair]
+        for n in span:
+            share = Fraction(sizes[n - 1], total_units)
+            row = target[n - 1]
+            for link, x in enumerate(pax):
+                if x:
+                    row[link] += x * share
         return target
-
-    def max_density(profile: list[list[Fraction]]) -> Fraction:
-        worst = Fraction(0)
-        for n, row in enumerate(profile):
-            if sizes[n] == 0:
-                continue
-            for x in row:
-                worst = max(worst, x / sizes[n])
-        return worst
 
     assignment: dict[tuple[str, str], int] = {}
     for pair in order:
@@ -514,7 +512,7 @@ def greedy_presentation_refine(
         for part in candidates:
             scratch = [row.copy() for row in load]
             add_pair(pair, part, scratch)
-            score = max_density(scratch)
+            score = flow_sim.max_unit_density(scratch, sizes)
             if best_score is None or score < best_score:
                 best_part, best_score = part, score
         assignment[pair] = best_part.index
@@ -533,27 +531,9 @@ def greedy_presentation_refine(
     caps = flow_sim.section_capacities(spec, k)
     base_profile = flow_sim.simulate_loads(baseline, rates, line, caps)
     base_density = flow_sim.max_unit_density(base_profile, sizes)
-    if max_density(load) > base_density:
+    if flow_sim.max_unit_density(load, sizes) > base_density:
         return spec
     return refined
-
-
-def refined_pair_parts(spec: ProtocolSpec, k: int = 0) -> dict[tuple[str, str], int]:
-    """Read back which part presents each pair (for refined specs)."""
-    parts = derive_parts(spec, k)
-    types = spec.stations.types
-    out = {}
-    pk = spec.p[k]
-    for ii, i in enumerate(types):
-        for jj, j in enumerate(types):
-            sections = np.flatnonzero(pk[:, ii, jj]) + 1
-            if len(sections) == 0:
-                continue
-            for part in parts:
-                if part.sections[0] <= sections[0] <= part.sections[1]:
-                    out[(i, j)] = part.index
-                    break
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,13 @@ def test_zero_demand_means_zero_loads():
     assert all(x == 0 for row in profile.load for x in row)
 
 
+def test_entry_rates_must_cover_every_station(fr_line_full):
+    spec = fr_i()
+    assignment = build_assignment(spec, fr_line_full)
+    with pytest.raises(DimensionMismatch):
+        simulate_loads(assignment, [1, 1, 0], fr_line_full, section_capacities(spec))
+
+
 def test_single_flow_conservation():
     Z = Fraction(0)
     line = make_line(("F", "R", "F"), [[Z, Z, Fraction(100)], [Z] * 3, [Z] * 3], H=Fraction(1, 10))
@@ -172,6 +179,32 @@ def test_increasing_one_entry_rate_never_decreases_loads():
         for n in range(before.N):
             for s in range(before.links):
                 assert after.load[n][s] >= before.load[n][s]
+
+
+def long_split_instance(rng, S):
+    """A classified fr_h line of S stations with sparse, uneven demand."""
+    types = ["R", *(rng.choice("FR") for _ in range(S - 2)), "F"]
+    A = [[Fraction(0)] * S for _ in range(S)]
+    for z in range(S):
+        if rng.random() < 0.2:
+            continue  # some stations originate no demand at all
+        for sp in range(z + 1, S):
+            if rng.random() < 0.6:
+                A[z][sp] = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+    line = make_line(types, A, H=Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+    rates = [line.demand_rate(z) * Fraction(rng.randint(0, 4), 4) for z in range(S)]
+    return line, rates
+
+
+@pytest.mark.parametrize("rule", ["balanced", "end_preference"])
+def test_split_loads_match_per_flow_microsimulation_on_long_lines(rule):
+    rng = random.Random(f"{seed_from_env()}/long/{rule}")
+    spec = fr_h()
+    for S in (2, 3, 9, 17, 24, 30):
+        line, rates = long_split_instance(rng, S)
+        assignment = build_assignment_split(spec, line, rule=rule)
+        profile = simulate_loads(assignment, rates, line, section_capacities(spec))
+        assert [list(row) for row in profile.load] == oracle_loads(assignment, rates, line)
 
 
 # ---------------------------------------------------------------------------

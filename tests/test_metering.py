@@ -172,6 +172,31 @@ def test_inner_lp_matches_vertex_enumeration_on_random_instances():
         assert sol.objective == lp_oracle(problem, FR_TYPES, sizes)
 
 
+def test_inner_lp_profile_matches_per_flow_microsimulation():
+    rng = random.Random(seed_from_env() + 12)
+    for _ in range(12):
+        S = rng.randint(3, 8)
+        types = ("R", *(rng.choice("FR") for _ in range(S - 2)), "F")
+        A = [
+            [Fraction(rng.randint(0, 6), rng.randint(1, 2)) if sp > z else Z for sp in range(S)]
+            for z in range(S)
+        ]
+        sizes = tuple(rng.randint(1, 4) for _ in range(4))
+        problem = MeteringProblem(
+            line=make_line(types, A, H=Fraction(rng.randint(1, 3), 2)),
+            spec_factory=fr_i,
+            M=sum(sizes),
+            N=4,
+            unit_capacity=Fraction(rng.randint(1, 4), 2),
+        )
+        sol = solve_inner_lp(problem, types, sizes)
+        assignment = build_assignment(fr_i(sizes), problem.line)
+        assert [list(row) for row in sol.profile.load] == oracle_loads(
+            assignment, sol.E, problem.line
+        )
+        assert sol.profile.overcrowded == ()
+
+
 def test_optimum_certificate_every_rate_is_pinned():
     problem = fr_problem(GRID_A, M_min=GRID_MIN, unit_capacity=Fraction(1, 6))
     sol = solve_inner_lp(problem, FR_TYPES, (3, 3, 3, 3))
