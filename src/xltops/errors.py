@@ -33,6 +33,10 @@ class UnreachableError(XltError):
     """No feasible route exists between the requested station types."""
 
 
+class UnknownStationType(XltError, KeyError):
+    """A routing query names a station type the chart does not have."""
+
+
 class SubsetCoverage(XltError):
     """Skip-stop subsets fail to cover the station-type universe."""
 

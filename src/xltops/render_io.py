@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -368,6 +369,7 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="xlt", description="Extra-long-train protocol toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

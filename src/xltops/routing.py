@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import UnreachableError
+from .errors import UnknownStationType, UnreachableError
 from .s_family import BarChart, MultiTrainChart
 
 
@@ -43,15 +44,30 @@ class ConnectivityGraph:
     riding_edges: frozenset[tuple[str, str, str]]
     train_labels: tuple[str, ...]
 
+    @cached_property
+    def _adjacency(self) -> dict[str, list[tuple[str, str]]]:
+        """Each type's (train, other type) pairs, in sorted edge order."""
+        adjacency: dict[str, list[tuple[str, str]]] = {}
+        for train, i, j in sorted(self.riding_edges):
+            adjacency.setdefault(i, []).append((train, j))
+            adjacency.setdefault(j, []).append((train, i))
+        return adjacency
+
     def neighbors(self, station_type: str) -> list[tuple[str, str]]:
         """(train, other type) pairs reachable in one riding leg."""
-        out = []
-        for train, i, j in sorted(self.riding_edges):
-            if i == station_type:
-                out.append((train, j))
-            elif j == station_type:
-                out.append((train, i))
-        return out
+        return list(self._adjacency.get(station_type, ()))
+
+    def distances(self, origin: str) -> dict[str, int]:
+        """Fewest riding legs from ``origin`` to every type it reaches."""
+        dist = {origin: 0}
+        queue = deque([origin])
+        while queue:
+            node = queue.popleft()
+            for _, other in self._adjacency.get(node, ()):
+                if other not in dist:
+                    dist[other] = dist[node] + 1
+                    queue.append(other)
+        return dist
 
     def has_edge(self, train: str, a: str, b: str) -> bool:
         i, j = sorted((a, b))
@@ -84,45 +100,47 @@ def build_graph(chart: BarChart | MultiTrainChart) -> ConnectivityGraph:
     )
 
 
+def _check_types(graph: ConnectivityGraph, origin: str, destination: str) -> None:
+    if origin not in graph.types or destination not in graph.types:
+        raise UnknownStationType(f"unknown station type in ({origin!r}, {destination!r})")
+
+
 def min_transfers(graph: ConnectivityGraph, origin: str, destination: str) -> int:
     """Fewest transfers between two station types; 0 for the same type."""
-    if origin not in graph.types or destination not in graph.types:
-        raise KeyError(f"unknown station type in ({origin!r}, {destination!r})")
+    _check_types(graph, origin, destination)
     if origin == destination:
         return 0
-    dist = {origin: 0}
-    queue = deque([origin])
-    while queue:
-        node = queue.popleft()
-        if node == destination:
-            return dist[node] - 1
-        for _, other in graph.neighbors(node):
-            if other not in dist:
-                dist[other] = dist[node] + 1
-                queue.append(other)
-    raise UnreachableError(f"no route from {origin} to {destination}")
+    legs = graph.distances(origin).get(destination)
+    if legs is None:
+        raise UnreachableError(f"no route from {origin} to {destination}")
+    return legs - 1
 
 
 def optimal_plans(
     graph: ConnectivityGraph, origin: str, destination: str
 ) -> tuple[RoutePlan, ...]:
-    """Every distinct minimum-transfer plan, including train-type choices."""
+    """Every distinct minimum-transfer plan, including train-type choices.
+
+    One BFS from the destination gives each type's legs to go; a plan
+    only ever steps to a neighbour one leg closer, so the search walks
+    the shortest-path DAG and every branch it takes ends in a plan.
+    """
+    _check_types(graph, origin, destination)
     if origin == destination:
         return (RoutePlan(origin, destination, ()),)
-    best = min_transfers(graph, origin, destination)  # raises if unreachable
-    target_legs = best + 1
+    to_go = graph.distances(destination)
+    if origin not in to_go:
+        raise UnreachableError(f"no route from {origin} to {destination}")
 
     plans: list[RoutePlan] = []
 
     def extend(at: str, legs: tuple[RouteLeg, ...]) -> None:
-        if at == destination and legs:
+        if at == destination:
             plans.append(RoutePlan(origin, destination, legs))
             return
-        if len(legs) == target_legs:
-            return
-        visited = {origin} | {leg.alight for leg in legs}
+        closer = to_go[at] - 1
         for train, other in graph.neighbors(at):
-            if other not in visited:
+            if to_go.get(other) == closer:
                 extend(other, legs + (RouteLeg(train, at, other),))
 
     extend(origin, ())
@@ -130,12 +148,15 @@ def optimal_plans(
 
 
 def transfer_matrix(graph: ConnectivityGraph) -> dict[tuple[str, str], int]:
-    """min_transfers over every ordered type pair."""
-    return {
-        (i, j): min_transfers(graph, i, j)
-        for i in graph.types
-        for j in graph.types
-    }
+    """min_transfers over every ordered type pair, from one BFS per origin."""
+    matrix = {}
+    for i in graph.types:
+        legs = graph.distances(i)
+        for j in graph.types:
+            if j not in legs:
+                raise UnreachableError(f"no route from {i} to {j}")
+            matrix[(i, j)] = max(0, legs[j] - 1)
+    return matrix
 
 
 def matrix_worst_pair(

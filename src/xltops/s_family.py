@@ -36,8 +36,10 @@ from .core_model import (
     EolRule,
     LineInstance,
     ProtocolSpec,
+    SCHEMA_VERSION,
     StationTypeCatalog,
     TrainTypeSpec,
+    _check_schema,
     build_protocol,
     derive_parts,
 )
@@ -539,8 +541,6 @@ def greedy_presentation_refine(
 # ---------------------------------------------------------------------------
 # Chart serialization
 # ---------------------------------------------------------------------------
-
-from .core_model import SCHEMA_VERSION, _check_schema  # noqa: E402
 
 
 def chart_to_json(chart: BarChart | MultiTrainChart) -> dict:

@@ -179,6 +179,37 @@ def oracle_min_transfers(charts, origin: str, destination: str):
     return best
 
 
+def oracle_optimal_plans(charts, origin: str, destination: str):
+    """Every minimum-leg plan as (train, board, alight) triples; None when unreachable.
+
+    Extends every simple leg sequence straight from ``pair_overlap``,
+    capped at the fewest legs ``oracle_min_transfers`` finds, and sorts
+    the plans by their (board, alight, train) legs.
+    """
+    if origin == destination:
+        return [()]
+    best = oracle_min_transfers(charts, origin, destination)
+    if best is None:
+        return None
+    types = charts[0][1].labels()
+    cap = best + 1
+    plans = []
+
+    def extend(at: str, visited: frozenset, legs: tuple):
+        if at == destination:
+            plans.append(legs)
+            return
+        if len(legs) == cap:
+            return
+        for train, chart in charts:
+            for other in types:
+                if other not in visited and chart.pair_overlap(at, other) >= 1:
+                    extend(other, visited | {other}, legs + ((train, at, other),))
+
+    extend(origin, frozenset({origin}), ())
+    return sorted(plans, key=lambda legs: [(board, alight, train) for train, board, alight in legs])
+
+
 # ---------------------------------------------------------------------------
 # Exact vertex-enumeration LP oracle
 # ---------------------------------------------------------------------------

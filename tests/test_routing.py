@@ -18,9 +18,9 @@ from xltops import (
     transfer_matrix,
     worst_pair,
 )
-from xltops.errors import UnreachableError
+from xltops.errors import UnknownStationType, UnreachableError
 
-from conftest import oracle_min_transfers, seed_from_env
+from conftest import oracle_min_transfers, oracle_optimal_plans, seed_from_env
 
 
 def test_staggered_chart_edge_set(fig4_routing_chart):
@@ -159,3 +159,72 @@ def test_random_charts_match_step_path_oracle():
                         min_transfers(graph, i, j)
                 else:
                     assert min_transfers(graph, i, j) == expected
+
+
+@pytest.mark.parametrize("origin,destination", [("Z", "Z"), ("A", "Z")])
+def test_unknown_station_type_raises_typed_error(origin, destination):
+    graph = build_graph(generate_s(3, 2, 4))
+    with pytest.raises(UnknownStationType):
+        min_transfers(graph, origin, destination)
+    with pytest.raises(UnknownStationType):
+        optimal_plans(graph, origin, destination)
+
+
+def _plan_legs(plans):
+    return [tuple((l.train, l.board, l.alight) for l in p.legs) for p in plans]
+
+
+def _assert_plans_match_oracle(chart):
+    charts = [("1", chart)] if isinstance(chart, BarChart) else list(chart.charts)
+    graph = build_graph(chart)
+    for i in graph.types:
+        for j in graph.types:
+            expected = oracle_optimal_plans(charts, i, j)
+            if expected is None:
+                with pytest.raises(UnreachableError):
+                    optimal_plans(graph, i, j)
+            else:
+                assert _plan_legs(optimal_plans(graph, i, j)) == expected
+
+
+def test_random_charts_match_plan_enumeration_oracle():
+    rng = random.Random(seed_from_env() + 5)
+    for _ in range(60):
+        C = rng.randint(2, 6)
+        d = rng.randint(2, 5)
+        M = rng.randint(d, d + 6)
+        labels = [chr(ord("A") + i) for i in range(C)]
+        bars = tuple(
+            Bar(lab, rng.choice([0, rng.randint(1, M + d - 1)]), d) for lab in labels
+        )
+        _assert_plans_match_oracle(BarChart(M=M, bars=bars))
+
+
+@pytest.mark.parametrize("D", [Fraction(2), Fraction(3), Fraction(5, 2)])
+@pytest.mark.parametrize("C", range(2, 11))
+def test_s_family_plans_match_plan_enumeration_oracle(C, D):
+    _assert_plans_match_oracle(generate_s(C, D, D.numerator))
+
+
+@pytest.mark.parametrize("build", [build_s52_2, build_ftr3])
+def test_multi_train_plans_match_plan_enumeration_oracle(build):
+    _assert_plans_match_oracle(build())
+
+
+def test_s60_3_transfers_and_worst_pair_plans():
+    # reach strict_floor(3) = 2 bars per leg, so |i - j| bars apart take
+    # ceil(|i - j| / 2) legs; the 59 bars between the end types split into
+    # 30 legs of 1 or 2 bars in exactly 30 ways
+    chart = generate_s(60, 3, 3)
+    graph = build_graph(chart)
+    position = {label: n for n, label in enumerate(chart.labels())}
+    matrix = transfer_matrix(graph)
+    for (i, j), transfers in matrix.items():
+        gap = abs(position[i] - position[j])
+        assert transfers == (-(-gap // 2) - 1 if gap else 0)
+    (origin, destination), worst = worst_pair(graph)
+    assert worst == 29
+    assert {position[origin], position[destination]} == {0, 59}
+    plans = optimal_plans(graph, origin, destination)
+    assert len(plans) == 30
+    assert all(plan.transfers == 29 for plan in plans)
