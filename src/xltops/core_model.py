@@ -31,6 +31,7 @@ from .errors import (
     NonConsecutiveSection,
     RowSumViolation,
     SchemaError,
+    UnknownStationType,
 )
 
 SCHEMA_VERSION = 1
@@ -67,7 +68,13 @@ class StationTypeCatalog:
         return len(self.types)
 
     def index(self, label: str) -> int:
+        if label not in self.types:
+            raise UnknownStationType(f"station type {label!r} is not one of {list(self.types)}")
         return self.types.index(label)
+
+    def indices(self, labels: Iterable[str]) -> tuple[int, ...]:
+        """Type index of each label: a station classification as a row of indices."""
+        return tuple(self.index(label) for label in labels)
 
     def lengths(self) -> tuple[int, ...]:
         return tuple(self.d[i] for i in self.types)
@@ -466,15 +473,6 @@ class LineInstance:
     def demand_rate(self, z: int) -> Fraction:
         """Total demand rate A_s originating at 0-based station z."""
         return sum(self.A[z], Fraction(0))
-
-    def classification(self, catalog: StationTypeCatalog) -> np.ndarray:
-        """Build the delta matrix from per-station type labels."""
-        if self.station_types is None:
-            raise DimensionMismatch("line carries no station classification")
-        delta = np.zeros((self.S, catalog.C), dtype=int)
-        for si, label in enumerate(self.station_types):
-            delta[si, catalog.index(label)] = 1
-        return delta
 
 
 # ---------------------------------------------------------------------------

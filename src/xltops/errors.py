@@ -34,7 +34,9 @@ class UnreachableError(XltError):
 
 
 class UnknownStationType(XltError, KeyError):
-    """A routing query names a station type the chart does not have."""
+    """A label names a station type that the catalog or chart does not have."""
+
+    __str__ = Exception.__str__  # the message, not KeyError's quoted repr of it
 
 
 class SubsetCoverage(XltError):

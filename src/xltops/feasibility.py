@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core_model import LineInstance, ProtocolSpec
+from .errors import DimensionMismatch
 
 ExtraConstraint = Callable[[ProtocolSpec], Iterable["Violation"]]
 
@@ -185,7 +186,7 @@ def check_eol(spec: ProtocolSpec, line: LineInstance) -> FeasibilityReport:
     if spec.eol_rule is None:
         return FeasibilityReport(())
     if line.station_types is None:
-        raise ValueError("line carries no station classification")
+        raise DimensionMismatch("line carries no station classification")
     out: list[Violation] = []
     first, last = line.station_types[0], line.station_types[-1]
     if first not in spec.eol_rule.first_types:

@@ -19,37 +19,39 @@ O(N·S²); ``simulate_loads`` and the metering LP both read loads from it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .core_model import LineInstance, ProtocolSpec, StationTypeCatalog
+from .core_model import LineInstance, ProtocolSpec
 from .errors import AmbiguousAssignment, DimensionMismatch, NonpositiveSpeed
+
+
+Shares = tuple[tuple[int, Fraction], ...]  # (section n, share) pairs of one flow
 
 
 @dataclass(frozen=True)
 class AssignmentTensor:
-    """Fraction of each O-D flow boarding each section.
+    """Fraction of each O-D flow boarding each section, stored sparsely.
 
-    ``value[n][z][sp]`` is the share of the flow from station z to
-    station sp riding section n; entries are 0/1 under an exactly-one
-    presentation and may be fractional under a split rule.
+    ``flows[z][sp]`` lists the ``(n, share)`` pairs with a nonzero share
+    of the flow from station z to station sp riding section n; shares are
+    1 under an exactly-one presentation and may be fractional under a
+    split rule.  ``share`` reads 0 for a section that is not listed.
     """
 
-    value: tuple[tuple[tuple[Fraction, ...], ...], ...]  # N x S x S
-
-    @property
-    def N(self) -> int:
-        return len(self.value)
+    N: int
+    flows: tuple[tuple[Shares, ...], ...]  # S x S
 
     @property
     def S(self) -> int:
-        return len(self.value[0])
+        return len(self.flows)
 
     def share(self, n: int, z: int, sp: int) -> Fraction:
-        return self.value[n][z][sp]
+        return next((x for m, x in self.flows[z][sp] if m == n), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -83,10 +85,25 @@ class CapacityReport:
     gain: Fraction  # full XLT units at the MLP / reference units
 
 
-def _delta_row(line: LineInstance, catalog: StationTypeCatalog) -> list[int]:
+def _type_pairs(spec: ProtocolSpec, line: LineInstance) -> tuple[tuple[int, ...], list]:
+    """Each station's type index, and the sections presenting each type pair, ascending."""
+    if spec.K != 1:
+        raise DimensionMismatch("assignment is defined for a single train type")
     if line.station_types is None:
         raise DimensionMismatch("line must carry a station classification")
-    return [catalog.index(t) for t in line.station_types]
+    by_pair = np.moveaxis(spec.p[0], 0, -1)  # (origin type, destination type, section)
+    presenting = [[np.flatnonzero(row).tolist() for row in rows] for rows in by_pair]
+    return spec.stations.indices(line.station_types), presenting
+
+
+def _per_station_pair(
+    N: int, ti: Sequence[int], table: Sequence[Sequence[Shares]]
+) -> AssignmentTensor:
+    """Give every forward station pair the shares of its type pair."""
+    S = len(ti)
+    return AssignmentTensor(
+        N, tuple(tuple(table[ti[z]][ti[sp]] if sp > z else () for sp in range(S)) for z in range(S))
+    )
 
 
 def build_assignment(spec: ProtocolSpec, line: LineInstance) -> AssignmentTensor:
@@ -95,25 +112,14 @@ def build_assignment(spec: ProtocolSpec, line: LineInstance) -> AssignmentTensor
     Requires a single train type and an exactly-one presentation over
     the demanded pairs; raises AmbiguousAssignment otherwise.
     """
-    if spec.K != 1:
-        raise DimensionMismatch("assignment is defined for a single train type")
-    p = spec.p[0]
-    N = spec.trains[0].N
-    S = line.S
-    ti = _delta_row(line, spec.stations)
-    value = [[[Fraction(0)] * S for _ in range(S)] for _ in range(N)]
-    for z in range(S):
-        for sp in range(z + 1, S):
-            i, j = ti[z], ti[sp]
-            presenting = [n for n in range(N) if p[n, i, j]]
-            if line.A[z][sp] > 0 and len(presenting) > 1:
-                raise AmbiguousAssignment(
-                    f"{len(presenting)} sections present pair "
-                    f"{spec.stations.types[i]}->{spec.stations.types[j]}"
-                )
-            for n in presenting:
-                value[n][z][sp] = Fraction(1)
-    return AssignmentTensor(tuple(tuple(tuple(r) for r in plane) for plane in value))
+    ti, presenting = _type_pairs(spec, line)
+    for z, sp in itertools.combinations(range(line.S), 2):
+        sections = presenting[ti[z]][ti[sp]]
+        if line.A[z][sp] > 0 and len(sections) > 1:
+            i, j = spec.stations.types[ti[z]], spec.stations.types[ti[sp]]
+            raise AmbiguousAssignment(f"{len(sections)} sections present pair {i}->{j}")
+    table = [[tuple((n, Fraction(1)) for n in sec) for sec in row] for row in presenting]
+    return _per_station_pair(spec.trains[0].N, ti, table)
 
 
 def build_assignment_split(
@@ -129,55 +135,41 @@ def build_assignment_split(
     """
     if rule not in ("balanced", "end_preference"):
         raise ValueError(f"unknown split rule {rule!r}")
-    if spec.K != 1:
-        raise DimensionMismatch("assignment is defined for a single train type")
-    p = spec.p[0]
+    ti, presenting = _type_pairs(spec, line)
     N = spec.trains[0].N
     S = line.S
-    ti = _delta_row(line, spec.stations)
     caps = section_capacities(spec, 0)
-    value = [[[Fraction(0)] * S for _ in range(S)] for _ in range(N)]
 
     if rule == "balanced":
-        for z in range(S):
-            for sp in range(z + 1, S):
-                i, j = ti[z], ti[sp]
-                presenting = [n for n in range(N) if p[n, i, j]]
-                total = sum((caps[n] for n in presenting), Fraction(0))
-                for n in presenting:
-                    if total > 0:
-                        value[n][z][sp] = caps[n] / total
-                    else:
-                        value[n][z][sp] = Fraction(1, len(presenting))
-    else:
-        busyness = [int(p[n].sum()) for n in range(N)]
-        running = [[Fraction(0)] * (S - 1) for _ in range(N)]
-        H = line.H
-        flows = [
-            (z, sp)
-            for z in range(S)
-            for sp in range(z + 1, S)
-            if line.A[z][sp] > 0
-        ]
-        for z, sp in flows:
-            i, j = ti[z], ti[sp]
-            presenting = sorted(
-                (n for n in range(N) if p[n, i, j]), key=lambda n: (busyness[n], n)
-            )
-            if not presenting:
-                continue
-            pax = H * line.A[z][sp]
-            chosen = presenting[-1] if presenting else None
-            for n in presenting:
-                if all(running[n][link] + pax <= caps[n] for link in range(z, sp)):
-                    chosen = n
-                    break
-            else:
-                chosen = min(presenting, key=lambda n: max(running[n][z:sp]))
-            value[chosen][z][sp] = Fraction(1)
-            for link in range(z, sp):
-                running[chosen][link] += pax
-    return AssignmentTensor(tuple(tuple(tuple(r) for r in plane) for plane in value))
+
+        def by_capacity(sections: list[int]) -> Shares:
+            total = sum((caps[n] for n in sections), Fraction(0))
+            if total == 0:
+                return tuple((n, Fraction(1, len(sections))) for n in sections)
+            return tuple((n, caps[n] / total) for n in sections if caps[n])
+
+        return _per_station_pair(N, ti, [[by_capacity(sec) for sec in row] for row in presenting])
+
+    busyness = [int(spec.p[0][n].sum()) for n in range(N)]
+    # Quietest presenting section first; the sort is stable, so ties keep section order.
+    preference = [[sorted(sec, key=busyness.__getitem__) for sec in row] for row in presenting]
+    running = [[Fraction(0)] * (S - 1) for _ in range(N)]
+    flows = [[()] * S for _ in range(S)]
+    for z, sp in itertools.combinations(range(S), 2):
+        candidates = preference[ti[z]][ti[sp]]
+        if line.A[z][sp] == 0 or not candidates:
+            continue
+        pax = line.H * line.A[z][sp]
+        for n in candidates:
+            if all(running[n][link] + pax <= caps[n] for link in range(z, sp)):
+                chosen = n
+                break
+        else:
+            chosen = min(candidates, key=lambda n: max(running[n][z:sp]))
+        flows[z][sp] = ((chosen, Fraction(1)),)
+        for link in range(z, sp):
+            running[chosen][link] += pax
+    return AssignmentTensor(N, tuple(map(tuple, flows)))
 
 
 def section_capacities(spec: ProtocolSpec, k: int = 0) -> tuple[Fraction, ...]:
@@ -204,14 +196,13 @@ def load_coefficients(
             continue
         row = line.A[z]
         scale = line.H / A_z
-        for table, plane in zip(coef, assignment.value):
-            shares = plane[z]
-            acc = c = zero
-            for sp in range(S - 1, z, -1):
-                if shares[sp] and row[sp]:
-                    acc += row[sp] * shares[sp]
-                    c = acc * scale
-                table[sp - 1][z] = c
+        c: dict[int, Fraction] = {}  # section -> its coefficient on link sp - 1
+        for sp in range(S - 1, z, -1):
+            if row[sp]:
+                for n, share in assignment.flows[z][sp]:
+                    c[n] = c.get(n, zero) + row[sp] * share * scale
+            for n, x in c.items():
+                coef[n][sp - 1][z] = x
     return coef
 
 

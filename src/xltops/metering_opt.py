@@ -45,13 +45,6 @@ class MeteringProblem:
     fixed_station_types: tuple[str, ...] | None = None
     fixed_sizes: tuple[int, ...] | None = None
 
-    def __post_init__(self) -> None:
-        for s in range(self.line.S):
-            if self.line.M_min[s] > self.line.demand_rate(s):
-                raise DimensionMismatch(
-                    f"minimum rate at station {s + 1} exceeds its demand"
-                )
-
 
 @dataclass(frozen=True)
 class BindingConstraint:

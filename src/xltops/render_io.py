@@ -34,7 +34,7 @@ from .core_model import (
     spec_from_json,
     spec_to_json,
 )
-from .errors import SchemaError, XltError
+from .errors import DimensionMismatch, SchemaError, XltError
 
 NO_TRAIN = "-"
 DISEMBARK_ONLY = "X"
@@ -80,10 +80,9 @@ def _gates_for(spec: ProtocolSpec, k: int, type_index: int, platform: int) -> tu
 def derive_gate_signs(spec: ProtocolSpec, line: LineInstance) -> GateSignTable:
     """Read the platform signage off the alignment/presentation tables."""
     if line.station_types is None:
-        raise SchemaError("line carries no station classification")
+        raise DimensionMismatch("line carries no station classification")
     rows = []
-    for s, label in enumerate(line.station_types):
-        i = spec.stations.index(label)
+    for s, i in enumerate(spec.stations.indices(line.station_types)):
         platform = line.platform_lengths[s]
         rows.append(
             tuple(

@@ -27,6 +27,7 @@ import math
 import string
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -89,11 +90,12 @@ class BarChart:
     def labels(self) -> tuple[str, ...]:
         return tuple(bar.label for bar in self.bars)
 
+    @cached_property
+    def _by_label(self) -> dict[str, Bar]:
+        return {bar.label: bar for bar in self.bars}
+
     def bar(self, label: str) -> Bar:
-        for bar in self.bars:
-            if bar.label == label:
-                return bar
-        raise KeyError(label)
+        return self._by_label[label]
 
     def overlap(self, label: str) -> int:
         """Units of the train covered by the bar (0 for skipped types)."""
@@ -148,11 +150,12 @@ class MultiTrainChart:
     def train_labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.charts)
 
+    @cached_property
+    def _by_label(self) -> dict[str, BarChart]:
+        return dict(reversed(self.charts))  # a repeated label keeps its first chart
+
     def chart(self, train_label: str) -> BarChart:
-        for label, chart in self.charts:
-            if label == train_label:
-                return chart
-        raise KeyError(train_label)
+        return self._by_label[train_label]
 
     def type_universe(self) -> tuple[str, ...]:
         return self.charts[0][1].labels()
@@ -409,9 +412,7 @@ def chart_to_protocol(
     delta = None
     epsilon = None
     if station_classification is not None:
-        delta = np.zeros((len(station_classification), len(types)), dtype=int)
-        for si, label in enumerate(station_classification):
-            delta[si, types.index(label)] = 1
+        delta = np.eye(len(types), dtype=int)[list(catalog.indices(station_classification))]
     if len(mtc.rotation) > 1:
         order = [mtc.train_labels().index(lab) for lab in mtc.rotation]
         epsilon = np.zeros((len(order), len(trains)), dtype=int)
@@ -456,6 +457,7 @@ def greedy_presentation_refine(
         raise DimensionMismatch("line must be classified")
     k = 0
     types = spec.stations.types
+    ti = spec.stations.indices(line.station_types)
     sizes = spec.section_sizes(k)
     vk = spec.v[k]
     H = line.H
@@ -464,34 +466,33 @@ def greedy_presentation_refine(
 
     parts = derive_parts(spec, k)
 
-    # Aggregate demand per origin-destination type pair, and its passengers
-    # per train on each link before any split.
-    totals: dict[tuple[str, str], Fraction] = {}
-    per_link: dict[tuple[str, str], list[Fraction]] = {}
+    # Aggregate demand per origin-destination type pair (as type indices),
+    # and its passengers per train on each link before any split.
+    totals: dict[tuple[int, int], Fraction] = {}
+    per_link: dict[tuple[int, int], list[Fraction]] = {}
     for z in range(S):
         for sp in range(z + 1, S):
             if A[z][sp] > 0:
-                pair = (line.station_types[z], line.station_types[sp])
+                pair = (ti[z], ti[sp])
                 totals[pair] = totals.get(pair, 0) + A[z][sp]
                 pax = per_link.setdefault(pair, [Fraction(0)] * (S - 1))
                 riders = H * A[z][sp]
                 for link in range(z, sp):
                     pax[link] += riders
-    order = sorted(totals, key=lambda pair: (-totals[pair], pair))
+    order = sorted(totals, key=lambda pair: (-totals[pair], types[pair[0]], types[pair[1]]))
 
-    def feasible_parts(i: str, j: str) -> list:
-        ii, jj = types.index(i), types.index(j)
+    def feasible_parts(i: int, j: int) -> list:
         out = []
         for part in parts:
             lo, hi = part.sections
-            if all(vk[n - 1, ii] and vk[n - 1, jj] for n in range(lo, hi + 1)):
+            if all(vk[n - 1, i] and vk[n - 1, j] for n in range(lo, hi + 1)):
                 out.append(part)
         return out
 
     # Incremental per-link loads, split inside a part by section size.
     load = [[Fraction(0)] * (S - 1) for _ in range(spec.trains[k].N)]
 
-    def add_pair(pair: tuple[str, str], part, scratch=None) -> list[list[Fraction]]:
+    def add_pair(pair: tuple[int, int], part, scratch=None) -> list[list[Fraction]]:
         target = scratch if scratch is not None else load
         lo, hi = part.sections
         span = list(range(lo, hi + 1))
@@ -505,11 +506,12 @@ def greedy_presentation_refine(
                     row[link] += x * share
         return target
 
-    assignment: dict[tuple[str, str], int] = {}
+    assignment: dict[tuple[int, int], int] = {}
     for pair in order:
         candidates = feasible_parts(*pair)
         if not candidates:
-            raise UnreachableError(f"no part can serve the demanded pair {pair}")
+            labels = (types[pair[0]], types[pair[1]])
+            raise UnreachableError(f"no part can serve the demanded pair {labels}")
         best_part, best_score = None, None
         for part in candidates:
             scratch = [row.copy() for row in load]
@@ -523,8 +525,7 @@ def greedy_presentation_refine(
     new_p = np.zeros_like(np.asarray(spec.p[k]))
     for (i, j), part_index in assignment.items():
         lo, hi = parts[part_index - 1].sections
-        ii, jj = types.index(i), types.index(j)
-        new_p[lo - 1 : hi, ii, jj] = 1
+        new_p[lo - 1 : hi, i, j] = 1
     refined = replace(spec, p=(new_p,))
 
     # Hold the best-seen solution: never return a denser profile.

@@ -1,6 +1,7 @@
 """Structural checks for catalogs, protocol construction and serialization."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,15 +10,24 @@ from hypothesis import given, strategies as st
 
 from xltops import (
     LineInstance,
+    MeteringProblem,
     StationTypeCatalog,
     TrainTypeSpec,
+    build_assignment,
+    build_assignment_split,
     build_protocol,
+    chart_to_protocol,
+    check_eol,
+    derive_gate_signs,
     derive_parts,
     fr_h,
     fr_i,
     ftr,
+    generate_s,
+    greedy_presentation_refine,
     line_from_json,
     line_to_json,
+    solve_outer,
     spec_from_json,
     spec_to_json,
 )
@@ -28,6 +38,7 @@ from xltops.errors import (
     NonConsecutiveSection,
     RowSumViolation,
     SchemaError,
+    UnknownStationType,
 )
 
 from conftest import make_line
@@ -149,8 +160,48 @@ def test_line_instance_invariants():
 def test_line_demand_rate_and_classification():
     line = make_line(("F", "R"), [[0, Fraction(5, 2)], [0, 0]])
     assert line.demand_rate(0) == Fraction(5, 2)
-    delta = line.classification(fr_i().stations)
-    assert delta.tolist() == [[1, 0], [0, 1]]
+    assert fr_i().stations.indices(line.station_types) == (0, 1)
+
+
+# Every entry point that turns a line's station labels into type indices.
+LABELLED_LINE_CALLS = {
+    "build_assignment": lambda line: build_assignment(fr_i(), line),
+    "split_balanced": lambda line: build_assignment_split(fr_h(), line, "balanced"),
+    "split_end_preference": lambda line: build_assignment_split(fr_h(), line, "end_preference"),
+    "greedy_presentation_refine": lambda line: greedy_presentation_refine(fr_h(), line),
+    "derive_gate_signs": lambda line: derive_gate_signs(fr_i(), line),
+}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        *LABELLED_LINE_CALLS.values(),
+        lambda line: chart_to_protocol(generate_s(2, 2, 4), ("A", "Z")),
+        lambda line: solve_outer(
+            MeteringProblem(
+                line=line, spec_factory=fr_i, M=4, N=4, unit_capacity=1,
+                fixed_station_types=line.station_types,
+            )
+        ),
+    ],
+    ids=[*LABELLED_LINE_CALLS, "chart_to_protocol", "solve_outer"],
+)
+def test_unknown_station_label_raises_typed_error(call):
+    line = make_line(("R", "Z"), [[0, 1], [0, 0]])
+    with pytest.raises(UnknownStationType, match="'Z'"):
+        call(line)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [*LABELLED_LINE_CALLS.values(), lambda line: check_eol(fr_i(), line)],
+    ids=[*LABELLED_LINE_CALLS, "check_eol"],
+)
+def test_unclassified_line_raises_dimension_mismatch(call):
+    line = replace(make_line(("R", "F"), [[0, 1], [0, 0]]), station_types=None)
+    with pytest.raises(DimensionMismatch):
+        call(line)
 
 
 @pytest.mark.parametrize("ctor", [fr_h, fr_i, ftr])

@@ -190,6 +190,16 @@ def test_cli_simulate_ambiguous_spec_is_a_domain_error(tmp_path, capsys, fr_line
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("split", [None, "balanced", "end_preference"])
+def test_cli_simulate_unknown_station_type_is_a_domain_error(tmp_path, capsys, split):
+    spec_path = write_json(tmp_path / "spec.json", spec_to_json(fr_i()))
+    line = make_line(("R", "Z", "F"), [[0, 1, 1], [0, 0, 1], [0, 0, 0]])
+    line_path = write_json(tmp_path / "line.json", line_to_json(line))
+    argv = ["simulate", "--spec", spec_path, "--line", line_path]
+    assert main(argv + (["--split", split] if split else [])) == 1
+    assert capsys.readouterr().err.startswith("error: station type 'Z'")
+
+
 def test_cli_optimize_metering(tmp_path, capsys, fr_line_full):
     line_path = write_json(tmp_path / "line.json", line_to_json(fr_line_full))
     assert main(["optimize", "metering", "--line", line_path]) == 0
