@@ -37,7 +37,6 @@ from .flow_sim import (
     CapacityReport,
     LoadProfile,
     access_penalty_ftr,
-    access_penalty_ftr_mc,
     build_assignment,
     build_assignment_split,
     capacity_report,

@@ -562,7 +562,7 @@ def spec_from_json(doc: dict) -> ProtocolSpec:
             epsilon=np.asarray(tables["epsilon"]) if "epsilon" in tables else None,
             eol_rule=rule,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed spec document: {exc}") from exc
 
 
@@ -591,10 +591,10 @@ def line_from_json(doc: dict) -> LineInstance:
         return LineInstance(
             stations=tuple(doc["stations"]),
             platform_lengths=tuple(int(x) for x in doc["platform_lengths"]),
-            H=_as_fraction(doc["H"]),
-            A=tuple(tuple(_as_fraction(x) for x in row) for row in doc["A"]),
-            M_min=tuple(_as_fraction(x) for x in doc.get("M_min", ())),
+            H=doc["H"],
+            A=doc["A"],
+            M_min=tuple(doc.get("M_min", ())),
             station_types=tuple(doc["station_types"]) if "station_types" in doc else None,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"malformed line document: {exc}") from exc

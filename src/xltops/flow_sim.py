@@ -348,33 +348,6 @@ def access_penalty_ftr(spacing_pattern: Sequence[str] = ("F", "R", "T")) -> Frac
     return affected * Fraction(1, 6)
 
 
-def access_penalty_ftr_mc(
-    spacing_pattern: Sequence[str] = ("F", "R", "T"),
-    draws: int = 10**6,
-    seed: int | None = None,
-) -> float:
-    """Monte-Carlo estimate of the access penalty (stochastic oracle).
-
-    Draws origin and destination types from the pattern frequencies and,
-    for affected trips, samples the per-end extra distances and keeps
-    the cheaper end.
-    """
-    rng = np.random.default_rng(seed)
-    labels = sorted(set(spacing_pattern))
-    freq = np.array([list(spacing_pattern).count(l) for l in labels], dtype=float)
-    freq /= freq.sum()
-    o = rng.choice(len(labels), size=draws, p=freq)
-    d = rng.choice(len(labels), size=draws, p=freq)
-    name = np.array(labels)
-    affected = (
-        ((name[o] == "F") & (name[d] == "R")) | ((name[o] == "R") & (name[d] == "F"))
-    )
-    extra_origin = rng.uniform(0.0, 0.5, size=draws)
-    extra_dest = rng.uniform(0.0, 0.5, size=draws)
-    extra = np.where(affected, np.minimum(extra_origin, extra_dest), 0.0)
-    return float(extra.mean())
-
-
 def headway_correction(extra_length_m: float, cruise_speed_mps: float) -> float:
     """Extra minimum headway in seconds for a train lengthened by ΔL meters."""
     if cruise_speed_mps <= 0:

@@ -3,7 +3,10 @@
 The inner problem picks station entry rates E_s maximizing total
 passengers served, subject to per-station bounds M_s <= E_s <= A_s and
 no overcrowding of any train section on any link.  The outer problem
-additionally enumerates station classifications and section sizings.
+enumerates station classifications and section sizings of the fr_i
+protocol, whose presentation, and so every LP row, does not depend on
+the sizing: the LP is built once per classification, and a sizing sets
+only its right-hand side, the capacities C_n less the minimum rates' loads.
 
 The inner solver is an exact primal simplex over ``fractions.Fraction``
 (Bland's rule, so it terminates without cycling).  Rates are shifted by
@@ -15,32 +18,26 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import flow_sim
-from .core_model import LineInstance, ProtocolSpec
-from .errors import (
-    AmbiguousAssignment,
-    DimensionMismatch,
-    InfeasibleMinRates,
-    SearchSpaceTooLarge,
-)
+from .core_model import LineInstance, fr_i
+from .errors import BadSectionCount, DimensionMismatch, InfeasibleMinRates, SearchSpaceTooLarge
+
+_SPEC = fr_i()  # the type labels, end-of-line rule and presentation of every candidate
+_N = _SPEC.trains[0].N
 
 
 @dataclass(frozen=True)
 class MeteringProblem:
-    """A line, a protocol family parameterized by section sizes, and flags.
+    """A line, the fr_i train's M units, and the classification and sizing if fixed.
 
-    ``spec_factory(sizes)`` must return the protocol for a candidate
-    sizing; the classification is supplied separately so the outer
-    search can vary it.  ``unit_capacity`` is passengers per unit, so a
-    section of size m holds c*m passengers per train.
+    ``unit_capacity`` is passengers per unit, so a section of size m
+    holds c*m passengers per train.
     """
 
     line: LineInstance
-    spec_factory: Callable[[Sequence[int]], ProtocolSpec]
     M: int
-    N: int
     unit_capacity: Fraction | int
     fixed_station_types: tuple[str, ...] | None = None
     fixed_sizes: tuple[int, ...] | None = None
@@ -104,65 +101,73 @@ def _simplex_max(
     return x
 
 
+def _check_sizes(problem: MeteringProblem, section_sizes: Sequence[int]) -> tuple[int, ...]:
+    sizes = tuple(int(m) for m in section_sizes)
+    if sum(sizes) != problem.M or len(sizes) != _N:
+        raise DimensionMismatch("section sizes must partition the train")
+    if min(sizes) < 1:
+        raise BadSectionCount("fr_i needs exactly 4 positive section sizes")
+    return sizes
+
+
+class _ClassificationLP:
+    """The LP in x = E - M_min of one classification: its rows (upper bounds,
+    then loads per section and link) and the load ``base`` the minimum rates
+    put on each section and link are fixed; a sizing sets C_n - base."""
+
+    def __init__(self, problem: MeteringProblem, station_types: Sequence[str]) -> None:
+        self.station_types = tuple(station_types)
+        line = replace(problem.line, station_types=self.station_types)
+        self.coef = flow_sim.load_coefficients(flow_sim.build_assignment(_SPEC, line), line)
+        self.c = Fraction(problem.unit_capacity)
+        self.lo = line.M_min
+        self.slack = [line.demand_rate(z) - lo for z, lo in enumerate(self.lo)]
+        unit = [[Fraction(int(z == y)) for y in range(line.S)] for z in range(line.S)]
+        self.rows = unit + [row for table in self.coef for row in table]
+        self.base = [[sum(c * m for c, m in zip(row, self.lo)) for row in table]
+                     for table in self.coef]
+
+    def solve(self, sizes: tuple[int, ...]) -> tuple[list[Fraction], list[Fraction]]:
+        """Optimal x for one sizing, and the right-hand sides it was solved against."""
+        C_n = [self.c * m for m in sizes]
+        for n, row in enumerate(self.base):
+            for s, load in enumerate(row):
+                if load > C_n[n]:
+                    raise InfeasibleMinRates(
+                        f"minimum rates overload section {n + 1} on link {s + 1}"
+                    )
+        b = self.slack + [C_n[n] - load for n, row in enumerate(self.base) for load in row]
+        return _simplex_max([Fraction(1)] * len(self.lo), self.rows, b), b
+
+    def solution(self, sizes: tuple[int, ...], x: list, b: list) -> MeteringSolution:
+        S = len(self.lo)
+        E = tuple(lo + dx for lo, dx in zip(self.lo, x))
+        tags = [BindingConstraint("upper", (z + 1,)) for z in range(S)] + [
+            BindingConstraint("load", (n + 1, s + 1)) for n in range(_N) for s in range(S - 1)
+        ]
+        binding = [BindingConstraint("lower", (z + 1,)) for z in range(S) if E[z] == self.lo[z]]
+        for row, rhs, tag in zip(self.rows, b, tags):
+            if sum(r * dx for r, dx in zip(row, x)) == rhs:
+                binding.append(tag)
+        return MeteringSolution(
+            E=E,
+            station_types=self.station_types,
+            section_sizes=sizes,
+            objective=sum(E, Fraction(0)),
+            profile=flow_sim.load_profile(self.coef, E, tuple(self.c * m for m in sizes)),
+            binding=tuple(binding),
+        )
+
+
 def solve_inner_lp(
     problem: MeteringProblem,
     station_types: Sequence[str],
     section_sizes: Sequence[int],
 ) -> MeteringSolution:
     """Optimal entry rates for a fixed classification and sizing."""
-    sizes = tuple(int(m) for m in section_sizes)
-    if sum(sizes) != problem.M or len(sizes) != problem.N:
-        raise DimensionMismatch("section sizes must partition the train")
-    spec = problem.spec_factory(sizes)
-    line = replace(problem.line, station_types=tuple(station_types))
-    assignment = flow_sim.build_assignment(spec, line)
-    C_n = tuple(Fraction(problem.unit_capacity) * m for m in sizes)
-    S = line.S
-    lo = tuple(line.M_min)
-    hi = tuple(line.demand_rate(z) for z in range(S))
-    coef = flow_sim.load_coefficients(assignment, line)
-
-    # Shift x = E - lo; x >= 0.  Box rows then load rows.
-    A_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    tags: list[BindingConstraint] = []
-    for z in range(S):
-        row = [Fraction(0)] * S
-        row[z] = Fraction(1)
-        A_ub.append(row)
-        b_ub.append(hi[z] - lo[z])
-        tags.append(BindingConstraint("upper", (z + 1,)))
-    for n in range(assignment.N):
-        for s in range(S - 1):
-            base = sum((coef[n][s][z] * lo[z] for z in range(S)), Fraction(0))
-            if base > C_n[n]:
-                raise InfeasibleMinRates(
-                    f"minimum rates overload section {n + 1} on link {s + 1}"
-                )
-            A_ub.append(list(coef[n][s]))
-            b_ub.append(C_n[n] - base)
-            tags.append(BindingConstraint("load", (n + 1, s + 1)))
-
-    x = _simplex_max([Fraction(1)] * S, A_ub, b_ub)
-    E = tuple(lo[z] + x[z] for z in range(S))
-
-    binding: list[BindingConstraint] = []
-    for z in range(S):
-        if E[z] == lo[z]:
-            binding.append(BindingConstraint("lower", (z + 1,)))
-    for row, b, tag in zip(A_ub, b_ub, tags):
-        if sum((row[z] * x[z] for z in range(S)), Fraction(0)) == b:
-            binding.append(tag)
-
-    profile = flow_sim.load_profile(coef, E, C_n)
-    return MeteringSolution(
-        E=E,
-        station_types=tuple(station_types),
-        section_sizes=sizes,
-        objective=sum(E, Fraction(0)),
-        profile=profile,
-        binding=tuple(binding),
-    )
+    sizes = _check_sizes(problem, section_sizes)
+    lp = _ClassificationLP(problem, station_types)
+    return lp.solution(sizes, *lp.solve(sizes))
 
 
 def _compositions(total: int, parts: int):
@@ -172,18 +177,12 @@ def _compositions(total: int, parts: int):
         yield tuple(bounds[i + 1] - bounds[i] for i in range(parts))
 
 
-def _classifications(problem: MeteringProblem, type_labels: tuple[str, ...]):
-    S = problem.line.S
-    spec = problem.spec_factory(next(_compositions(problem.M, problem.N)))
-    choices: list[tuple[str, ...]] = []
-    for s in range(S):
-        opts = type_labels
-        if spec.eol_rule is not None:
-            if s == 0:
-                opts = tuple(t for t in type_labels if t in spec.eol_rule.first_types)
-            elif s == S - 1:
-                opts = tuple(t for t in type_labels if t in spec.eol_rule.last_types)
-        choices.append(opts)
+def _classifications(S: int):
+    """Every fr_i classification of S stations; a lone station is a first station."""
+    types, rule = _SPEC.stations.types, _SPEC.eol_rule
+    first = tuple(t for t in types if t in rule.first_types)
+    last = tuple(t for t in types if t in rule.last_types)
+    choices = (first if s == 0 else last if s == S - 1 else types for s in range(S))
     return itertools.product(*choices)
 
 
@@ -192,36 +191,37 @@ def solve_outer(problem: MeteringProblem, cap: int = 10**6) -> MeteringSolution:
 
     Candidates are generated in lexicographic order of the
     (classification, sizes) encoding; the first optimum found wins, so
-    ties resolve to the lexicographically smallest candidate.
+    ties resolve to the lexicographically smallest candidate.  Each
+    classification's LP is built once, and the solution is assembled
+    for the winner only.
     """
-    spec0 = problem.spec_factory(next(_compositions(problem.M, problem.N)))
-    type_labels = spec0.stations.types
-
     if problem.fixed_station_types is not None:
         deltas = [tuple(problem.fixed_station_types)]
     else:
-        deltas = list(_classifications(problem, type_labels))
+        deltas = list(_classifications(problem.line.S))
     if problem.fixed_sizes is not None:
         sizings = [tuple(problem.fixed_sizes)]
     else:
-        sizings = list(_compositions(problem.M, problem.N))
+        sizings = list(_compositions(problem.M, _N))
 
     count = len(deltas) * len(sizings)
     if count > cap:
         raise SearchSpaceTooLarge(f"{count} candidates exceed the cap of {cap}")
+    sizings = [_check_sizes(problem, sizes) for sizes in sizings]
 
-    best: MeteringSolution | None = None
+    best = None  # (sum of x, lp, sizes, x, b); sum(E) exceeds sum(x) by the same sum(M_min)
     for delta in deltas:
+        lp = _ClassificationLP(problem, delta)
         for sizes in sizings:
             try:
-                sol = solve_inner_lp(problem, delta, sizes)
-            except (InfeasibleMinRates, AmbiguousAssignment):
+                x, b = lp.solve(sizes)
+            except InfeasibleMinRates:
                 continue
-            if best is None or sol.objective > best.objective:
-                best = sol
+            if best is None or sum(x) > best[0]:
+                best = (sum(x), lp, sizes, x, b)
     if best is None:
         raise InfeasibleMinRates("no enumerated candidate admits feasible rates")
-    return best
+    return best[1].solution(*best[2:])
 
 
 @dataclass(frozen=True)

@@ -338,9 +338,7 @@ def _cmd_optimize(args) -> int:
         raise SchemaError("line needs station_types unless --free-delta is given")
     problem = metering_opt.MeteringProblem(
         line=line,
-        spec_factory=fr_i,
         M=args.units,
-        N=4,
         unit_capacity=Fraction(str(args.unit_capacity)),
         fixed_station_types=None if args.free_delta else line.station_types,
         fixed_sizes=tuple(args.sizes) if args.sizes else None,

@@ -69,10 +69,6 @@ class ConnectivityGraph:
                     queue.append(other)
         return dist
 
-    def has_edge(self, train: str, a: str, b: str) -> bool:
-        i, j = sorted((a, b))
-        return (train, i, j) in self.riding_edges
-
 
 def build_graph(chart: BarChart | MultiTrainChart) -> ConnectivityGraph:
     """Riding edges are bar pairs overlapping by >= 1 whole unit.

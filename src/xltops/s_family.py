@@ -47,6 +47,7 @@ from .core_model import (
 from .errors import (
     DimensionMismatch,
     NonIntegralStep,
+    SchemaError,
     SubsetCoverage,
     UnreachableError,
 )
@@ -133,6 +134,8 @@ class MultiTrainChart:
     def __post_init__(self) -> None:
         if not self.charts:
             raise DimensionMismatch("at least one chart is required")
+        if len(set(self.train_labels())) != len(self.charts):
+            raise DimensionMismatch("train labels must be unique")
         M = self.charts[0][1].M
         universe = set(self.charts[0][1].labels())
         for label, chart in self.charts:
@@ -152,7 +155,7 @@ class MultiTrainChart:
 
     @cached_property
     def _by_label(self) -> dict[str, BarChart]:
-        return dict(reversed(self.charts))  # a repeated label keeps its first chart
+        return dict(self.charts)
 
     def chart(self, train_label: str) -> BarChart:
         return self._by_label[train_label]
@@ -563,19 +566,21 @@ def chart_to_json(chart: BarChart | MultiTrainChart) -> dict:
 
 
 def chart_from_json(doc: dict) -> BarChart | MultiTrainChart:
-    kind = doc.get("kind")
-    if kind == "chart":
-        _check_schema(doc, "chart")
-        return BarChart(
-            M=int(doc["M"]),
-            bars=tuple(
-                Bar(label=x["label"], b=int(x["b"]), d=int(x["d"])) for x in doc["bars"]
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    _check_schema(doc, "chart" if kind == "chart" else "multichart")
+    try:
+        if kind == "chart":
+            return BarChart(
+                M=int(doc["M"]),
+                bars=tuple(
+                    Bar(label=x["label"], b=int(x["b"]), d=int(x["d"])) for x in doc["bars"]
+                ),
+            )
+        return MultiTrainChart(
+            charts=tuple(
+                (entry["train"], chart_from_json(entry["chart"])) for entry in doc["charts"]
             ),
+            rotation=tuple(doc["rotation"]),
         )
-    _check_schema(doc, "multichart")
-    return MultiTrainChart(
-        charts=tuple(
-            (entry["train"], chart_from_json(entry["chart"])) for entry in doc["charts"]
-        ),
-        rotation=tuple(doc["rotation"]),
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed chart document: {exc}") from exc

@@ -3,7 +3,9 @@
 Oracles deliberately re-derive results through a different mechanism
 than the implementation: plain nested loops for constraint checking,
 station-by-station per-flow bookkeeping for loads, exhaustive step-path
-enumeration for routing, and vertex enumeration for linear programs.
+enumeration for routing, vertex enumeration for linear programs, one
+LP per candidate for the metering search, and sampling for the access
+penalty.
 """
 
 from __future__ import annotations
@@ -24,7 +26,10 @@ from xltops import (
     StationTypeCatalog,
     TrainTypeSpec,
     build_protocol,
+    fr_i,
+    solve_inner_lp,
 )
+from xltops.errors import AmbiguousAssignment, InfeasibleMinRates
 
 
 def seed_from_env(default: int = 12345) -> int:
@@ -257,6 +262,84 @@ def oracle_lp_max(c, A_ub, b_ub, A_eq=(), b_eq=()):
         if best is None or val > best[0]:
             best = (val, x)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive metering search, one LP per candidate
+# ---------------------------------------------------------------------------
+
+
+def oracle_metering_outer(problem):
+    """Best candidate of the full (classification, sizing) product; None if none is feasible.
+
+    Every candidate goes through the one-candidate ``solve_inner_lp`` in
+    lexicographic order, candidates whose minimum rates overload a
+    section (or whose pairs are presented ambiguously) are skipped, and
+    the first strict maximum wins.
+    """
+    spec = fr_i()
+    types, rule, S, M = spec.stations.types, spec.eol_rule, problem.line.S, problem.M
+    if problem.fixed_station_types is not None:
+        deltas = [tuple(problem.fixed_station_types)]
+    else:
+        choices = []
+        for s in range(S):
+            if s == 0:
+                choices.append(tuple(t for t in types if t in rule.first_types))
+            elif s == S - 1:
+                choices.append(tuple(t for t in types if t in rule.last_types))
+            else:
+                choices.append(types)
+        deltas = list(itertools.product(*choices))
+    if problem.fixed_sizes is not None:
+        sizings = [tuple(problem.fixed_sizes)]
+    else:
+        sizings = [
+            tuple(b - a for a, b in itertools.pairwise((0, *cuts, M)))
+            for cuts in itertools.combinations(range(1, M), 3)
+        ]
+    best = None
+    for delta in deltas:
+        for sizes in sizings:
+            try:
+                sol = solve_inner_lp(problem, delta, sizes)
+            except (InfeasibleMinRates, AmbiguousAssignment):
+                continue
+            if best is None or sol.objective > best.objective:
+                best = sol
+    return best
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo access-penalty oracle
+# ---------------------------------------------------------------------------
+
+
+def access_penalty_ftr_mc(
+    spacing_pattern=("F", "R", "T"),
+    draws: int = 10**6,
+    seed: int | None = None,
+) -> float:
+    """Monte-Carlo estimate of the access penalty (stochastic oracle).
+
+    Draws origin and destination types from the pattern frequencies and,
+    for affected trips, samples the per-end extra distances and keeps
+    the cheaper end.
+    """
+    rng = np.random.default_rng(seed)
+    labels = sorted(set(spacing_pattern))
+    freq = np.array([list(spacing_pattern).count(l) for l in labels], dtype=float)
+    freq /= freq.sum()
+    o = rng.choice(len(labels), size=draws, p=freq)
+    d = rng.choice(len(labels), size=draws, p=freq)
+    name = np.array(labels)
+    affected = (
+        ((name[o] == "F") & (name[d] == "R")) | ((name[o] == "R") & (name[d] == "F"))
+    )
+    extra_origin = rng.uniform(0.0, 0.5, size=draws)
+    extra_dest = rng.uniform(0.0, 0.5, size=draws)
+    extra = np.where(affected, np.minimum(extra_origin, extra_dest), 0.0)
+    return float(extra.mean())
 
 
 # ---------------------------------------------------------------------------

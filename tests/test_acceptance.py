@@ -11,7 +11,6 @@ import xltops.routing as routing
 from xltops import (
     LineInstance,
     access_penalty_ftr,
-    access_penalty_ftr_mc,
     build_assignment,
     build_ftr3,
     build_graph,
@@ -41,6 +40,7 @@ from xltops.metering_opt import MeteringProblem, solve_inner_lp, solve_outer
 from xltops.s_family import chart_to_protocol
 
 from conftest import (
+    access_penalty_ftr_mc,
     exactly_one_ftr,
     make_line,
     oracle_loads,
@@ -207,7 +207,7 @@ def test_criterion_11_metering_lp():
     A = [[Z, Fraction(2), Fraction(3)], [Z, Z, Fraction(4)], [Z, Z, Z]]
     line = LineInstance(stations=("a", "b", "c"), platform_lengths=(9, 9, 9), H=1, A=A)
     small = MeteringProblem(
-        line=line, spec_factory=fr_i, M=6, N=4, unit_capacity=Fraction(1)
+        line=line, M=6, unit_capacity=Fraction(1)
     )
     outer = solve_outer(small)
     value, delta, sizes = outer_brute_force(small)

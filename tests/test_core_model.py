@@ -180,7 +180,7 @@ LABELLED_LINE_CALLS = {
         lambda line: chart_to_protocol(generate_s(2, 2, 4), ("A", "Z")),
         lambda line: solve_outer(
             MeteringProblem(
-                line=line, spec_factory=fr_i, M=4, N=4, unit_capacity=1,
+                line=line, M=4, unit_capacity=1,
                 fixed_station_types=line.station_types,
             )
         ),

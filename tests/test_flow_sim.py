@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from xltops import (
     access_penalty_ftr,
-    access_penalty_ftr_mc,
     build_assignment,
     build_assignment_split,
     capacity_report,
@@ -27,6 +26,7 @@ from xltops.errors import (
 )
 
 from conftest import (
+    access_penalty_ftr_mc,
     exactly_one_ftr,
     make_line,
     oracle_loads,

@@ -2,13 +2,19 @@
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from xltops import LineInstance, build_assignment, fr_i
-from xltops.errors import InfeasibleMinRates, SearchSpaceTooLarge
+from xltops.errors import (
+    BadSectionCount,
+    DimensionMismatch,
+    InfeasibleMinRates,
+    SearchSpaceTooLarge,
+)
 from xltops.metering_opt import (
     MeteringProblem,
     even_density_check,
@@ -16,7 +22,13 @@ from xltops.metering_opt import (
     solve_outer,
 )
 
-from conftest import make_line, oracle_loads, oracle_lp_max, seed_from_env
+from conftest import (
+    make_line,
+    oracle_loads,
+    oracle_lp_max,
+    oracle_metering_outer,
+    seed_from_env,
+)
 
 Z = Fraction(0)
 FR_TYPES = ("F", "R", "F", "R")
@@ -26,9 +38,7 @@ def fr_problem(A, M_min=(), unit_capacity=1, M=12, fixed_delta=FR_TYPES, **kwarg
     line = make_line(FR_TYPES, A, M_min=M_min)
     return MeteringProblem(
         line=line,
-        spec_factory=fr_i,
         M=M,
-        N=4,
         unit_capacity=Fraction(unit_capacity),
         fixed_station_types=fixed_delta,
         **kwargs,
@@ -132,9 +142,7 @@ def unit_vector_coefficients(spec, line):
 
 
 def lp_oracle(problem, station_types, sizes):
-    from dataclasses import replace
-
-    spec = problem.spec_factory(sizes)
+    spec = fr_i(sizes)
     line = replace(problem.line, station_types=tuple(station_types))
     rows, _ = unit_vector_coefficients(spec, line)
     S = line.S
@@ -184,9 +192,7 @@ def test_inner_lp_profile_matches_per_flow_microsimulation():
         sizes = tuple(rng.randint(1, 4) for _ in range(4))
         problem = MeteringProblem(
             line=make_line(types, A, H=Fraction(rng.randint(1, 3), 2)),
-            spec_factory=fr_i,
             M=sum(sizes),
-            N=4,
             unit_capacity=Fraction(rng.randint(1, 4), 2),
         )
         sol = solve_inner_lp(problem, types, sizes)
@@ -256,7 +262,7 @@ def test_outer_cap_is_enforced():
 
 def outer_brute_force(problem):
     """Full product-space enumeration with the vertex-enumeration LP."""
-    spec0 = problem.spec_factory((1, 1, 1, problem.M - 3))
+    spec0 = fr_i((1, 1, 1, problem.M - 3))
     labels = spec0.stations.types
     S = problem.line.S
     choices = []
@@ -269,7 +275,7 @@ def outer_brute_force(problem):
         choices.append(opts)
     sizings = [
         tuple(b - a for a, b in itertools.pairwise((0, *cuts, problem.M)))
-        for cuts in itertools.combinations(range(1, problem.M), problem.N - 1)
+        for cuts in itertools.combinations(range(1, problem.M), 3)
     ]
     best = None
     for delta in itertools.product(*choices):
@@ -288,7 +294,7 @@ def test_outer_matches_full_brute_force_on_three_stations():
         stations=("a", "b", "c"), platform_lengths=(9, 9, 9), H=1, A=A
     )
     problem = MeteringProblem(
-        line=line, spec_factory=fr_i, M=6, N=4, unit_capacity=Fraction(1)
+        line=line, M=6, unit_capacity=Fraction(1)
     )
     sol = solve_outer(problem)
     value, delta, sizes = outer_brute_force(problem)
@@ -303,3 +309,102 @@ def test_unused_section_is_flagged():
     report = even_density_check(sol)
     assert 3 in report.unused_sections
     assert report.ratio is None
+
+
+@pytest.mark.parametrize(
+    "sizes, error, message",
+    [
+        ((0, 4, 4, 4), BadSectionCount, "fr_i needs exactly 4 positive section sizes"),
+        ((3, 3, 3), DimensionMismatch, "section sizes must partition the train"),
+    ],
+)
+def test_outer_rejects_bad_fixed_sizes(sizes, error, message):
+    problem = fr_problem(pairwise_demand(3, 3, 3, 3), fixed_sizes=sizes)
+    with pytest.raises(error, match=message):
+        solve_outer(problem)
+
+
+def test_outer_with_fewer_units_than_sections_has_no_candidate():
+    with pytest.raises(InfeasibleMinRates, match="no enumerated candidate"):
+        solve_outer(fr_problem(pairwise_demand(3, 3, 3, 3), M=3))
+
+
+# ---------------------------------------------------------------------------
+# Outer search against the one-LP-per-candidate oracle
+# ---------------------------------------------------------------------------
+
+
+def random_metering_problem(rng, S, free_types):
+    A = [
+        [Fraction(rng.randint(0, 6), rng.randint(1, 3)) if sp > z else Z for sp in range(S)]
+        for z in range(S)
+    ]
+    M_min = [sum(row, Z) * Fraction(rng.randint(0, 3), 4) for row in A]
+    types = ("R", *(rng.choice("FR") for _ in range(S - 2)), "F") if S > 1 else ("R",)
+    return MeteringProblem(
+        line=make_line(types, A, H=Fraction(rng.randint(1, 3), 2), M_min=M_min),
+        M=rng.randint(4, 7),
+        unit_capacity=Fraction(rng.randint(1, 6), 2),
+        fixed_station_types=None if free_types else types,
+    )
+
+
+def assert_outer_matches_oracle(problem):
+    expected = oracle_metering_outer(problem)
+    if expected is None:
+        with pytest.raises(InfeasibleMinRates, match="no enumerated candidate"):
+            solve_outer(problem)
+    else:
+        assert solve_outer(problem) == expected
+    return expected
+
+
+def skips_a_sizing(problem, station_types):
+    try:
+        solve_inner_lp(problem, station_types, (1, 1, 1, problem.M - 3))
+    except InfeasibleMinRates:
+        return True
+    return False
+
+
+def test_outer_matches_exhaustive_oracle_on_random_lines():
+    rng = random.Random(seed_from_env() + 21)
+    partly_skipped = 0
+    for trial in range(36):
+        problem = random_metering_problem(rng, S=1 + trial % 6, free_types=trial % 12 < 6)
+        best = assert_outer_matches_oracle(problem)
+        partly_skipped += best is not None and skips_a_sizing(problem, best.station_types)
+    assert partly_skipped  # a winner whose classification also has skipped sizings
+
+
+def test_skipped_sizings_are_exactly_those_without_feasible_rates():
+    rng = random.Random(seed_from_env() + 23)
+    outcomes = set()
+    for S in (2, 3, 3, 3):
+        problem = replace(random_metering_problem(rng, S, free_types=False), M=6)
+        types = problem.line.station_types
+        for sizes in (s for s in itertools.product(range(1, 4), repeat=4) if sum(s) == 6):
+            expected = lp_oracle(problem, types, sizes)
+            try:
+                value = solve_inner_lp(problem, types, sizes).objective
+            except InfeasibleMinRates:
+                value = None
+            assert value == expected
+            outcomes.add(value is None)
+    assert outcomes == {True, False}
+
+
+def test_outer_single_station_is_a_first_station():
+    problem = MeteringProblem(line=make_line(("F",), [[Z]]), M=4, unit_capacity=1)
+    sol = assert_outer_matches_oracle(problem)
+    assert sol.station_types == ("R",)
+    assert sol.section_sizes == (1, 1, 1, 1)
+
+
+def test_outer_tie_keeps_the_first_candidate():
+    rng = random.Random(seed_from_env() + 22)
+    for S in (2, 4, 5):
+        problem = replace(random_metering_problem(rng, S, free_types=True), unit_capacity=10**6)
+        sol = assert_outer_matches_oracle(problem)
+        assert sol.station_types == ("R", *("F",) * (S - 1))
+        assert sol.section_sizes == (1, 1, 1, problem.M - 3)

@@ -208,6 +208,56 @@ def test_cli_optimize_metering(tmp_path, capsys, fr_line_full):
     assert Fraction(out["objective"]) == 12
 
 
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        (["0", "4", "4", "4"], "error: fr_i needs exactly 4 positive section sizes"),
+        (["3", "3", "3"], "error: section sizes must partition the train"),
+    ],
+)
+def test_cli_optimize_metering_rejects_bad_sizes(tmp_path, capsys, fr_line_full, sizes, message):
+    line_path = write_json(tmp_path / "line.json", line_to_json(fr_line_full))
+    assert main(["optimize", "metering", "--line", line_path, "--sizes", *sizes]) == 1
+    assert capsys.readouterr().err.strip() == message
+
+
+def _bar_without_d():
+    doc = chart_to_json(generate_s(3, 2, 4))
+    del doc["bars"][0]["d"]
+    return doc
+
+
+def _spec_with_unit_count(value):
+    doc = spec_to_json(fr_i())
+    doc["trains"][0]["M"] = value
+    return doc
+
+
+def _line_with_demand(value):
+    doc = line_to_json(make_line(("R", "F"), [[0, 1], [0, 0]]))
+    doc["A"][0][1] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (["render"], [1, 2]),
+        (["analyze", "connectivity"], [1, 2]),
+        (["render"], _bar_without_d()),
+        (["validate"], _spec_with_unit_count("abc")),
+        (["optimize", "metering", "--line"], _line_with_demand("1/0")),
+        (["optimize", "metering", "--line"], _line_with_demand("abc")),
+    ],
+    ids=["render-list", "connectivity-list", "bar-without-d", "spec-M-abc", "demand-1/0",
+         "demand-abc"],
+)
+def test_cli_malformed_document_is_a_schema_error(tmp_path, capsys, command, doc):
+    path = write_json(tmp_path / "doc.json", doc)
+    assert main([*command, path]) == 1
+    assert capsys.readouterr().err.startswith(("error: expected a", "error: malformed"))
+
+
 def test_cli_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

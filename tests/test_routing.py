@@ -28,9 +28,9 @@ def test_staggered_chart_edge_set(fig4_routing_chart):
     present = {("A", "B"), ("B", "C"), ("B", "D"), ("C", "D")}
     absent = {("A", "C"), ("A", "D")}
     for i, j in present:
-        assert graph.has_edge("1", i, j)
+        assert ("1", i, j) in graph.riding_edges
     for i, j in absent:
-        assert not graph.has_edge("1", i, j)
+        assert ("1", i, j) not in graph.riding_edges
 
 
 def test_staggered_chart_transfer_counts(fig4_routing_chart):

@@ -187,6 +187,8 @@ def test_multichart_requires_shared_geometry():
         MultiTrainChart(charts=(("1", a), ("2", b)), rotation=("1", "2"))
     with pytest.raises(DimensionMismatch):
         MultiTrainChart(charts=(("1", a),), rotation=("1", "2"))
+    with pytest.raises(DimensionMismatch, match="train labels must be unique"):
+        MultiTrainChart(charts=(("1", a), ("1", a)), rotation=("1",))
 
 
 # ---------------------------------------------------------------------------
