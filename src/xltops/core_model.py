@@ -441,6 +441,8 @@ class LineInstance:
 
     def __post_init__(self) -> None:
         S = len(self.stations)
+        if not S:
+            raise DimensionMismatch("a line needs at least one station")
         object.__setattr__(self, "H", _as_fraction(self.H))
         A = tuple(tuple(_as_fraction(x) for x in row) for row in self.A)
         object.__setattr__(self, "A", A)

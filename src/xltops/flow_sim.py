@@ -252,6 +252,8 @@ def max_unit_density(
 
 def max_load_point(profile: LoadProfile) -> int:
     """The first link (0-based) of maximum total load: ties go to the left."""
+    if not profile.links:
+        raise DimensionMismatch("a load profile with no links has no maximum load point")
     totals = [profile.link_total(s) for s in range(profile.links)]
     return totals.index(max(totals))
 

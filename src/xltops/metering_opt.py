@@ -1,12 +1,16 @@
-"""Entry-rate metering: inner linear program and outer enumeration.
+"""Entry-rate metering: inner linear program and outer search.
 
 The inner problem picks station entry rates E_s maximizing total
 passengers served, subject to per-station bounds M_s <= E_s <= A_s and
 no overcrowding of any train section on any link.  The outer problem
-enumerates station classifications and section sizings of the fr_i
+searches station classifications and section sizings of the fr_i
 protocol, whose presentation, and so every LP row, does not depend on
 the sizing: the LP is built once per classification, and a sizing sets
 only its right-hand side, the capacities C_n less the minimum rates' loads.
+So the optimal duals of one sizing's LP stay dual feasible for every
+sizing of that classification, and by weak duality bound its value by
+an affine function of the sizes (a Benders optimality cut); the outer
+search solves only the sizings that no such cut rules out.
 
 The inner solver is an exact primal simplex over ``fractions.Fraction``
 (Bland's rule, so it terminates without cycling).  Rates are shifted by
@@ -63,8 +67,12 @@ def _simplex_max(
     c: Sequence[Fraction],
     A_ub: Sequence[Sequence[Fraction]],
     b_ub: Sequence[Fraction],
-) -> list[Fraction]:
-    """Maximize c.x subject to A_ub x <= b_ub, x >= 0 (all b_ub >= 0)."""
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Maximize c.x subject to A_ub x <= b_ub, x >= 0 (all b_ub >= 0).
+
+    Returns an optimal x and optimal duals y, the slack columns of the
+    final objective row: y >= 0, y.A_ub >= c and y.b_ub = c.x.
+    """
     n = len(c)
     m = len(b_ub)
     # Tableau rows: [A | I | b]; objective row: [-c | 0 | 0].
@@ -98,7 +106,7 @@ def _simplex_max(
     for i, var in enumerate(basis):
         if var < n:
             x[var] = rows[i][-1]
-    return x
+    return x, obj[n:n + m]
 
 
 def _check_sizes(problem: MeteringProblem, section_sizes: Sequence[int]) -> tuple[int, ...]:
@@ -127,8 +135,8 @@ class _ClassificationLP:
         self.base = [[sum(c * m for c, m in zip(row, self.lo)) for row in table]
                      for table in self.coef]
 
-    def solve(self, sizes: tuple[int, ...]) -> tuple[list[Fraction], list[Fraction]]:
-        """Optimal x for one sizing, and the right-hand sides it was solved against."""
+    def rhs(self, sizes: tuple[int, ...]) -> list[Fraction]:
+        """Right-hand sides for one sizing: the demand slack, then C_n - base."""
         C_n = [self.c * m for m in sizes]
         for n, row in enumerate(self.base):
             for s, load in enumerate(row):
@@ -136,8 +144,24 @@ class _ClassificationLP:
                     raise InfeasibleMinRates(
                         f"minimum rates overload section {n + 1} on link {s + 1}"
                     )
-        b = self.slack + [C_n[n] - load for n, row in enumerate(self.base) for load in row]
-        return _simplex_max([Fraction(1)] * len(self.lo), self.rows, b), b
+        return self.slack + [C_n[n] - load for n, row in enumerate(self.base) for load in row]
+
+    def solve(self, b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+        """Optimal x and duals y against the right-hand sides b."""
+        return _simplex_max([Fraction(1)] * len(self.lo), self.rows, b)
+
+    def cut(self, y: Sequence[Fraction]) -> tuple[Fraction, list[Fraction]]:
+        """(k, w) with sum x*(m) <= k + sum_n w_n m_n for every feasible sizing m.
+
+        y is dual feasible for every sizing, since only b depends on it, so
+        weak duality bounds each optimum by y.b(m) = k + w.m with
+        k = y.b(0) = y.slack - y.base and w_n = c times the sum of section n's duals.
+        """
+        S = len(self.lo)
+        b_at_zero = self.slack + [-load for row in self.base for load in row]
+        k = sum((yj * bj for yj, bj in zip(y, b_at_zero)), Fraction(0))
+        w = [self.c * sum(y[S + n * (S - 1):S + (n + 1) * (S - 1)], Fraction(0)) for n in range(_N)]
+        return k, w
 
     def solution(self, sizes: tuple[int, ...], x: list, b: list) -> MeteringSolution:
         S = len(self.lo)
@@ -167,7 +191,8 @@ def solve_inner_lp(
     """Optimal entry rates for a fixed classification and sizing."""
     sizes = _check_sizes(problem, section_sizes)
     lp = _ClassificationLP(problem, station_types)
-    return lp.solution(sizes, *lp.solve(sizes))
+    b = lp.rhs(sizes)
+    return lp.solution(sizes, lp.solve(b)[0], b)
 
 
 def _compositions(total: int, parts: int):
@@ -187,13 +212,17 @@ def _classifications(S: int):
 
 
 def solve_outer(problem: MeteringProblem, cap: int = 10**6) -> MeteringSolution:
-    """Best (classification, sizing, rates) by exhaustive enumeration.
+    """Best (classification, sizing, rates) over every candidate.
 
-    Candidates are generated in lexicographic order of the
+    Candidates are visited in lexicographic order of the
     (classification, sizes) encoding; the first optimum found wins, so
     ties resolve to the lexicographically smallest candidate.  Each
     classification's LP is built once, and the solution is assembled
-    for the winner only.
+    for the winner only.  A sizing whose minimum rates overload a
+    section is skipped, and so is one that a dual cut of an earlier
+    sizing of the same classification bounds at or below the incumbent:
+    it can at best tie an earlier candidate, so the answer is the one
+    that solving every candidate's LP gives.
     """
     if problem.fixed_station_types is not None:
         deltas = [tuple(problem.fixed_station_types)]
@@ -212,11 +241,18 @@ def solve_outer(problem: MeteringProblem, cap: int = 10**6) -> MeteringSolution:
     best = None  # (sum of x, lp, sizes, x, b); sum(E) exceeds sum(x) by the same sum(M_min)
     for delta in deltas:
         lp = _ClassificationLP(problem, delta)
+        cuts = []  # (k, w) from each solved sizing's duals
         for sizes in sizings:
             try:
-                x, b = lp.solve(sizes)
+                b = lp.rhs(sizes)
             except InfeasibleMinRates:
                 continue
+            if best is not None and any(
+                k + sum(wn * mn for wn, mn in zip(w, sizes)) <= best[0] for k, w in cuts
+            ):
+                continue
+            x, y = lp.solve(b)
+            cuts.append(lp.cut(y))
             if best is None or sum(x) > best[0]:
                 best = (sum(x), lp, sizes, x, b)
     if best is None:

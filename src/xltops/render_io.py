@@ -226,6 +226,14 @@ def _render_svg(charts, overlays) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _fraction(text: str) -> Fraction:
+    """argparse type for an exact rational such as 3, 0.5 or 7/2."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
@@ -264,7 +272,7 @@ def _cmd_generate(args) -> int:
     elif args.family == "ftr":
         doc = spec_to_json(ftr(args.section_size or 2))
     elif args.family == "s":
-        chart = s_family.generate_s(args.C, Fraction(args.D), args.d)
+        chart = s_family.generate_s(args.C, args.D, args.d)
         doc = s_family.chart_to_json(chart)
     elif args.family == "ftr3":
         doc = s_family.chart_to_json(s_family.build_ftr3())
@@ -296,9 +304,12 @@ def _cmd_simulate(args) -> int:
     line = line_from_json(_load_json(args.line))
     if args.entries:
         rates_doc = _load_json(args.entries)
-        if rates_doc.get("kind") != "rates":
+        if not isinstance(rates_doc, dict) or rates_doc.get("kind") != "rates":
             raise SchemaError("entries file must be a 'rates' document")
-        rates = [Fraction(str(x)) for x in rates_doc["E"]]
+        try:
+            rates = [Fraction(str(x)) for x in rates_doc["E"]]
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"malformed rates document: {exc}") from exc
     else:
         rates = [line.demand_rate(z) for z in range(line.S)]
     if args.split:
@@ -339,7 +350,7 @@ def _cmd_optimize(args) -> int:
     problem = metering_opt.MeteringProblem(
         line=line,
         M=args.units,
-        unit_capacity=Fraction(str(args.unit_capacity)),
+        unit_capacity=args.unit_capacity,
         fixed_station_types=None if args.free_delta else line.station_types,
         fixed_sizes=tuple(args.sizes) if args.sizes else None,
     )
@@ -381,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--section-size", type=int, dest="section_size")
     q.add_argument("--sizes", type=int, nargs="+")
     q.add_argument("--C", type=int, default=3)
-    q.add_argument("--D", default="2")
+    q.add_argument("--D", type=_fraction, default="2")
     q.add_argument("--d", type=int, default=4)
     q.add_argument("--out")
     q.set_defaults(func=_cmd_generate)
@@ -406,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     met = qsub.add_parser("metering")
     met.add_argument("--line", required=True)
     met.add_argument("--units", type=int, default=12)
-    met.add_argument("--unit-capacity", dest="unit_capacity", default="1")
+    met.add_argument("--unit-capacity", dest="unit_capacity", type=_fraction, default="1")
     met.add_argument("--sizes", type=int, nargs="+")
     met.add_argument("--free-delta", dest="free_delta", action="store_true")
     met.add_argument("--cap", type=int, default=10**6)

@@ -155,6 +155,8 @@ def test_line_instance_invariants():
             stations=("a", "b"), platform_lengths=(3, 3), H=1,
             A=((0, 1), (0, 0)), M_min=(2, 0), station_types=("F", "R"),
         )
+    with pytest.raises(DimensionMismatch, match="at least one station"):
+        LineInstance(stations=(), platform_lengths=(), H=1, A=())
 
 
 def test_line_demand_rate_and_classification():

@@ -24,6 +24,7 @@ from xltops.errors import (
     DimensionMismatch,
     NonpositiveSpeed,
 )
+from xltops.flow_sim import max_load_point
 
 from conftest import (
     access_penalty_ftr_mc,
@@ -300,6 +301,19 @@ def test_mlp_is_scale_invariant_and_ties_go_left():
         doubled = [2 * r for r in rates]
         two = capacity_report(simulate_loads(assignment, doubled, line, caps), spec, line)
         assert one.mlp_link == two.mlp_link
+
+
+def test_one_station_line_has_no_maximum_load_point():
+    spec = fr_i()
+    line = make_line(("R",), [[0]])
+    profile = simulate_loads(
+        build_assignment(spec, line), [Fraction(0)], line, section_capacities(spec)
+    )
+    assert profile.links == 0
+    with pytest.raises(DimensionMismatch, match="no maximum load point"):
+        max_load_point(profile)
+    with pytest.raises(DimensionMismatch, match="no maximum load point"):
+        capacity_report(profile, spec, line)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from xltops import LineInstance, build_assignment, fr_i
+from xltops import LineInstance, build_assignment, fr_i, metering_opt
 from xltops.errors import (
     BadSectionCount,
     DimensionMismatch,
@@ -17,6 +17,9 @@ from xltops.errors import (
 )
 from xltops.metering_opt import (
     MeteringProblem,
+    _ClassificationLP,
+    _classifications,
+    _compositions,
     even_density_check,
     solve_inner_lp,
     solve_outer,
@@ -408,3 +411,74 @@ def test_outer_tie_keeps_the_first_candidate():
         sol = assert_outer_matches_oracle(problem)
         assert sol.station_types == ("R", *("F",) * (S - 1))
         assert sol.section_sizes == (1, 1, 1, problem.M - 3)
+
+
+# ---------------------------------------------------------------------------
+# Dual cuts of the outer search
+# ---------------------------------------------------------------------------
+
+
+def cut_value(cut, sizes):
+    k, w = cut
+    return k + sum(wn * mn for wn, mn in zip(w, sizes))
+
+
+def test_dual_cut_bounds_every_sizing_and_is_tight_at_its_own():
+    """The cut from sizing m's duals is >= the vertex-enumeration optimum at
+    every feasible sizing m' of the classification, and equal to it at m."""
+    rng = random.Random(seed_from_env() + 24)
+    pairs = strict = 0
+    for S, M in ((2, 7), (2, 7), (3, 6), (3, 6), (3, 6), (4, 5)):
+        problem = replace(random_metering_problem(rng, S, free_types=True), M=M)
+        floor = sum(problem.line.M_min, Z)  # the LP maximizes sum(E - M_min)
+        for delta in _classifications(S):
+            optimum = {}
+            for sizes in _compositions(M, 4):
+                value = lp_oracle(problem, delta, sizes)
+                if value is not None:
+                    optimum[sizes] = value - floor
+            lp = _ClassificationLP(problem, delta)
+            for m in optimum:
+                cut = lp.cut(lp.solve(lp.rhs(m))[1])
+                assert cut_value(cut, m) == optimum[m]
+                for m2, value in optimum.items():
+                    assert cut_value(cut, m2) >= value
+                    pairs += 1
+                    strict += cut_value(cut, m2) > value
+    assert pairs > 100 and strict
+
+
+def metering_workload_problem(rng, S, M, c=10):
+    """A free-classification line shaped like the benchmark's metering jobs:
+    dense demand, a heavy first-to-last flow, and a first-station minimum
+    rate of 1.5 c that overloads section 3 whenever it has one unit."""
+    A = [[Fraction(rng.randint(1, 10)) if sp > z else Z for sp in range(S)] for z in range(S)]
+    A[0][S - 1] = Fraction(rng.randint(30 * (S - 2), 45 * (S - 2)))
+    M_min = [Fraction(3 * c, 2), Fraction(1), Fraction(1), *(Z,) * (S - 3)]
+    line = LineInstance(
+        stations=tuple(f"s{z + 1}" for z in range(S)), platform_lengths=(9,) * S, H=1, A=A,
+        M_min=M_min,
+    )
+    return MeteringProblem(line=line, M=M, unit_capacity=Fraction(c))
+
+
+@pytest.mark.parametrize("S, M, most", [(4, 8, 20), (5, 12, 60)])
+def test_dual_cuts_bound_the_lp_count(monkeypatch, S, M, most):
+    """Without cuts the outer search solves 80 LPs at S = 4, M = 8 and 960
+    at S = 5, M = 12; the answer stays the one-LP-per-candidate oracle's."""
+    rng = random.Random(seed_from_env() + 25)
+    simplex, solves = metering_opt._simplex_max, []
+
+    def counted(*args):
+        solves.append(args)
+        return simplex(*args)
+
+    for _ in range(3):
+        problem = metering_workload_problem(rng, S, M)
+        expected = oracle_metering_outer(problem) if S == 4 else None
+        solves.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(metering_opt, "_simplex_max", counted)
+            solution = solve_outer(problem)
+        assert len(solves) <= most
+        assert expected is None or solution == expected

@@ -264,5 +264,56 @@ def test_cli_unknown_subcommand_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "s", "--D", "abc"],
+        ["generate", "s", "--D", "1/0"],
+        ["optimize", "metering", "--line", "line.json", "--unit-capacity", "abc"],
+        ["optimize", "metering", "--line", "line.json", "--unit-capacity", "1/0"],
+    ],
+    ids=["D-abc", "D-1/0", "unit-capacity-abc", "unit-capacity-1/0"],
+)
+def test_cli_bad_number_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: argument {argv[-2]}: not a rational number: '{argv[-1]}'" in capsys.readouterr().err
+
+
+def test_cli_rational_options_are_exact(tmp_path, capsys, fr_line_full):
+    chart_path = str(tmp_path / "chart.json")
+    assert main(["generate", "s", "--C", "3", "--D", "4/2", "--d", "4", "--out", chart_path]) == 0
+    assert json.loads(open(chart_path).read()) == chart_to_json(generate_s(3, 2, 4))
+    line_path = write_json(tmp_path / "line.json", line_to_json(fr_line_full))
+    assert main(["optimize", "metering", "--line", line_path, "--unit-capacity", "0.5"]) == 0
+    assert Fraction(json.loads(capsys.readouterr().out)["objective"]) == 6
+
+
+@pytest.mark.parametrize(
+    "rates, message",
+    [
+        ({"schema_version": 1, "kind": "rates", "E": ["1/0", 1, 0, 0]}, "error: malformed rates"),
+        ({"schema_version": 1, "kind": "rates", "E": ["abc", 1, 0, 0]}, "error: malformed rates"),
+        ([1, 1, 0, 0], "error: entries file must be a 'rates' document"),
+    ],
+    ids=["E-1/0", "E-abc", "list"],
+)
+def test_cli_malformed_rates_are_a_schema_error(tmp_path, capsys, fr_line_full, rates, message):
+    spec_path = write_json(tmp_path / "spec.json", spec_to_json(fr_i()))
+    line_path = write_json(tmp_path / "line.json", line_to_json(fr_line_full))
+    rates_path = write_json(tmp_path / "rates.json", rates)
+    argv = ["simulate", "--spec", spec_path, "--line", line_path, "--entries", rates_path]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_cli_simulate_one_station_line_is_a_domain_error(tmp_path, capsys):
+    spec_path = write_json(tmp_path / "spec.json", spec_to_json(fr_i()))
+    line_path = write_json(tmp_path / "line.json", line_to_json(make_line(("R",), [[0]])))
+    assert main(["simulate", "--spec", spec_path, "--line", line_path]) == 1
+    assert capsys.readouterr().err.startswith("error: a load profile with no links")
+
+
 def test_cli_missing_file_is_usage_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
