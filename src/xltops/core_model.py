@@ -177,12 +177,6 @@ class ProtocolSpec:
     def C(self) -> int:
         return self.stations.C
 
-    def train_index(self, label: str) -> int:
-        for k, t in enumerate(self.trains):
-            if t.label == label:
-                return k
-        raise KeyError(label)
-
     def section_sizes(self, k: int = 0) -> tuple[int, ...]:
         """Unit counts per section of train type k."""
         return tuple(int(n) for n in self.u[k].sum(axis=0))
@@ -291,18 +285,15 @@ def build_protocol(
     )
 
 
-def derive_parts(spec: ProtocolSpec, train: int | str = 0) -> list[TrainPart]:
+def derive_parts(spec: ProtocolSpec, train: int = 0) -> list[TrainPart]:
     """Partition a train type's sections into maximal runs of equal labels.
 
     A section's destination-label set is derived from its alignment row.
     Runs with an empty label set (sections never aligned) count as parts
     too, so the parts always cover every section.
     """
-    k = spec.train_index(train) if isinstance(train, str) else train
-    ak = spec.a[k]
     label_sets = [
-        frozenset(spec.stations.types[i] for i in np.flatnonzero(ak[n]))
-        for n in range(spec.trains[k].N)
+        frozenset(spec.stations.types[i] for i in np.flatnonzero(row)) for row in spec.a[train]
     ]
     parts: list[TrainPart] = []
     start = 0

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core_model import LineInstance, ProtocolSpec
+from .core_model import LineInstance, ProtocolSpec, _as_fraction
 from .errors import AmbiguousAssignment, DimensionMismatch, NonpositiveSpeed
 
 
@@ -85,7 +85,7 @@ class CapacityReport:
     gain: Fraction  # full XLT units at the MLP / reference units
 
 
-def _type_pairs(spec: ProtocolSpec, line: LineInstance) -> tuple[tuple[int, ...], list]:
+def type_pair_sections(spec: ProtocolSpec, line: LineInstance) -> tuple[tuple[int, ...], list]:
     """Each station's type index, and the sections presenting each type pair, ascending."""
     if spec.K != 1:
         raise DimensionMismatch("assignment is defined for a single train type")
@@ -96,13 +96,27 @@ def _type_pairs(spec: ProtocolSpec, line: LineInstance) -> tuple[tuple[int, ...]
     return spec.stations.indices(line.station_types), presenting
 
 
-def _per_station_pair(
-    N: int, ti: Sequence[int], table: Sequence[Sequence[Shares]]
-) -> AssignmentTensor:
-    """Give every forward station pair the shares of its type pair."""
+def capacity_shares(sections: Sequence[int], caps: Sequence[Fraction]) -> Shares:
+    """The balanced split: a flow's shares of the sections presenting it.
+
+    Shares are proportional to section capacity, so a section of zero
+    capacity takes none; if every presenting section has zero capacity,
+    the flow splits evenly.  Shares sum to 1 unless no section presents.
+    """
+    total = sum((caps[n] for n in sections), Fraction(0))
+    if total == 0:
+        return tuple((n, Fraction(1, len(sections))) for n in sections)
+    return tuple((n, caps[n] / total) for n in sections if caps[n])
+
+
+def _balanced(spec: ProtocolSpec, ti: Sequence[int], presenting: list) -> AssignmentTensor:
+    """Give every forward station pair the capacity shares of its type pair."""
+    caps = section_capacities(spec)
+    table = [[capacity_shares(sec, caps) for sec in row] for row in presenting]
     S = len(ti)
     return AssignmentTensor(
-        N, tuple(tuple(table[ti[z]][ti[sp]] if sp > z else () for sp in range(S)) for z in range(S))
+        spec.trains[0].N,
+        tuple(tuple(table[ti[z]][ti[sp]] if sp > z else () for sp in range(S)) for z in range(S)),
     )
 
 
@@ -110,16 +124,17 @@ def build_assignment(spec: ProtocolSpec, line: LineInstance) -> AssignmentTensor
     """All-or-nothing assignment from the presentation table.
 
     Requires a single train type and an exactly-one presentation over
-    the demanded pairs; raises AmbiguousAssignment otherwise.
+    the demanded pairs; raises AmbiguousAssignment otherwise.  A pair
+    nobody demands may be presented by several sections: it gets the
+    balanced split's shares and carries nothing.
     """
-    ti, presenting = _type_pairs(spec, line)
+    ti, presenting = type_pair_sections(spec, line)
     for z, sp in itertools.combinations(range(line.S), 2):
         sections = presenting[ti[z]][ti[sp]]
         if line.A[z][sp] > 0 and len(sections) > 1:
             i, j = spec.stations.types[ti[z]], spec.stations.types[ti[sp]]
             raise AmbiguousAssignment(f"{len(sections)} sections present pair {i}->{j}")
-    table = [[tuple((n, Fraction(1)) for n in sec) for sec in row] for row in presenting]
-    return _per_station_pair(spec.trains[0].N, ti, table)
+    return _balanced(spec, ti, presenting)
 
 
 def build_assignment_split(
@@ -135,21 +150,12 @@ def build_assignment_split(
     """
     if rule not in ("balanced", "end_preference"):
         raise ValueError(f"unknown split rule {rule!r}")
-    ti, presenting = _type_pairs(spec, line)
+    ti, presenting = type_pair_sections(spec, line)
+    if rule == "balanced":
+        return _balanced(spec, ti, presenting)
     N = spec.trains[0].N
     S = line.S
-    caps = section_capacities(spec, 0)
-
-    if rule == "balanced":
-
-        def by_capacity(sections: list[int]) -> Shares:
-            total = sum((caps[n] for n in sections), Fraction(0))
-            if total == 0:
-                return tuple((n, Fraction(1, len(sections))) for n in sections)
-            return tuple((n, caps[n] / total) for n in sections if caps[n])
-
-        return _per_station_pair(N, ti, [[by_capacity(sec) for sec in row] for row in presenting])
-
+    caps = section_capacities(spec)
     busyness = [int(spec.p[0][n].sum()) for n in range(N)]
     # Quietest presenting section first; the sort is stable, so ties keep section order.
     preference = [[sorted(sec, key=busyness.__getitem__) for sec in row] for row in presenting]
@@ -173,14 +179,16 @@ def build_assignment_split(
 
 
 def section_capacities(spec: ProtocolSpec, k: int = 0) -> tuple[Fraction, ...]:
-    """C_n = sum of unit capacities over each section."""
-    train = spec.trains[k]
-    caps = []
-    for n in range(1, train.N + 1):
-        caps.append(
-            sum((Fraction(train.capacities[m - 1]) for m in spec.section_units(k, n)), Fraction(0))
-        )
-    return tuple(caps)
+    """C_n = sum of unit capacities over each section.
+
+    Float capacities convert as ``LineInstance`` converts its numbers, so
+    0.3 reads 3/10 rather than the nearest binary fraction.
+    """
+    units = [_as_fraction(c) for c in spec.trains[k].capacities]
+    return tuple(
+        sum((units[m - 1] for m in spec.section_units(k, n)), Fraction(0))
+        for n in range(1, spec.trains[k].N + 1)
+    )
 
 
 def load_coefficients(
@@ -238,11 +246,8 @@ def simulate_loads(
     return load_profile(load_coefficients(assignment, line), entry_rates, C_n)
 
 
-def max_unit_density(
-    profile: LoadProfile | Sequence[Sequence[Fraction]], section_sizes: Sequence[int]
-) -> Fraction:
-    """Largest passengers-per-unit figure anywhere in a profile or in load rows."""
-    rows = profile.load if isinstance(profile, LoadProfile) else profile
+def max_unit_density(rows: Sequence[Sequence[Fraction]], section_sizes: Sequence[int]) -> Fraction:
+    """Largest passengers-per-unit figure anywhere in per-section load rows."""
     worst = Fraction(0)
     for n, row in enumerate(rows):
         if section_sizes[n] and row:

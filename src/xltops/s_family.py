@@ -198,9 +198,8 @@ class SFamilySpec:
         if self.C < 1 or self.d < 1 or self.D <= 0:
             raise DimensionMismatch("need C >= 1, d >= 1 and D > 0")
         if self.C > 1 and (self.d / self.D).denominator != 1:
-            raise NonIntegralStep(
-                f"step h = d/D = {self.d}/{self.D} is not a whole number of units"
-            )
+            D = self.D if self.D.denominator == 1 else f"({self.D})"
+            raise NonIntegralStep(f"step h = d/D = {self.d}/{D} is not a whole number of units")
 
     @property
     def h(self) -> int:
@@ -441,33 +440,27 @@ def chart_to_protocol(
 # ---------------------------------------------------------------------------
 
 
-def greedy_presentation_refine(
-    spec: ProtocolSpec,
-    line: LineInstance,
-    demand: Sequence[Sequence[Fraction]] | None = None,
-) -> ProtocolSpec:
+def greedy_presentation_refine(spec: ProtocolSpec, line: LineInstance) -> ProtocolSpec:
     """Reassign O-D type pairs to train parts to flatten the load profile.
 
     Pairs are processed in descending demand order; each is presented by
     the feasible part (doors open at both types for all its sections)
     that keeps the maximum per-unit density lowest, ties going to the
-    lowest part index.  If the result is denser than the input spec under
-    a balanced split, the input spec is returned unchanged.
+    lowest part index.  Loads follow the balanced split
+    (``flow_sim.capacity_shares``): a pair's passengers share out over
+    the sections presenting it in proportion to section capacity, so the
+    score of the chosen parts is the refined spec's balanced-split
+    density.  If that is higher than the input spec's balanced-split
+    density, the input spec is returned unchanged.
     """
-    if spec.K != 1:
-        raise DimensionMismatch("refinement works on single-train-type specs")
-    if line.station_types is None:
-        raise DimensionMismatch("line must be classified")
-    k = 0
+    ti, presenting = flow_sim.type_pair_sections(spec, line)
     types = spec.stations.types
-    ti = spec.stations.indices(line.station_types)
-    sizes = spec.section_sizes(k)
-    vk = spec.v[k]
-    H = line.H
-    A = demand if demand is not None else line.A
-    S = line.S
+    sizes = spec.section_sizes(0)
+    caps = flow_sim.section_capacities(spec)
+    vk = spec.v[0]
+    H, A, S = line.H, line.A, line.S
 
-    parts = derive_parts(spec, k)
+    parts = derive_parts(spec)
 
     # Aggregate demand per origin-destination type pair (as type indices),
     # and its passengers per train on each link before any split.
@@ -484,62 +477,45 @@ def greedy_presentation_refine(
                     pax[link] += riders
     order = sorted(totals, key=lambda pair: (-totals[pair], types[pair[0]], types[pair[1]]))
 
-    def feasible_parts(i: int, j: int) -> list:
-        out = []
-        for part in parts:
-            lo, hi = part.sections
-            if all(vk[n - 1, i] and vk[n - 1, j] for n in range(lo, hi + 1)):
-                out.append(part)
-        return out
+    def feasible_spans(i: int, j: int) -> list[range]:
+        """0-based sections of each part with doors open at both types throughout."""
+        spans = [range(part.sections[0] - 1, part.sections[1]) for part in parts]
+        return [span for span in spans if all(vk[n, i] and vk[n, j] for n in span)]
 
-    # Incremental per-link loads, split inside a part by section size.
-    load = [[Fraction(0)] * (S - 1) for _ in range(spec.trains[k].N)]
-
-    def add_pair(pair: tuple[int, int], part, scratch=None) -> list[list[Fraction]]:
-        target = scratch if scratch is not None else load
-        lo, hi = part.sections
-        span = list(range(lo, hi + 1))
-        total_units = sum(sizes[n - 1] for n in span)
+    def add_pair(target: list[list[Fraction]], pair: tuple[int, int], sections) -> None:
         pax = per_link[pair]
-        for n in span:
-            share = Fraction(sizes[n - 1], total_units)
-            row = target[n - 1]
+        for n, share in flow_sim.capacity_shares(sections, caps):
+            row = target[n]
             for link, x in enumerate(pax):
                 if x:
                     row[link] += x * share
-        return target
 
-    assignment: dict[tuple[int, int], int] = {}
+    def density_with(pair: tuple[int, int], span: range) -> Fraction:
+        scratch = [row.copy() for row in load]
+        add_pair(scratch, pair, span)
+        return flow_sim.max_unit_density(scratch, sizes)
+
+    # Per-link loads of the refined spec so far, and of the input spec.
+    load = [[Fraction(0)] * (S - 1) for _ in range(spec.trains[0].N)]
+    baseline = [row.copy() for row in load]
+    chosen: dict[tuple[int, int], range] = {}
     for pair in order:
-        candidates = feasible_parts(*pair)
+        add_pair(baseline, pair, presenting[pair[0]][pair[1]])
+        candidates = feasible_spans(*pair)
         if not candidates:
             labels = (types[pair[0]], types[pair[1]])
             raise UnreachableError(f"no part can serve the demanded pair {labels}")
-        best_part, best_score = None, None
-        for part in candidates:
-            scratch = [row.copy() for row in load]
-            add_pair(pair, part, scratch)
-            score = flow_sim.max_unit_density(scratch, sizes)
-            if best_score is None or score < best_score:
-                best_part, best_score = part, score
-        assignment[pair] = best_part.index
-        add_pair(pair, best_part)
-
-    new_p = np.zeros_like(np.asarray(spec.p[k]))
-    for (i, j), part_index in assignment.items():
-        lo, hi = parts[part_index - 1].sections
-        new_p[lo - 1 : hi, i, j] = 1
-    refined = replace(spec, p=(new_p,))
+        # min keeps the first of equal scores: ties go to the lowest part.
+        chosen[pair] = min(candidates, key=lambda span: density_with(pair, span))
+        add_pair(load, pair, chosen[pair])
 
     # Hold the best-seen solution: never return a denser profile.
-    baseline = flow_sim.build_assignment_split(spec, line)
-    rates = tuple(line.demand_rate(z) for z in range(S))
-    caps = flow_sim.section_capacities(spec, k)
-    base_profile = flow_sim.simulate_loads(baseline, rates, line, caps)
-    base_density = flow_sim.max_unit_density(base_profile, sizes)
-    if flow_sim.max_unit_density(load, sizes) > base_density:
+    if flow_sim.max_unit_density(load, sizes) > flow_sim.max_unit_density(baseline, sizes):
         return spec
-    return refined
+    new_p = np.zeros_like(np.asarray(spec.p[0]))
+    for (i, j), span in chosen.items():
+        new_p[span.start : span.stop, i, j] = 1
+    return replace(spec, p=(new_p,))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Assignment, load simulation, capacity metrics and the access penalty."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from xltops.errors import (
     DimensionMismatch,
     NonpositiveSpeed,
 )
-from xltops.flow_sim import max_load_point
+from xltops.flow_sim import capacity_shares, max_load_point
 
 from conftest import (
     access_penalty_ftr_mc,
@@ -87,6 +88,38 @@ def test_end_preference_split_fills_quiet_sections_first(fr_line_full):
             assert total in (0, 1)
     with pytest.raises(ValueError):
         build_assignment_split(spec, fr_line_full, rule="nearest")
+
+
+def test_capacity_shares_follow_section_capacity():
+    caps = (Fraction(1), Fraction(1), Fraction(3), Fraction(0))
+    assert capacity_shares([1, 2], caps) == ((1, Fraction(1, 4)), (2, Fraction(3, 4)))
+    assert capacity_shares([2, 3], caps) == ((2, Fraction(1)),)  # no share for zero capacity
+    assert capacity_shares([3], caps) == ((3, Fraction(1)),)  # none has capacity: even split
+    assert capacity_shares([], caps) == ()
+
+
+def test_presented_flows_share_out_in_full():
+    # No demand, so fr_h presenting each pair by two or three sections is not ambiguous.
+    line = make_line(("R", "F", "R", "F"), [[0] * 4 for _ in range(4)])
+    assignment = build_assignment(fr_h(), line)
+    for z in range(4):
+        for sp in range(z + 1, 4):
+            shares = assignment.flows[z][sp]
+            assert len(shares) > 1 and sum(x for _, x in shares) == 1
+    profile = simulate_loads(assignment, [0] * 4, line, section_capacities(fr_h()))
+    assert all(x == 0 for row in profile.load for x in row)
+
+
+def test_float_unit_capacities_read_as_line_numbers_do():
+    spec = fr_i()
+    spec = replace(spec, trains=(replace(spec.trains[0], capacities=(0.3,) * 12),))
+    assert section_capacities(spec) == (Fraction(9, 10),) * 4
+    line = make_line(("F", "R", "F"), [[0, 0, 3], [0, 0, 0], [0, 0, 0]], H=0.3)
+    profile = simulate_loads(
+        build_assignment(spec, line), full_rates(line), line, section_capacities(spec)
+    )
+    assert profile.load[0] == (Fraction(9, 10),) * 2
+    assert profile.overcrowded == ()
 
 
 # ---------------------------------------------------------------------------

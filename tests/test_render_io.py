@@ -200,6 +200,19 @@ def test_cli_simulate_unknown_station_type_is_a_domain_error(tmp_path, capsys, s
     assert capsys.readouterr().err.startswith("error: station type 'Z'")
 
 
+def test_cli_simulate_reads_float_capacities_exactly(tmp_path, capsys):
+    doc = spec_to_json(fr_i())
+    doc["trains"][0]["capacities"] = [0.3] * 12
+    spec_path = write_json(tmp_path / "spec.json", doc)
+    line = make_line(("F", "R", "F"), [[0, 0, 3], [0, 0, 0], [0, 0, 0]], H=0.3)
+    line_path = write_json(tmp_path / "line.json", line_to_json(line))
+    assert main(["simulate", "--spec", spec_path, "--line", line_path]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out[out.index("{") :])
+    assert report["overcrowded"] == []  # load 9/10 on capacity 3 x 0.3
+    assert report["occupancy"] == [1.0, 0.0, 0.0, 0.0]
+
+
 def test_cli_optimize_metering(tmp_path, capsys, fr_line_full):
     line_path = write_json(tmp_path / "line.json", line_to_json(fr_line_full))
     assert main(["optimize", "metering", "--line", line_path]) == 0
@@ -279,6 +292,13 @@ def test_cli_bad_number_is_usage_error(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert f"error: argument {argv[-2]}: not a rational number: '{argv[-1]}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("D, shown", [("3/7", "4/(3/7)"), ("3", "4/3")])
+def test_cli_step_error_shows_a_fractional_D_in_parentheses(capsys, D, shown):
+    assert main(["generate", "s", "--C", "3", "--D", D, "--d", "4"]) == 1
+    message = f"error: step h = d/D = {shown} is not a whole number of units"
+    assert capsys.readouterr().err.strip() == message
 
 
 def test_cli_rational_options_are_exact(tmp_path, capsys, fr_line_full):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -305,29 +307,47 @@ def test_min_transfers_matches_step_path_enumeration(C, D):
 # ---------------------------------------------------------------------------
 
 
+def nonuniform_refinement_case(seed):
+    """A seeded fr_h, fr_i or ftr spec with uneven unit capacities, and a line for it."""
+    from xltops import fr_h, fr_i, ftr
+
+    rng = random.Random(f"refine-nonuniform/{seed}")
+    spec = (fr_h(rng.randint(1, 3)), fr_i([rng.randint(1, 4) for _ in range(4)]), ftr(2))[seed % 3]
+    train = spec.trains[0]
+    caps = tuple(rng.choice((1, 2, 3, 5)) for _ in range(train.M))
+    spec = replace(spec, trains=(replace(train, capacities=caps),))
+    S = rng.randint(3, 7)
+    A = [[rng.randint(1, 9) if sp > z and rng.random() < 0.6 else 0 for sp in range(S)]
+         for z in range(S)]
+    return spec, make_line([rng.choice(spec.stations.types) for _ in range(S)], A)
+
+
 def test_refinement_never_worsens_peak_density(fr_line_full):
     from xltops import fr_h
 
-    spec = fr_h()
-    line = fr_line_full
-    refined = greedy_presentation_refine(spec, line)
-    assert check(refined).feasible
-
-    def density(candidate):
+    def density(candidate, line):
         assignment = flow_sim.build_assignment_split(candidate, line)
         rates = [line.demand_rate(z) for z in range(line.S)]
         profile = flow_sim.simulate_loads(
             assignment, rates, line, flow_sim.section_capacities(candidate)
         )
-        return flow_sim.max_unit_density(profile, candidate.section_sizes(0))
+        return flow_sim.max_unit_density(profile.load, candidate.section_sizes(0))
 
-    assert density(refined) <= density(spec)
+    cases = [(fr_h(), fr_line_full), *map(nonuniform_refinement_case, range(45))]
+    refined_count = 0
+    for spec, line in cases:
+        try:
+            refined = greedy_presentation_refine(spec, line)
+        except UnreachableError:  # a demanded pair no part can serve
+            continue
+        refined_count += 1
+        assert check(refined).feasible
+        assert density(refined, line) <= density(spec, line), line.station_types
+    assert refined_count >= 30
 
 
 def test_refinement_requires_classified_line():
     from xltops import fr_h
-
-    from dataclasses import replace
 
     line = replace(make_line(("F", "R"), [[0, 1], [0, 0]]), station_types=None)
     with pytest.raises(DimensionMismatch):
