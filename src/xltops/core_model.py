@@ -12,8 +12,11 @@ train types, units and sections:
   p       - presentation (section x origin type x destination type)
 
 All tables are stored as read-only numpy 0/1 integer arrays.  Structural
-invariants (shapes, row sums, section consecutiveness) are enforced by
-``build_protocol``; the behavioural constraints live in ``feasibility``.
+invariants (shapes, row sums, and E1: every section is a consecutive run
+of units) are enforced by ``build_protocol``; ``feasibility`` checks the
+behavioural constraints E2-E6.  ``train_tables`` lays out the tables of
+one train of consecutive sections, for the built-in constructors and for
+``s_family.chart_to_protocol``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ from .errors import (
 )
 
 SCHEMA_VERSION = 1
+
+# What reading a malformed document can raise (ArithmeticError: overflow, division by zero);
+# each reader turns it into SchemaError.
+DOCUMENT_ERRORS = (ArithmeticError, AttributeError, KeyError, TypeError, ValueError)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -105,7 +112,7 @@ class TrainTypeSpec:
             raise DimensionMismatch("per-unit lengths/capacities must have M entries")
         if any(l <= 0 for l in self.lengths):
             raise DimensionMismatch("unit lengths must be positive")
-        if any(c < 0 for c in self.capacities):
+        if any(_as_fraction(c) < 0 for c in self.capacities):
             raise DimensionMismatch("unit capacities must be nonnegative")
         if any(not (1 <= m <= self.M) for m in self.never_aligned):
             raise DimensionMismatch("never_aligned indices must be unit indices 1..M")
@@ -316,6 +323,34 @@ def _full_presentation(a: np.ndarray) -> np.ndarray:
     return np.einsum("ni,nj->nij", a, a)
 
 
+def train_tables(sizes: Sequence[int], a, p=None) -> tuple[np.ndarray, ...]:
+    """u, a, v, p and the stop row of one train of consecutive sections.
+
+    Section n is a run of ``sizes[n]`` units; doors open wherever a
+    section aligns (v = a), presentation is full unless ``p`` is given,
+    and the train stops at every type where some section aligns.
+    """
+    a = np.asarray(a)
+    u = np.repeat(np.eye(len(sizes), dtype=int), sizes, axis=0)
+    p = _full_presentation(a) if p is None else p
+    return u, a, a, p, a.any(axis=0).astype(int)
+
+
+# Sections 1-3 align at F-stations, sections 2-4 at R-stations.
+_FR_ALIGNMENT = ((1, 0), (1, 1), (1, 1), (0, 1))
+_FR_RULE = EolRule(name="fr", first_types=frozenset({"R"}), last_types=frozenset({"F"}))
+
+
+def _four_sections(types, d, sizes, a, p=None) -> ProtocolSpec:
+    """One "xlt" train of four consecutive sections under the F/R end-of-line rule."""
+    train = TrainTypeSpec.uniform("xlt", M=sum(sizes), N=4)
+    u, a, v, p, stops = train_tables(sizes, a, p)
+    return build_protocol(
+        StationTypeCatalog(types=types, d=d), [train],
+        u=[u], s=[stops], a=[a], v=[v], p=[p], eol_rule=_FR_RULE,
+    )
+
+
 def fr_h(section_size: int = 3, platform_length: int | None = None) -> ProtocolSpec:
     """Static-homogeneous F/R protocol: four equal sections, two types.
 
@@ -325,18 +360,7 @@ def fr_h(section_size: int = 3, platform_length: int | None = None) -> ProtocolS
     if section_size < 1:
         raise BadSectionCount("section size must be positive")
     d = 3 * section_size if platform_length is None else platform_length
-    stations = StationTypeCatalog(types=("F", "R"), d={"F": d, "R": d})
-    M = 4 * section_size
-    train = TrainTypeSpec.uniform("xlt", M=M, N=4)
-    u = np.zeros((M, 4), dtype=int)
-    for n in range(4):
-        u[n * section_size : (n + 1) * section_size, n] = 1
-    a = np.array([[1, 0], [1, 1], [1, 1], [0, 1]])
-    v = a.copy()
-    p = _full_presentation(a)
-    s = np.array([[1, 1]])
-    rule = EolRule(name="fr", first_types=frozenset({"R"}), last_types=frozenset({"F"}))
-    return build_protocol(stations, [train], u=[u], s=s, a=[a], v=[v], p=[p], eol_rule=rule)
+    return _four_sections(("F", "R"), {"F": d, "R": d}, (section_size,) * 4, _FR_ALIGNMENT)
 
 
 def fr_i(
@@ -354,25 +378,10 @@ def fr_i(
         raise BadSectionCount("fr_i needs exactly 4 positive section sizes")
     if platform_lengths is None:
         platform_lengths = {"F": sum(sizes[:3]), "R": sum(sizes[1:])}
-    stations = StationTypeCatalog(types=("F", "R"), d=dict(platform_lengths))
-    M = sum(sizes)
-    train = TrainTypeSpec.uniform("xlt", M=M, N=4)
-    u = np.zeros((M, 4), dtype=int)
-    pos = 0
-    for n, size in enumerate(sizes):
-        u[pos : pos + size, n] = 1
-        pos += size
-    a = np.array([[1, 0], [1, 1], [1, 1], [0, 1]])
-    v = a.copy()
-    p = np.zeros((4, 2, 2), dtype=int)
     F, R = 0, 1
-    p[0, F, F] = 1  # front section: F-to-F passengers
-    p[1, F, R] = 1  # second section presents only R, only at F-stations
-    p[2, R, F] = 1  # third section presents only F, only at R-stations
-    p[3, R, R] = 1  # rear section: R-to-R passengers
-    s = np.array([[1, 1]])
-    rule = EolRule(name="fr", first_types=frozenset({"R"}), last_types=frozenset({"F"}))
-    return build_protocol(stations, [train], u=[u], s=s, a=[a], v=[v], p=[p], eol_rule=rule)
+    p = np.zeros((4, 2, 2), dtype=int)
+    p[range(4), (F, F, R, R), (F, R, F, R)] = 1  # (section, origin type, destination type)
+    return _four_sections(("F", "R"), dict(platform_lengths), sizes, _FR_ALIGNMENT, p)
 
 
 def ftr(section_size: int = 2, platform_length: int | None = None) -> ProtocolSpec:
@@ -380,25 +389,8 @@ def ftr(section_size: int = 2, platform_length: int | None = None) -> ProtocolSp
     if section_size < 1:
         raise BadSectionCount("section size must be positive")
     d = 2 * section_size if platform_length is None else platform_length
-    stations = StationTypeCatalog(types=("F", "T", "R"), d={"F": d, "T": d, "R": d})
-    M = 4 * section_size
-    train = TrainTypeSpec.uniform("xlt", M=M, N=4)
-    u = np.zeros((M, 4), dtype=int)
-    for n in range(4):
-        u[n * section_size : (n + 1) * section_size, n] = 1
-    a = np.array(
-        [
-            [1, 0, 0],
-            [1, 1, 0],
-            [0, 1, 1],
-            [0, 0, 1],
-        ]
-    )
-    v = a.copy()
-    p = _full_presentation(a)
-    s = np.array([[1, 1, 1]])
-    rule = EolRule(name="fr", first_types=frozenset({"R"}), last_types=frozenset({"F"}))
-    return build_protocol(stations, [train], u=[u], s=s, a=[a], v=[v], p=[p], eol_rule=rule)
+    a = ((1, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 1))
+    return _four_sections(("F", "T", "R"), {"F": d, "T": d, "R": d}, (section_size,) * 4, a)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +433,7 @@ class LineInstance:
             object.__setattr__(self, "M_min", (Fraction(0),) * S)
         else:
             object.__setattr__(self, "M_min", tuple(_as_fraction(x) for x in self.M_min))
-        if len(self.platform_lengths) != S or len(A) != S or any(len(r) != S for r in A):
+        if any(len(x) != S for x in (self.platform_lengths, A, self.M_min, *A)):
             raise DimensionMismatch("line tables must all be S-sized")
         if self.station_types is not None and len(self.station_types) != S:
             raise DimensionMismatch("station_types must have one label per station")
@@ -483,7 +475,9 @@ def spec_to_json(spec: ProtocolSpec) -> dict:
                 "label": t.label,
                 "M": t.M,
                 "lengths": list(t.lengths),
-                "capacities": list(t.capacities),
+                "capacities": [
+                    _num_to_json(c) if isinstance(c, Fraction) else c for c in t.capacities
+                ],
                 "N": t.N,
                 "never_aligned": sorted(t.never_aligned),
             }
@@ -529,7 +523,9 @@ def spec_from_json(doc: dict) -> ProtocolSpec:
                 label=t["label"],
                 M=int(t["M"]),
                 lengths=tuple(t["lengths"]),
-                capacities=tuple(t["capacities"]),
+                capacities=tuple(
+                    _as_fraction(c) if isinstance(c, str) else c for c in t["capacities"]
+                ),
                 N=int(t["N"]),
                 never_aligned=frozenset(t.get("never_aligned", ())),
             )
@@ -555,7 +551,7 @@ def spec_from_json(doc: dict) -> ProtocolSpec:
             epsilon=np.asarray(tables["epsilon"]) if "epsilon" in tables else None,
             eol_rule=rule,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except DOCUMENT_ERRORS as exc:
         raise SchemaError(f"malformed spec document: {exc}") from exc
 
 
@@ -589,5 +585,5 @@ def line_from_json(doc: dict) -> LineInstance:
             M_min=tuple(doc.get("M_min", ())),
             station_types=tuple(doc["station_types"]) if "station_types" in doc else None,
         )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except DOCUMENT_ERRORS as exc:
         raise SchemaError(f"malformed line document: {exc}") from exc

@@ -1,15 +1,18 @@
 """Constraint checking for protocol specs.
 
-Six behavioural constraints are verified exhaustively (violations are
+Five behavioural constraints are verified exhaustively (violations are
 data, not errors, so the optimizer can count them):
 
-  E1  sections are composed of consecutive units
   E2  sections are aligned only if the train stops
   E3  aligned sections are consecutive
   E4  aligned sections fit along the platform
   E5  section doors opened only if the section is aligned
   E6  destination presented only if the section opens its doors at both
       the current and the destination station type
+
+E1 (sections are composed of consecutive units) is a structural
+invariant: ``core_model.build_protocol`` raises ``NonConsecutiveSection``
+for any split section, so no spec built through it can violate it.
 
 Presentation-standard checks (PS_MIN / PS_EXACT) and end-of-line checks
 (EOL) are separate entry points because they need extra inputs (the
@@ -18,15 +21,13 @@ served pair set, the line classification).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core_model import LineInstance, ProtocolSpec
+from .core_model import LineInstance, ProtocolSpec, _full_presentation
 from .errors import DimensionMismatch
-
-ExtraConstraint = Callable[[ProtocolSpec], Iterable["Violation"]]
 
 
 @dataclass(frozen=True)
@@ -57,33 +58,13 @@ class FeasibilityReport:
         return len(self.violations)
 
 
-def check(spec: ProtocolSpec, extra_constraints: Sequence[ExtraConstraint] = ()) -> FeasibilityReport:
-    """Evaluate E1-E6 over all index tuples and report every violation."""
+def check(spec: ProtocolSpec) -> FeasibilityReport:
+    """Evaluate E2-E6 over all index tuples and report every violation."""
     out: list[Violation] = []
     types = spec.stations.types
     d = np.array(spec.stations.lengths())
     for k, train in enumerate(spec.trains):
-        uk = spec.u[k].astype(bool)
-        ak = spec.a[k]
-        vk = spec.v[k]
-        pk = spec.p[k]
-        sk = spec.s[k]
-        lengths = np.asarray(train.lengths)
-
-        # E1: within each section column, flagged units form one run.
-        for n in range(train.N):
-            members = np.flatnonzero(uk[:, n])
-            for ib, b in enumerate(members):
-                for bp in members[ib + 1 :]:
-                    if not uk[b : bp + 1, n].all():
-                        out.append(
-                            Violation(
-                                "E1",
-                                (k, n + 1, int(b) + 1, int(bp) + 1),
-                                f"units {b + 1} and {bp + 1} of section {n + 1} "
-                                "are separated by units of another section",
-                            )
-                        )
+        ak, vk, pk, sk = spec.a[k], spec.v[k], spec.p[k], spec.s[k]
 
         # E2: a_kni = 1 requires s_ki = 1.
         for n, i in zip(*np.nonzero(ak.astype(bool) & ~sk[np.newaxis, :].astype(bool))):
@@ -111,7 +92,7 @@ def check(spec: ProtocolSpec, extra_constraints: Sequence[ExtraConstraint] = ())
                         )
 
         # E4: total aligned length fits the shortest platform of the type.
-        section_len = lengths @ uk  # length of each section
+        section_len = np.asarray(train.lengths) @ spec.u[k]  # length of each section
         aligned_len = ak.T.astype(float) @ section_len  # per station type
         for i in np.flatnonzero(aligned_len > d + 1e-12):
             out.append(
@@ -134,7 +115,7 @@ def check(spec: ProtocolSpec, extra_constraints: Sequence[ExtraConstraint] = ())
             )
 
         # E6: p_knij = 1 requires doors open at both i and j.
-        ok = np.einsum("ni,nj->nij", vk, vk)
+        ok = _full_presentation(vk)
         for n, i, j in zip(*np.nonzero(pk.astype(bool) & ~ok.astype(bool))):
             out.append(
                 Violation(
@@ -145,8 +126,6 @@ def check(spec: ProtocolSpec, extra_constraints: Sequence[ExtraConstraint] = ())
                 )
             )
 
-    for constraint in extra_constraints:
-        out.extend(constraint(spec))
     return FeasibilityReport(tuple(out))
 
 

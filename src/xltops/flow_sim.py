@@ -147,6 +147,11 @@ def build_assignment_split(
     the presenting section with the fewest advertised pairs (commuters
     favoring the quieter end sections), overflowing to the next choice
     only when a link load would exceed the section capacity.
+
+    Flows are placed in (origin, destination) order, so when a flow from
+    z is placed, each section's load never rises over links z, z+1, ...:
+    its heaviest link is z, and an on-board tally per section (boarded so
+    far less alighted) is all the capacity test and the fallback read.
     """
     if rule not in ("balanced", "end_preference"):
         raise ValueError(f"unknown split rule {rule!r}")
@@ -159,22 +164,22 @@ def build_assignment_split(
     busyness = [int(spec.p[0][n].sum()) for n in range(N)]
     # Quietest presenting section first; the sort is stable, so ties keep section order.
     preference = [[sorted(sec, key=busyness.__getitem__) for sec in row] for row in presenting]
-    running = [[Fraction(0)] * (S - 1) for _ in range(N)]
+    aboard = [Fraction(0)] * N  # per section, as the train leaves station z
+    alighting = [[Fraction(0)] * N for _ in range(S)]  # per station, per section
     flows = [[()] * S for _ in range(S)]
-    for z, sp in itertools.combinations(range(S), 2):
-        candidates = preference[ti[z]][ti[sp]]
-        if line.A[z][sp] == 0 or not candidates:
-            continue
-        pax = line.H * line.A[z][sp]
-        for n in candidates:
-            if all(running[n][link] + pax <= caps[n] for link in range(z, sp)):
-                chosen = n
-                break
-        else:
-            chosen = min(candidates, key=lambda n: max(running[n][z:sp]))
-        flows[z][sp] = ((chosen, Fraction(1)),)
-        for link in range(z, sp):
-            running[chosen][link] += pax
+    for z in range(S):
+        aboard = [x - y for x, y in zip(aboard, alighting[z])]
+        for sp in range(z + 1, S):
+            candidates = preference[ti[z]][ti[sp]]
+            if line.A[z][sp] == 0 or not candidates:
+                continue
+            pax = line.H * line.A[z][sp]
+            chosen = next((n for n in candidates if aboard[n] + pax <= caps[n]), None)
+            if chosen is None:
+                chosen = min(candidates, key=aboard.__getitem__)
+            flows[z][sp] = ((chosen, Fraction(1)),)
+            aboard[chosen] += pax
+            alighting[sp][chosen] += pax
     return AssignmentTensor(N, tuple(map(tuple, flows)))
 
 

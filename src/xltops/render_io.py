@@ -24,6 +24,7 @@ import numpy as np
 
 from . import feasibility, flow_sim, metering_opt, routing, s_family
 from .core_model import (
+    DOCUMENT_ERRORS,
     LineInstance,
     ProtocolSpec,
     SCHEMA_VERSION,
@@ -154,10 +155,7 @@ def render_chart(
     overlays: Sequence[routing.RoutePlan] = (),
 ) -> ChartRendering:
     """Deterministic text and SVG pictures of a bar chart (or several)."""
-    if isinstance(chart, s_family.BarChart):
-        charts = (("1", chart),)
-    else:
-        charts = chart.charts
+    charts = s_family.as_multichart(chart).charts
     lines: list[str] = []
     for train_label, c in charts:
         if lines:
@@ -308,7 +306,7 @@ def _cmd_simulate(args) -> int:
             raise SchemaError("entries file must be a 'rates' document")
         try:
             rates = [Fraction(str(x)) for x in rates_doc["E"]]
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except DOCUMENT_ERRORS as exc:
             raise SchemaError(f"malformed rates document: {exc}") from exc
     else:
         rates = [line.demand_rate(z) for z in range(line.S)]
@@ -441,7 +439,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except XltError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

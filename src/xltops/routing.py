@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import UnknownStationType, UnreachableError
-from .s_family import BarChart, MultiTrainChart
+from .s_family import BarChart, MultiTrainChart, as_multichart
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,7 @@ def build_graph(chart: BarChart | MultiTrainChart) -> ConnectivityGraph:
     paths may switch train type freely at any station type, and only
     boardings are counted.
     """
-    if isinstance(chart, BarChart):
-        charts = (("1", chart),)
-    else:
-        charts = chart.charts
+    charts = as_multichart(chart).charts
     types = charts[0][1].labels()
     edges = set()
     for train, c in charts:

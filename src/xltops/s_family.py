@@ -34,6 +34,7 @@ import numpy as np
 
 from . import flow_sim
 from .core_model import (
+    DOCUMENT_ERRORS,
     EolRule,
     LineInstance,
     ProtocolSpec,
@@ -43,6 +44,7 @@ from .core_model import (
     _check_schema,
     build_protocol,
     derive_parts,
+    train_tables,
 )
 from .errors import (
     DimensionMismatch,
@@ -78,6 +80,11 @@ class BarChart:
 
     def __post_init__(self) -> None:
         labels = [bar.label for bar in self.bars]
+        if not labels:
+            raise DimensionMismatch("a chart needs at least one bar")
+        bad = [label for label in labels if not isinstance(label, str)]
+        if bad:
+            raise DimensionMismatch(f"bar labels must be strings, not {bad[0]!r}")
         if len(set(labels)) != len(labels):
             raise DimensionMismatch("bar labels must be unique within a chart")
         for bar in self.bars:
@@ -374,6 +381,13 @@ def _chart_eol_rule(charts: Sequence[BarChart]) -> EolRule | None:
     return EolRule(name="chart", first_types=frozenset(first), last_types=frozenset(last))
 
 
+def as_multichart(chart: BarChart | MultiTrainChart) -> MultiTrainChart:
+    """A bar chart as the one-train chart of train type "1"; a multi-train chart as is."""
+    if isinstance(chart, BarChart):
+        return MultiTrainChart(charts=(("1", chart),), rotation=("1",))
+    return chart
+
+
 def chart_to_protocol(
     chart_or_multichart: BarChart | MultiTrainChart,
     station_classification: Sequence[str] | None = None,
@@ -384,11 +398,7 @@ def chart_to_protocol(
     Every unit is its own section; doors mirror alignment (v = a) and
     presentation is full (p_nij = a_ni * a_nj).
     """
-    if isinstance(chart_or_multichart, BarChart):
-        mtc = MultiTrainChart(charts=(("1", chart_or_multichart),), rotation=("1",))
-    else:
-        mtc = chart_or_multichart
-
+    mtc = as_multichart(chart_or_multichart)
     types = mtc.type_universe()
     d: dict[str, int] = {}
     for _, chart in mtc.charts:
@@ -398,39 +408,23 @@ def chart_to_protocol(
     catalog = StationTypeCatalog(types=types, d=d)
 
     M = mtc.M
-    trains, u_t, a_t, v_t, p_t, s_rows = [], [], [], [], [], []
+    trains, tables = [], []
     for train_label, chart in mtc.charts:
         trains.append(TrainTypeSpec.uniform(train_label, M=M, N=M, unit_capacity=unit_capacity))
-        u_t.append(np.eye(M, dtype=int))
         a = np.zeros((M, len(types)), dtype=int)
         for i, label in enumerate(types):
             for m in chart.covered_units(label):
                 a[m - 1, i] = 1
-        a_t.append(a)
-        v_t.append(a.copy())
-        p_t.append(np.einsum("ni,nj->nij", a, a))
-        s_rows.append([1 if chart.overlap(label) >= 1 else 0 for label in types])
+        tables.append(train_tables((1,) * M, a))
+    u, a, v, p, s = zip(*tables)
 
-    delta = None
-    epsilon = None
+    delta = epsilon = None
     if station_classification is not None:
         delta = np.eye(len(types), dtype=int)[list(catalog.indices(station_classification))]
     if len(mtc.rotation) > 1:
-        order = [mtc.train_labels().index(lab) for lab in mtc.rotation]
-        epsilon = np.zeros((len(order), len(trains)), dtype=int)
-        for t, k in enumerate(order):
-            epsilon[t, k] = 1
-
+        epsilon = np.eye(len(trains), dtype=int)[list(map(mtc.train_labels().index, mtc.rotation))]
     return build_protocol(
-        catalog,
-        trains,
-        u=u_t,
-        s=np.array(s_rows),
-        a=a_t,
-        v=v_t,
-        p=p_t,
-        delta=delta,
-        epsilon=epsilon,
+        catalog, trains, u=u, s=s, a=a, v=v, p=p, delta=delta, epsilon=epsilon,
         eol_rule=_chart_eol_rule([chart for _, chart in mtc.charts]),
     )
 
@@ -558,5 +552,5 @@ def chart_from_json(doc: dict) -> BarChart | MultiTrainChart:
             ),
             rotation=tuple(doc["rotation"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except DOCUMENT_ERRORS as exc:
         raise SchemaError(f"malformed chart document: {exc}") from exc

@@ -2,7 +2,8 @@
 
 Oracles deliberately re-derive results through a different mechanism
 than the implementation: plain nested loops for constraint checking,
-station-by-station per-flow bookkeeping for loads, exhaustive step-path
+station-by-station per-flow bookkeeping for loads, a per-link load
+table for the end-preference split, exhaustive step-path
 enumeration for routing, vertex enumeration for linear programs, one
 LP per candidate for the metering search, and sampling for the access
 penalty.
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from xltops import (
+    AssignmentTensor,
     Bar,
     BarChart,
     LineInstance,
@@ -27,9 +29,11 @@ from xltops import (
     TrainTypeSpec,
     build_protocol,
     fr_i,
+    section_capacities,
     solve_inner_lp,
 )
 from xltops.errors import AmbiguousAssignment, InfeasibleMinRates
+from xltops.flow_sim import type_pair_sections
 
 
 def seed_from_env(default: int = 12345) -> int:
@@ -146,6 +150,38 @@ def oracle_loads(assignment, entry_rates, line: LineInstance):
             for n in range(N):
                 loads[n][s] = sum(onboard[n].values(), Fraction(0))
     return loads
+
+
+def oracle_end_preference(spec: ProtocolSpec, line: LineInstance) -> AssignmentTensor:
+    """The end-preference split from a per-link load table per section.
+
+    Flows are placed in (origin, destination) order; each takes its
+    quietest presenting section whose load stays within capacity on every
+    link it rides, else the section whose heaviest such link is lightest.
+    """
+    ti, presenting = type_pair_sections(spec, line)
+    N = spec.trains[0].N
+    S = line.S
+    caps = section_capacities(spec)
+    busyness = [int(spec.p[0][n].sum()) for n in range(N)]
+    preference = [[sorted(sec, key=busyness.__getitem__) for sec in row] for row in presenting]
+    running = [[Fraction(0)] * (S - 1) for _ in range(N)]
+    flows = [[()] * S for _ in range(S)]
+    for z, sp in itertools.combinations(range(S), 2):
+        candidates = preference[ti[z]][ti[sp]]
+        if line.A[z][sp] == 0 or not candidates:
+            continue
+        pax = line.H * line.A[z][sp]
+        for n in candidates:
+            if all(running[n][link] + pax <= caps[n] for link in range(z, sp)):
+                chosen = n
+                break
+        else:
+            chosen = min(candidates, key=lambda n: max(running[n][z:sp]))
+        flows[z][sp] = ((chosen, Fraction(1)),)
+        for link in range(z, sp):
+            running[chosen][link] += pax
+    return AssignmentTensor(N, tuple(map(tuple, flows)))
 
 
 # ---------------------------------------------------------------------------

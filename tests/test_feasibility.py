@@ -8,7 +8,7 @@ import pytest
 
 from xltops import check, check_eol, check_presentation_standard, fr_h, fr_i, ftr
 from xltops.core_model import StationTypeCatalog, TrainTypeSpec, build_protocol
-from xltops.feasibility import Violation
+from xltops.errors import NonConsecutiveSection
 
 from conftest import make_line, oracle_violations, random_spec, seed_from_env
 
@@ -29,6 +29,39 @@ def test_random_specs_match_oracle_exactly():
         spec = random_spec(rng)
         assert as_tuples(check(spec)) == oracle_violations(spec)
     assert time.monotonic() - start < 30
+
+
+def test_build_protocol_rejects_exactly_the_split_sections():
+    """E1 lives in build_protocol: it refuses a u table iff some section has a gap."""
+    rng = random.Random(seed_from_env() + 3)
+    cat = StationTypeCatalog(types=("F",), d={"F": 9})
+    refused = 0
+    for _ in range(500):
+        M = rng.randint(1, 7)
+        N = rng.randint(1, M)
+        # Every unit in exactly one section and no section empty: only a gap can fail.
+        owner = list(range(N)) + [rng.randrange(N) for _ in range(M - N)]
+        rng.shuffle(owner)
+        if rng.random() < 0.3:
+            owner.sort()
+        u = np.zeros((M, N), dtype=int)
+        u[range(M), owner] = 1
+        split = any(
+            u[b, n] and u[bp, n] and not all(u[m, n] for m in range(b, bp + 1))
+            for n in range(N)
+            for b in range(M)
+            for bp in range(b + 1, M)
+        )
+        zeros = np.zeros((N, 1), dtype=int)
+        tables = dict(u=[u], s=[[1]], a=[zeros], v=[zeros], p=[zeros[:, :, None]])
+        train = TrainTypeSpec.uniform("t", M=M, N=N)
+        if split:
+            refused += 1
+            with pytest.raises(NonConsecutiveSection):
+                build_protocol(cat, [train], **tables)
+        else:
+            assert check(build_protocol(cat, [train], **tables)).feasible
+    assert 100 < refused < 400
 
 
 def _single_train(a=None, v=None, p=None, s=None, d=6, M=4, N=2):
@@ -75,12 +108,6 @@ def test_presentation_without_doors_flagged():
     spec = _single_train(a=[[1, 0], [1, 1]], p=p)
     report = check(spec)
     assert [v.indices for v in report.by_constraint("E6")] == [(0, 1, "F", "R")]
-
-
-def test_extra_constraints_are_appended():
-    extra = lambda spec: [Violation("CUSTOM", (1,), "always fires")]
-    report = check(fr_h(), extra_constraints=[extra])
-    assert [v.constraint for v in report.violations] == ["CUSTOM"]
 
 
 ALL_PAIRS = [("F", "F"), ("F", "R"), ("R", "F"), ("R", "R")]

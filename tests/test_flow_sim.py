@@ -14,6 +14,7 @@ from xltops import (
     capacity_report,
     fr_h,
     fr_i,
+    ftr,
     headway_capacity_reduction,
     headway_correction,
     section_capacities,
@@ -31,6 +32,7 @@ from conftest import (
     access_penalty_ftr_mc,
     exactly_one_ftr,
     make_line,
+    oracle_end_preference,
     oracle_loads,
     seed_from_env,
 )
@@ -239,6 +241,29 @@ def test_split_loads_match_per_flow_microsimulation_on_long_lines(rule):
         assignment = build_assignment_split(spec, line, rule=rule)
         profile = simulate_loads(assignment, rates, line, section_capacities(spec))
         assert [list(row) for row in profile.load] == oracle_loads(assignment, rates, line)
+
+
+@pytest.mark.parametrize("ctor", [fr_h, ftr])
+def test_end_preference_matches_the_per_link_reference(ctor):
+    rng = random.Random(f"{seed_from_env()}/end-preference/{ctor.__name__}")
+    for trial in range(150):
+        spec = ctor(rng.randint(1, 2))
+        train = spec.trains[0]
+        if trial % 5 == 0:
+            caps = (0,) * train.M  # no section ever has room
+        else:
+            caps = tuple(rng.choice([0, 0, Fraction(1, 2), 1, 2, 4]) for _ in range(train.M))
+        spec = replace(spec, trains=(replace(train, capacities=caps),))
+        S = rng.randint(2, 12)
+        types = [rng.choice(spec.stations.types) for _ in range(S)]
+        A = [[Fraction(0)] * S for _ in range(S)]
+        for z in range(S):
+            for sp in range(z + 1, S):
+                if rng.random() < 0.6:
+                    A[z][sp] = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+        line = make_line(types, A, H=Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+        expected = oracle_end_preference(spec, line)
+        assert build_assignment_split(spec, line, rule="end_preference") == expected
 
 
 # ---------------------------------------------------------------------------
