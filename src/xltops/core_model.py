@@ -21,7 +21,8 @@ one train of consecutive sections, for the built-in constructors and for
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -110,8 +111,8 @@ class TrainTypeSpec:
             raise DimensionMismatch("section count must satisfy 1 <= N <= M")
         if len(self.lengths) != self.M or len(self.capacities) != self.M:
             raise DimensionMismatch("per-unit lengths/capacities must have M entries")
-        if any(l <= 0 for l in self.lengths):
-            raise DimensionMismatch("unit lengths must be positive")
+        if any(not (math.isfinite(l) and l > 0) for l in self.lengths):
+            raise DimensionMismatch("unit lengths must be positive and finite")
         if any(_as_fraction(c) < 0 for c in self.capacities):
             raise DimensionMismatch("unit capacities must be nonnegative")
         if any(not (1 <= m <= self.M) for m in self.never_aligned):
@@ -446,9 +447,9 @@ class LineInstance:
                 if sp <= z and A[z][sp] != 0:
                     raise DimensionMismatch("demand must vanish for s' <= s")
         for z, m in enumerate(self.M_min):
-            if m > self.demand_rate(z):
+            if not 0 <= m <= self.demand_rate(z):
                 raise DimensionMismatch(
-                    f"minimum entry rate at station {z + 1} exceeds its demand"
+                    f"minimum entry rate at station {z + 1} lies outside [0, its demand]"
                 )
 
     @property

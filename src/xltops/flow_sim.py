@@ -8,13 +8,13 @@ Conventions: stations are 0-based indices along the travel direction;
 link ``s`` is the stretch departing station ``s`` (0 .. S-2).  Loads are
 passengers per train, i.e. rate times headway H.
 
-Entry rates E are thinned proportionally over destinations, so loads are
-linear in them, loads = H·coef·E: load[n][s] = H·Σ_{z<=s} acc[n][z][s]/A_z·E_z
-with the suffix sum over destinations acc[n][z][S-1] = 0,
-acc[n][z][s] = acc[n][z][s+1] + A[z][s+1]·share(n, z, s+1), where A_z is
-the demand rate from z (an origin with A_z = 0 adds nothing).
-``load_coefficients`` builds the table in one backward pass per origin,
-O(N·S²); ``simulate_loads`` and the metering LP both read loads from it.
+Entry rates E are thinned proportionally over destinations: the flow from
+z to sp carries H·E_z·A[z][sp]/A_z passengers per train (A_z is the demand
+rate from z), and section n takes share(n, z, sp) of them over links
+z .. sp-1.  ``link_loads`` puts riders on links for every caller: each is
+added at z and taken off at sp in a difference row, and one prefix sum per
+row gives the loads.  Loads are linear in E, and ``load_coefficients``
+runs the same kernel at E_z = 1 for the rows of the metering LP.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -56,11 +56,12 @@ class AssignmentTensor:
 
 @dataclass(frozen=True)
 class LoadProfile:
-    """Per-section loads on every link, plus section capacities."""
+    """Per-section loads on every link, section capacities, and demand left behind."""
 
     load: tuple[tuple[Fraction, ...], ...]  # N x (S-1)
     C_n: tuple[Fraction, ...]
     overcrowded: tuple[tuple[int, int], ...]  # (section n, link s), 0-based
+    unserved: tuple[tuple[int, int, Fraction], ...]  # (z, sp, pax per train) no section presents
 
     @property
     def N(self) -> int:
@@ -69,9 +70,6 @@ class LoadProfile:
     @property
     def links(self) -> int:
         return len(self.load[0]) if self.load else 0
-
-    def link_total(self, s: int) -> Fraction:
-        return sum((row[s] for row in self.load), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -196,43 +194,46 @@ def section_capacities(spec: ProtocolSpec, k: int = 0) -> tuple[Fraction, ...]:
     )
 
 
+def link_loads(rows: int, S: int, riders: Iterable[tuple]) -> list[list[Fraction]]:
+    """Loads of each row on links 0 .. S-2, where a rider (row, z, sp, x) rides links z .. sp-1."""
+    diff = [[Fraction(0)] * S for _ in range(rows)]
+    for row, z, sp, x in riders:
+        diff[row][z] += x
+        diff[row][sp] -= x
+    return [list(itertools.accumulate(d[:-1])) for d in diff]
+
+
+def _riders(assignment: AssignmentTensor, line: LineInstance, z: int, scale: Fraction):
+    """Riders (section n, z, sp, passengers) of the flows from z, scale·A[z][sp] per flow."""
+    return ((n, z, sp, line.A[z][sp] * scale * share) for sp in range(z + 1, line.S)
+            if line.A[z][sp] for n, share in assignment.flows[z][sp])
+
+
+def section_loads(
+    assignment: AssignmentTensor, line: LineInstance, entry_rates: Sequence[Fraction]
+) -> list[list[Fraction]]:
+    """Passengers per train on each section and link; each E_z must lie in [0, A_z]."""
+    if len(entry_rates) != line.S:
+        raise DimensionMismatch(f"{len(entry_rates)} entry rates for {line.S} stations")
+    riders = []
+    for z, e in enumerate(map(Fraction, entry_rates)):
+        A_z = line.demand_rate(z)
+        if not 0 <= e <= A_z:
+            raise DimensionMismatch(f"entry rate {e} at station {z + 1} lies outside [0, {A_z}]")
+        if e:
+            riders += _riders(assignment, line, z, line.H * e / A_z)
+    return link_loads(assignment.N, line.S, riders)
+
+
 def load_coefficients(
     assignment: AssignmentTensor, line: LineInstance
 ) -> list[list[list[Fraction]]]:
     """coef[n][s][z]: passengers per train on section n over link s per unit of E_z."""
-    S = line.S
-    zero = Fraction(0)
-    coef = [[[zero] * S for _ in range(S - 1)] for _ in range(assignment.N)]
-    for z in range(S):
-        A_z = line.demand_rate(z)
-        if A_z == 0:
-            continue
-        row = line.A[z]
-        scale = line.H / A_z
-        c: dict[int, Fraction] = {}  # section -> its coefficient on link sp - 1
-        for sp in range(S - 1, z, -1):
-            if row[sp]:
-                for n, share in assignment.flows[z][sp]:
-                    c[n] = c.get(n, zero) + row[sp] * share * scale
-            for n, x in c.items():
-                coef[n][sp - 1][z] = x
-    return coef
-
-
-def load_profile(
-    coef: Sequence[Sequence[Sequence[Fraction]]],
-    entry_rates: Sequence[Fraction],
-    C_n: Sequence[Fraction],
-) -> LoadProfile:
-    """Loads coef·E, with the (section, link) pairs loaded beyond C_n."""
-    E = [Fraction(e) for e in entry_rates]
-    load = tuple(
-        tuple(sum((c * e for c, e in zip(row, E) if c and e), Fraction(0)) for row in table)
-        for table in coef
-    )
-    caps = tuple(Fraction(c) for c in C_n)
-    over = tuple((n, s) for n, row in enumerate(load) for s, x in enumerate(row) if x > caps[n])
-    return LoadProfile(load=load, C_n=caps, overcrowded=over)
+    S, N = line.S, assignment.N
+    riders = [(n * S + z, z, sp, x) for z in range(S) if line.demand_rate(z)
+              for n, _, sp, x in _riders(assignment, line, z, line.H / line.demand_rate(z))]
+    columns = link_loads(N * S, S, riders)  # row n·S + z: section n, riders from z
+    return [[list(c) for c in zip(*columns[n * S:(n + 1) * S])] for n in range(N)]
 
 
 def simulate_loads(
@@ -244,11 +245,18 @@ def simulate_loads(
     """Aggregate section loads per link under FIFO demand thinning.
 
     Entry rates are thinned proportionally over destinations:
-    E_zs' = E_z * A_zs' / A_z.  Overcrowding is reported, not fatal.
+    E_zs' = E_z * A_zs' / A_z.  Overcrowding and demand that no section
+    presents are reported, not fatal.
     """
-    if len(entry_rates) != line.S:
-        raise DimensionMismatch(f"{len(entry_rates)} entry rates for {line.S} stations")
-    return load_profile(load_coefficients(assignment, line), entry_rates, C_n)
+    load = tuple(map(tuple, section_loads(assignment, line, entry_rates)))
+    caps = tuple(Fraction(c) for c in C_n)
+    over = tuple((n, s) for n, row in enumerate(load) for s, x in enumerate(row) if x > caps[n])
+    unserved = tuple(
+        (z, sp, line.H * Fraction(entry_rates[z]) * line.A[z][sp] / line.demand_rate(z))
+        for z, sp in itertools.combinations(range(line.S), 2)
+        if entry_rates[z] and line.A[z][sp] and not assignment.flows[z][sp]
+    )
+    return LoadProfile(load=load, C_n=caps, overcrowded=over, unserved=unserved)
 
 
 def max_unit_density(rows: Sequence[Sequence[Fraction]], section_sizes: Sequence[int]) -> Fraction:
@@ -264,7 +272,7 @@ def max_load_point(profile: LoadProfile) -> int:
     """The first link (0-based) of maximum total load: ties go to the left."""
     if not profile.links:
         raise DimensionMismatch("a load profile with no links has no maximum load point")
-    totals = [profile.link_total(s) for s in range(profile.links)]
+    totals = [sum(column, Fraction(0)) for column in zip(*profile.load)]
     return totals.index(max(totals))
 
 

@@ -2,7 +2,10 @@
 
 The inner problem picks station entry rates E_s maximizing total
 passengers served, subject to per-station bounds M_s <= E_s <= A_s and
-no overcrowding of any train section on any link.  The outer problem
+no overcrowding of any train section on any link.  fr_i presents every
+F/R type pair, so every admitted passenger finds a section: the
+objective sum E is all served demand, and the profile's ``unserved`` is
+empty.  The outer problem
 searches station classifications and section sizings of the fr_i
 protocol, whose presentation, and so every LP row, does not depend on
 the sizing: the LP is built once per classification, and a sizing sets
@@ -125,15 +128,15 @@ class _ClassificationLP:
 
     def __init__(self, problem: MeteringProblem, station_types: Sequence[str]) -> None:
         self.station_types = tuple(station_types)
-        line = replace(problem.line, station_types=self.station_types)
-        self.coef = flow_sim.load_coefficients(flow_sim.build_assignment(_SPEC, line), line)
+        self.line = line = replace(problem.line, station_types=self.station_types)
+        self.assignment = flow_sim.build_assignment(_SPEC, line)
         self.c = Fraction(problem.unit_capacity)
         self.lo = line.M_min
         self.slack = [line.demand_rate(z) - lo for z, lo in enumerate(self.lo)]
         unit = [[Fraction(int(z == y)) for y in range(line.S)] for z in range(line.S)]
-        self.rows = unit + [row for table in self.coef for row in table]
-        self.base = [[sum(c * m for c, m in zip(row, self.lo)) for row in table]
-                     for table in self.coef]
+        coef = flow_sim.load_coefficients(self.assignment, line)
+        self.rows = unit + [row for table in coef for row in table]
+        self.base = flow_sim.section_loads(self.assignment, line, self.lo)
 
     def rhs(self, sizes: tuple[int, ...]) -> list[Fraction]:
         """Right-hand sides for one sizing: the demand slack, then C_n - base."""
@@ -166,6 +169,7 @@ class _ClassificationLP:
     def solution(self, sizes: tuple[int, ...], x: list, b: list) -> MeteringSolution:
         S = len(self.lo)
         E = tuple(lo + dx for lo, dx in zip(self.lo, x))
+        C_n = tuple(self.c * m for m in sizes)
         tags = [BindingConstraint("upper", (z + 1,)) for z in range(S)] + [
             BindingConstraint("load", (n + 1, s + 1)) for n in range(_N) for s in range(S - 1)
         ]
@@ -178,7 +182,7 @@ class _ClassificationLP:
             station_types=self.station_types,
             section_sizes=sizes,
             objective=sum(E, Fraction(0)),
-            profile=flow_sim.load_profile(self.coef, E, tuple(self.c * m for m in sizes)),
+            profile=flow_sim.simulate_loads(self.assignment, E, self.line, C_n),
             binding=tuple(binding),
         )
 

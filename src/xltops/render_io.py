@@ -317,6 +317,12 @@ def _cmd_simulate(args) -> int:
     C_n = flow_sim.section_capacities(spec, 0)
     profile = flow_sim.simulate_loads(assignment, rates, line, C_n)
     report = flow_sim.capacity_report(profile, spec, line)
+    if profile.unserved:
+        names = line.stations
+        flows = ", ".join(f"{names[z]}->{names[sp]}" for z, sp, _ in profile.unserved)
+        pax = sum((x for _, _, x in profile.unserved), Fraction(0))
+        print(f"warning: no section presents {flows}: {float(pax):g} passengers per train "
+              "left unserved", file=sys.stderr)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["link", *(f"section_{n + 1}" for n in range(profile.N))])

@@ -28,7 +28,7 @@ import string
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -459,16 +459,15 @@ def greedy_presentation_refine(spec: ProtocolSpec, line: LineInstance) -> Protoc
     # Aggregate demand per origin-destination type pair (as type indices),
     # and its passengers per train on each link before any split.
     totals: dict[tuple[int, int], Fraction] = {}
-    per_link: dict[tuple[int, int], list[Fraction]] = {}
+    rows: dict[tuple[int, int], int] = {}  # each pair's row of link loads
+    riders = []
     for z in range(S):
         for sp in range(z + 1, S):
             if A[z][sp] > 0:
                 pair = (ti[z], ti[sp])
                 totals[pair] = totals.get(pair, 0) + A[z][sp]
-                pax = per_link.setdefault(pair, [Fraction(0)] * (S - 1))
-                riders = H * A[z][sp]
-                for link in range(z, sp):
-                    pax[link] += riders
+                riders.append((rows.setdefault(pair, len(rows)), z, sp, H * A[z][sp]))
+    per_link = dict(zip(rows, flow_sim.link_loads(len(rows), S, riders)))
     order = sorted(totals, key=lambda pair: (-totals[pair], types[pair[0]], types[pair[1]]))
 
     def feasible_spans(i: int, j: int) -> list[range]:

@@ -150,9 +150,15 @@ def _with(kind, value, *path):
         ("chart", _with("chart", 7, "bars", 0, "label")),
         ("line", _with("line", [0] * 5, "M_min")),
         ("line", _with("line", [0], "M_min")),
+        ("line", _with("line", [-1, 0, 0, 0], "M_min")),
+        ("rates", _with("rates", [-6, 3, 1, 0], "E")),
+        ("rates", _with("rates", [7, 3, 1, 0], "E")),
+        ("spec", _with("spec", math.nan, "trains", 0, "lengths", 0)),
+        ("spec", _with("spec", math.inf, "trains", 0, "lengths", 0)),
     ],
     ids=["stations-d-1", "stations-without-types", "M-Infinity", "H-Infinity", "no-bars",
-         "label-true", "label-7", "M_min-too-long", "M_min-too-short"],
+         "label-true", "label-7", "M_min-too-long", "M_min-too-short", "M_min-negative", "E-negative",
+         "E-above-demand", "length-NaN", "length-Infinity"],
 )
 def test_malformed_document_exits_1_with_an_error_line(base, kind, doc):
     with open(base["mutated"], "w", encoding="utf-8") as handle:
@@ -182,3 +188,21 @@ def test_spec_documents_carry_exact_rational_capacities(tmp_path):
     report = json.loads(out.split("\n", 2)[2])
     assert report["occupancy"] == [0.0, 1.0, 1.0, 0.0]
     assert report["overcrowded"] == []
+
+
+def test_unserved_demand_gets_a_warning_line(tmp_path):
+    # On S(3, 2) no unit stops at both A and C: the 10 pax/h from A to C have no section.
+    spec = chart_to_protocol(generate_s(3, 2, 4), ("A", "B", "C"))
+    line = make_line(("A", "B", "C"), [[0, 1, 10], [0, 0, 2], [0, 0, 0]], H=Fraction(1, 2))
+    paths = []
+    for name, content in (("spec", spec_to_json(spec)), ("line", line_to_json(line))):
+        paths.append(str(tmp_path / f"{name}.json"))
+        with open(paths[-1], "w", encoding="utf-8") as handle:
+            json.dump(content, handle)
+    argv = ["simulate", "--split", "balanced", "--spec", paths[0], "--line", paths[1]]
+    code, out, err = _run(argv)
+    assert code == 0
+    assert err == "warning: no section presents S1->S3: 5 passengers per train left unserved\n"
+    code, written, err_out = _run([*argv, "--out", str(tmp_path / "loads.txt")])
+    assert (code, written, err_out) == (0, "", err)
+    assert (tmp_path / "loads.txt").read_bytes() == out.encode()

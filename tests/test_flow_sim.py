@@ -12,9 +12,11 @@ from xltops import (
     build_assignment,
     build_assignment_split,
     capacity_report,
+    chart_to_protocol,
     fr_h,
     fr_i,
     ftr,
+    generate_s,
     headway_capacity_reduction,
     headway_correction,
     section_capacities,
@@ -26,7 +28,7 @@ from xltops.errors import (
     DimensionMismatch,
     NonpositiveSpeed,
 )
-from xltops.flow_sim import capacity_shares, max_load_point
+from xltops.flow_sim import capacity_shares, link_loads, load_coefficients, max_load_point
 
 from conftest import (
     access_penalty_ftr_mc,
@@ -144,6 +146,24 @@ def test_entry_rates_must_cover_every_station(fr_line_full):
         simulate_loads(assignment, [1, 1, 0], fr_line_full, section_capacities(spec))
 
 
+def test_link_loads_puts_each_rider_on_the_links_it_rides():
+    riders = [(0, 0, 3, Fraction(1)), (1, 1, 2, Fraction(2)), (0, 2, 3, Fraction(5))]
+    assert link_loads(2, 4, riders) == [[1, 1, 6], [0, 2, 0]]
+    assert link_loads(1, 1, []) == [[]]
+
+
+def test_demand_no_section_presents_is_reported():
+    # On S(3, 2) no unit stops at both A and C, so the A -> C flow has no section.
+    spec = chart_to_protocol(generate_s(3, 2, 4), ("A", "B", "C"))
+    line = make_line(("A", "B", "C"), [[0, 1, 10], [0, 0, 2], [0, 0, 0]], H=Fraction(1, 2))
+    assignment = build_assignment_split(spec, line)
+    profile = simulate_loads(assignment, full_rates(line), line, section_capacities(spec))
+    assert profile.unserved == ((0, 2, 5),)
+    assert [list(row) for row in profile.load] == oracle_loads(assignment, full_rates(line), line)
+    metered = simulate_loads(assignment, [0, 2, 0], line, section_capacities(spec))
+    assert metered.unserved == ()
+
+
 def test_single_flow_conservation():
     Z = Fraction(0)
     line = make_line(("F", "R", "F"), [[Z, Z, Fraction(100)], [Z] * 3, [Z] * 3], H=Fraction(1, 10))
@@ -241,6 +261,33 @@ def test_split_loads_match_per_flow_microsimulation_on_long_lines(rule):
         assignment = build_assignment_split(spec, line, rule=rule)
         profile = simulate_loads(assignment, rates, line, section_capacities(spec))
         assert [list(row) for row in profile.load] == oracle_loads(assignment, rates, line)
+
+
+def coefficient_cases(rng):
+    """fr_i under its exact assignment, fr_h under both splits and chart protocols, S <= 30."""
+    for S in (2, 5, 12, 30):
+        spec, line, rates = random_instance(rng)
+        yield build_assignment(spec, line), line, rates
+        line, rates = long_split_instance(rng, S)
+        for rule in ("balanced", "end_preference"):
+            yield build_assignment_split(fr_h(), line, rule=rule), line, rates
+        chart = generate_s(*rng.choice([(3, 2), (4, 3), (5, 2)]), 6)
+        labels = [bar.label for bar in chart.bars]
+        types = [rng.choice(labels) for _ in range(S)]
+        A = [[Fraction(rng.randint(0, 6), rng.randint(1, 3)) if sp > z else 0 for sp in range(S)]
+             for z in range(S)]
+        line = make_line(types, A, H=Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+        rates = [line.demand_rate(z) * Fraction(rng.randint(0, 4), 4) for z in range(S)]
+        yield build_assignment_split(chart_to_protocol(chart, types), line), line, rates
+
+
+def test_load_coefficients_reproduce_per_flow_microsimulation():
+    rng = random.Random(f"{seed_from_env()}/coefficients")
+    for assignment, line, rates in coefficient_cases(rng):
+        coef = load_coefficients(assignment, line)
+        loads = [[sum((c * e for c, e in zip(row, rates)), Fraction(0)) for row in table]
+                 for table in coef]
+        assert loads == oracle_loads(assignment, rates, line)
 
 
 @pytest.mark.parametrize("ctor", [fr_h, ftr])
@@ -356,8 +403,8 @@ def test_mlp_is_scale_invariant_and_ties_go_left():
         assignment = build_assignment(spec, line)
         caps = section_capacities(spec)
         one = capacity_report(simulate_loads(assignment, rates, line, caps), spec, line)
-        doubled = [2 * r for r in rates]
-        two = capacity_report(simulate_loads(assignment, doubled, line, caps), spec, line)
+        halved = [r / 2 for r in rates]  # doubling could exceed a station's demand
+        two = capacity_report(simulate_loads(assignment, halved, line, caps), spec, line)
         assert one.mlp_link == two.mlp_link
 
 

@@ -3,7 +3,8 @@
 Layers, lowest first: errors -> core_model -> feasibility / s_family ->
 routing / flow_sim -> metering_opt -> render_io.  A module may import
 only from a lower layer.  ``__init__`` re-exports everything and is not
-a layer.
+a layer.  No module keeps an import it does not read, or a private
+module-level name that nothing in the package references.
 """
 
 import ast
@@ -58,3 +59,53 @@ def test_imports_point_down_the_layers():
 
 def test_import_graph_is_acyclic():
     graphlib.TopologicalSorter(package_imports()).prepare()  # raises CycleError
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """The bare names a module reads."""
+    return {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Names a module reads, reads as an attribute, or imports by name."""
+    names = _reads(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _module_names(node: ast.stmt) -> list[str]:
+    """The names a module-level definition or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [n.id for target in targets if target is not None
+            for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
+def test_no_unused_imports_or_private_names():
+    """Every import is read by its module (``__init__`` re-exports, so it is exempt),
+    and every module-level private name is referenced somewhere in the package."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    referenced = set().union(*map(_references, trees.values()))
+    unused = []
+    for module, tree in sorted(trees.items()):
+        reads = _reads(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and module != "__init__":
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in reads:
+                        unused.append(f"{module}: unused import {name}")
+            unused += [
+                f"{module}: unreferenced {name}" for name in _module_names(node)
+                if name.startswith("_") and not name.startswith("__") and name not in referenced
+            ]
+    assert unused == []

@@ -376,6 +376,7 @@ def test_outer_matches_exhaustive_oracle_on_random_lines():
     for trial in range(36):
         problem = random_metering_problem(rng, S=1 + trial % 6, free_types=trial % 12 < 6)
         best = assert_outer_matches_oracle(problem)
+        assert best is None or best.profile.unserved == ()  # fr_i presents every F/R pair
         partly_skipped += best is not None and skips_a_sizing(problem, best.station_types)
     assert partly_skipped  # a winner whose classification also has skipped sizings
 

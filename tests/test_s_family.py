@@ -1,5 +1,7 @@
 """Step-family charts, closed-form formulas and multi-train constructions."""
 
+import hashlib
+import itertools
 import json
 import math
 import random
@@ -27,6 +29,7 @@ from xltops import (
     greedy_presentation_refine,
     max_connected_classes,
     max_length_with_transfers,
+    spec_to_json,
     stops_per_train,
     strict_floor,
     train_length_ratio,
@@ -344,6 +347,44 @@ def test_refinement_never_worsens_peak_density(fr_line_full):
         assert check(refined).feasible
         assert density(refined, line) <= density(spec, line), line.station_types
     assert refined_count >= 30
+
+
+def golden_refinement_case(seed):
+    """A seeded fr_h or ftr line of 5-40 stations with uneven unit capacities."""
+    from xltops import fr_h, ftr
+
+    rng = random.Random(f"refine-golden/{seed}")
+    spec = (fr_h(rng.randint(1, 3)), ftr(rng.randint(1, 2)))[seed % 2]
+    S = rng.randint(5, 40)
+    A = [[Fraction(rng.randint(1, 9), rng.randint(1, 3)) if sp > z and rng.random() < 0.5 else 0
+          for sp in range(S)] for z in range(S)]
+    train = spec.trains[0]
+    caps = tuple(rng.choice((1, 2, 3, 5)) for _ in range(train.M))
+    spec = replace(spec, trains=(replace(train, capacities=caps),))
+    types = [rng.choice(spec.stations.types) for _ in range(S)]
+    for z, sp in itertools.combinations(range(S), 2):
+        if {types[z], types[sp]} == {"F", "R"} and seed % 2:  # ftr serves F-R only by transfer
+            A[z][sp] = 0
+    return spec, make_line(types, A, H=Fraction(rng.randint(1, 3), rng.randint(1, 4)))
+
+
+GOLDEN_REFINEMENTS = [  # sha256 of the refined spec's sorted-key JSON, per seed
+    "9c96ac6cbf30989da12a1919f4d55cecff4c88cd595304e1f977a0d18b7eebdb",
+    "af4aed416450e88ab6ed37d316a5f931a06eb85d71dbe35582eedcee3c5dcaef",
+    "0573b284520108e64052dde655de1cc4319706d6541759f9844ef61df5304a9b",
+    "895c18a23823a4a970de851a6671da8ab00d10687f84411514270de277c8d052",
+    "1cbd9f9cf7629981452d8486d9661bf363e02eafed5f987255c86904b42cfb9d",
+    "5c65ddc708690c5f07edf111d876271a6adc9794f4f241a99b637c6915e04df7",
+    "942c3490b7d50f6a47c16ba39751cd0940a894241e0a31df90c8e212dcac01ff",
+    "14ec495f9e96112efa463a47e5e7eba4dd15678f59a9f7bfd75cb5fcc2ab9bc7",
+]
+
+
+@pytest.mark.parametrize("seed", range(len(GOLDEN_REFINEMENTS)))
+def test_refinement_matches_recorded_specs(seed):
+    refined = greedy_presentation_refine(*golden_refinement_case(seed))
+    doc = json.dumps(spec_to_json(refined), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == GOLDEN_REFINEMENTS[seed]
 
 
 def test_refinement_requires_classified_line():
