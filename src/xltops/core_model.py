@@ -22,6 +22,7 @@ one train of consecutive sections, for the built-in constructors and for
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -120,22 +121,11 @@ class TrainTypeSpec:
 
     @classmethod
     def uniform(
-        cls,
-        label: str,
-        M: int,
-        N: int,
-        unit_length: float = 1.0,
-        unit_capacity: float = 1.0,
-        never_aligned: Iterable[int] = (),
+        cls, label: str, M: int, N: int, never_aligned: Iterable[int] = ()
     ) -> "TrainTypeSpec":
-        return cls(
-            label=label,
-            M=M,
-            lengths=(unit_length,) * M,
-            capacities=(unit_capacity,) * M,
-            N=N,
-            never_aligned=frozenset(never_aligned),
-        )
+        """M units of length 1 and capacity 1 in N sections."""
+        return cls(label=label, M=M, lengths=(1.0,) * M, capacities=(1.0,) * M, N=N,
+                   never_aligned=frozenset(never_aligned))
 
 
 @dataclass(frozen=True)
@@ -257,25 +247,8 @@ def build_protocol(
         v_t.append(_frozen(vk))
         p_t.append(_frozen(pk))
 
-    if delta is not None:
-        delta = np.asarray(delta)
-        if delta.ndim != 2 or delta.shape[1] != C:
-            raise DimensionMismatch(f"delta must be S x {C}")
-        if not _is_binary(delta):
-            raise DimensionMismatch("delta must contain only 0/1 entries")
-        if not (delta.sum(axis=1) == 1).all():
-            raise RowSumViolation("each station must be of exactly one type")
-        delta = _frozen(delta)
-    if epsilon is not None:
-        epsilon = np.asarray(epsilon)
-        if epsilon.ndim != 2 or epsilon.shape[1] != K:
-            raise DimensionMismatch(f"epsilon must be T x {K}")
-        if not _is_binary(epsilon):
-            raise DimensionMismatch("epsilon must contain only 0/1 entries")
-        if not (epsilon.sum(axis=1) == 1).all():
-            raise RowSumViolation("each train must be of exactly one type")
-        epsilon = _frozen(epsilon)
-
+    delta = _classification(delta, C, "delta", "S", "station")
+    epsilon = _classification(epsilon, K, "epsilon", "T", "train")
     if not _is_binary(s):
         raise DimensionMismatch("stop table must contain only 0/1 entries")
 
@@ -293,15 +266,29 @@ def build_protocol(
     )
 
 
-def derive_parts(spec: ProtocolSpec, train: int = 0) -> list[TrainPart]:
-    """Partition a train type's sections into maximal runs of equal labels.
+def _classification(table, width: int, name: str, rows: str, unit: str) -> np.ndarray | None:
+    """A station (delta) or train (epsilon) classification: 0/1, one type per row."""
+    if table is None:
+        return None
+    table = np.asarray(table)
+    if table.ndim != 2 or table.shape[1] != width:
+        raise DimensionMismatch(f"{name} must be {rows} x {width}")
+    if not _is_binary(table):
+        raise DimensionMismatch(f"{name} must contain only 0/1 entries")
+    if not (table.sum(axis=1) == 1).all():
+        raise RowSumViolation(f"each {unit} must be of exactly one type")
+    return _frozen(table)
+
+
+def derive_parts(spec: ProtocolSpec) -> list[TrainPart]:
+    """Partition the first train type's sections into maximal runs of equal labels.
 
     A section's destination-label set is derived from its alignment row.
     Runs with an empty label set (sections never aligned) count as parts
     too, so the parts always cover every section.
     """
     label_sets = [
-        frozenset(spec.stations.types[i] for i in np.flatnonzero(row)) for row in spec.a[train]
+        frozenset(spec.stations.types[i] for i in np.flatnonzero(row)) for row in spec.a[0]
     ]
     parts: list[TrainPart] = []
     start = 0
@@ -342,17 +329,18 @@ _FR_ALIGNMENT = ((1, 0), (1, 1), (1, 1), (0, 1))
 _FR_RULE = EolRule(name="fr", first_types=frozenset({"R"}), last_types=frozenset({"F"}))
 
 
-def _four_sections(types, d, sizes, a, p=None) -> ProtocolSpec:
-    """One "xlt" train of four consecutive sections under the F/R end-of-line rule."""
+def _four_sections(types, sizes, a, p=None) -> ProtocolSpec:
+    """Four consecutive sections, the F/R end-of-line rule, platforms spanning aligned sections."""
     train = TrainTypeSpec.uniform("xlt", M=sum(sizes), N=4)
     u, a, v, p, stops = train_tables(sizes, a, p)
+    d = dict(zip(types, map(int, np.asarray(sizes) @ a)))
     return build_protocol(
         StationTypeCatalog(types=types, d=d), [train],
         u=[u], s=[stops], a=[a], v=[v], p=[p], eol_rule=_FR_RULE,
     )
 
 
-def fr_h(section_size: int = 3, platform_length: int | None = None) -> ProtocolSpec:
+def fr_h(section_size: int = 3) -> ProtocolSpec:
     """Static-homogeneous F/R protocol: four equal sections, two types.
 
     The front three sections align at F-stations, the rear three at
@@ -360,14 +348,10 @@ def fr_h(section_size: int = 3, platform_length: int | None = None) -> ProtocolS
     """
     if section_size < 1:
         raise BadSectionCount("section size must be positive")
-    d = 3 * section_size if platform_length is None else platform_length
-    return _four_sections(("F", "R"), {"F": d, "R": d}, (section_size,) * 4, _FR_ALIGNMENT)
+    return _four_sections(("F", "R"), (section_size,) * 4, _FR_ALIGNMENT)
 
 
-def fr_i(
-    section_sizes: Sequence[int] = (3, 3, 3, 3),
-    platform_lengths: Mapping[str, int] | None = None,
-) -> ProtocolSpec:
+def fr_i(section_sizes: Sequence[int] = (3, 3, 3, 3)) -> ProtocolSpec:
     """Dynamic-inhomogeneous F/R protocol with partial presentation.
 
     Section 1 carries F-to-F, section 2 F-to-R (presented only at
@@ -377,21 +361,18 @@ def fr_i(
     sizes = tuple(int(x) for x in section_sizes)
     if len(sizes) != 4 or any(x < 1 for x in sizes):
         raise BadSectionCount("fr_i needs exactly 4 positive section sizes")
-    if platform_lengths is None:
-        platform_lengths = {"F": sum(sizes[:3]), "R": sum(sizes[1:])}
     F, R = 0, 1
     p = np.zeros((4, 2, 2), dtype=int)
     p[range(4), (F, F, R, R), (F, R, F, R)] = 1  # (section, origin type, destination type)
-    return _four_sections(("F", "R"), dict(platform_lengths), sizes, _FR_ALIGNMENT, p)
+    return _four_sections(("F", "R"), sizes, _FR_ALIGNMENT, p)
 
 
-def ftr(section_size: int = 2, platform_length: int | None = None) -> ProtocolSpec:
+def ftr(section_size: int = 2) -> ProtocolSpec:
     """Static F/T/R protocol: platforms span two of the four sections."""
     if section_size < 1:
         raise BadSectionCount("section size must be positive")
-    d = 2 * section_size if platform_length is None else platform_length
     a = ((1, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 1))
-    return _four_sections(("F", "T", "R"), {"F": d, "T": d, "R": d}, (section_size,) * 4, a)
+    return _four_sections(("F", "T", "R"), (section_size,) * 4, a)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +394,8 @@ class LineInstance:
 
     ``A[s][s']`` is the steady-state demand rate in passengers/hour, zero
     on and below the diagonal.  ``M_min`` holds the equity floor on the
-    metered entry rate of each station.
+    metered entry rate of each station.  ``flows`` lists each demanded
+    flow ``(s, s', A[s][s'])``, a positive entry of A, in (s, s') order.
     """
 
     stations: tuple[str, ...]
@@ -436,16 +418,20 @@ class LineInstance:
             object.__setattr__(self, "M_min", tuple(_as_fraction(x) for x in self.M_min))
         if any(len(x) != S for x in (self.platform_lengths, A, self.M_min, *A)):
             raise DimensionMismatch("line tables must all be S-sized")
+        if any(not isinstance(x, numbers.Integral) or x < 1 for x in self.platform_lengths):
+            raise DimensionMismatch("platform lengths must be whole numbers >= 1")
         if self.station_types is not None and len(self.station_types) != S:
             raise DimensionMismatch("station_types must have one label per station")
         if self.H <= 0:
             raise DimensionMismatch("headway must be positive")
-        for z in range(S):
-            for sp in range(S):
-                if A[z][sp] < 0:
-                    raise DimensionMismatch("demand must be nonnegative")
-                if sp <= z and A[z][sp] != 0:
-                    raise DimensionMismatch("demand must vanish for s' <= s")
+        flows = tuple((z, sp, x) for z, row in enumerate(A) for sp, x in enumerate(row) if x)
+        for z, sp, x in flows:
+            if x < 0:
+                raise DimensionMismatch("demand must be nonnegative")
+            if sp <= z:
+                raise DimensionMismatch("demand must vanish for s' <= s")
+        object.__setattr__(self, "flows", flows)
+        object.__setattr__(self, "_row_sums", tuple(sum(row, Fraction(0)) for row in A))
         for z, m in enumerate(self.M_min):
             if not 0 <= m <= self.demand_rate(z):
                 raise DimensionMismatch(
@@ -457,8 +443,8 @@ class LineInstance:
         return len(self.stations)
 
     def demand_rate(self, z: int) -> Fraction:
-        """Total demand rate A_s originating at 0-based station z."""
-        return sum(self.A[z], Fraction(0))
+        """Total demand rate A_s originating at 0-based station z (each row is summed once)."""
+        return self._row_sums[z]
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +491,14 @@ def spec_to_json(spec: ProtocolSpec) -> dict:
     return doc
 
 
+def _whole(x) -> int:
+    """An integer document field, read without truncating: 9.7, NaN, Infinity or true raise."""
+    n = int(x)
+    if n != x or isinstance(x, bool):
+        raise ValueError(f"{x!r} is not a whole number")
+    return n
+
+
 def _check_schema(doc: dict, kind: str) -> None:
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise SchemaError(f"expected a {kind!r} document")
@@ -517,17 +511,17 @@ def spec_from_json(doc: dict) -> ProtocolSpec:
     try:
         stations = StationTypeCatalog(
             types=tuple(doc["stations"]["types"]),
-            d={i: int(x) for i, x in doc["stations"]["d"].items()},
+            d={i: _whole(x) for i, x in doc["stations"]["d"].items()},
         )
         trains = tuple(
             TrainTypeSpec(
                 label=t["label"],
-                M=int(t["M"]),
+                M=_whole(t["M"]),
                 lengths=tuple(t["lengths"]),
                 capacities=tuple(
                     _as_fraction(c) if isinstance(c, str) else c for c in t["capacities"]
                 ),
-                N=int(t["N"]),
+                N=_whole(t["N"]),
                 never_aligned=frozenset(t.get("never_aligned", ())),
             )
             for t in doc["trains"]
@@ -580,7 +574,7 @@ def line_from_json(doc: dict) -> LineInstance:
     try:
         return LineInstance(
             stations=tuple(doc["stations"]),
-            platform_lengths=tuple(int(x) for x in doc["platform_lengths"]),
+            platform_lengths=tuple(map(_whole, doc["platform_lengths"])),
             H=doc["H"],
             A=doc["A"],
             M_min=tuple(doc.get("M_min", ())),

@@ -8,13 +8,14 @@ Conventions: stations are 0-based indices along the travel direction;
 link ``s`` is the stretch departing station ``s`` (0 .. S-2).  Loads are
 passengers per train, i.e. rate times headway H.
 
-Entry rates E are thinned proportionally over destinations: the flow from
-z to sp carries H·E_z·A[z][sp]/A_z passengers per train (A_z is the demand
-rate from z), and section n takes share(n, z, sp) of them over links
+Entry rates E are thinned proportionally over destinations, in one
+place (``_thinned``): the flow from z to sp in ``LineInstance.flows``
+carries H·E_z·A[z][sp]/A_z passengers per train (A_z is the demand rate
+from z), and section n takes share(n, z, sp) of them over links
 z .. sp-1.  ``link_loads`` puts riders on links for every caller: each is
 added at z and taken off at sp in a difference row, and one prefix sum per
 row gives the loads.  Loads are linear in E, and ``load_coefficients``
-runs the same kernel at E_z = 1 for the rows of the metering LP.
+divides the loads at full demand by A_z for the rows of the metering LP.
 """
 
 from __future__ import annotations
@@ -127,9 +128,9 @@ def build_assignment(spec: ProtocolSpec, line: LineInstance) -> AssignmentTensor
     balanced split's shares and carries nothing.
     """
     ti, presenting = type_pair_sections(spec, line)
-    for z, sp in itertools.combinations(range(line.S), 2):
+    for z, sp, _ in line.flows:
         sections = presenting[ti[z]][ti[sp]]
-        if line.A[z][sp] > 0 and len(sections) > 1:
+        if len(sections) > 1:
             i, j = spec.stations.types[ti[z]], spec.stations.types[ti[sp]]
             raise AmbiguousAssignment(f"{len(sections)} sections present pair {i}->{j}")
     return _balanced(spec, ti, presenting)
@@ -181,16 +182,16 @@ def build_assignment_split(
     return AssignmentTensor(N, tuple(map(tuple, flows)))
 
 
-def section_capacities(spec: ProtocolSpec, k: int = 0) -> tuple[Fraction, ...]:
-    """C_n = sum of unit capacities over each section.
+def section_capacities(spec: ProtocolSpec) -> tuple[Fraction, ...]:
+    """C_n = sum of unit capacities over each section of the first train type.
 
     Float capacities convert as ``LineInstance`` converts its numbers, so
     0.3 reads 3/10 rather than the nearest binary fraction.
     """
-    units = [_as_fraction(c) for c in spec.trains[k].capacities]
+    units = [_as_fraction(c) for c in spec.trains[0].capacities]
     return tuple(
-        sum((units[m - 1] for m in spec.section_units(k, n)), Fraction(0))
-        for n in range(1, spec.trains[k].N + 1)
+        sum((units[m - 1] for m in spec.section_units(0, n)), Fraction(0))
+        for n in range(1, spec.trains[0].N + 1)
     )
 
 
@@ -203,26 +204,30 @@ def link_loads(rows: int, S: int, riders: Iterable[tuple]) -> list[list[Fraction
     return [list(itertools.accumulate(d[:-1])) for d in diff]
 
 
-def _riders(assignment: AssignmentTensor, line: LineInstance, z: int, scale: Fraction):
-    """Riders (section n, z, sp, passengers) of the flows from z, scale·A[z][sp] per flow."""
-    return ((n, z, sp, line.A[z][sp] * scale * share) for sp in range(z + 1, line.S)
-            if line.A[z][sp] for n, share in assignment.flows[z][sp])
+def _thinned(line: LineInstance, entry_rates: Sequence[Fraction]) -> list[tuple]:
+    """(z, sp, H·E_z·A[z][sp]/A_z passengers per train) of each flow with riders."""
+    if len(entry_rates) != line.S:
+        raise DimensionMismatch(f"{len(entry_rates)} entry rates for {line.S} stations")
+    scale = []  # H·E_z/A_z per station
+    for z, e in enumerate(map(Fraction, entry_rates)):
+        A_z = line.demand_rate(z)
+        if not 0 <= e <= A_z:
+            raise DimensionMismatch(f"entry rate {e} at station {z + 1} lies outside [0, {A_z}]")
+        scale.append(line.H * e / A_z if e else e)
+    return [(z, sp, x * scale[z]) for z, sp, x in line.flows if scale[z]]
+
+
+def _flow_loads(assignment: AssignmentTensor, S: int, flows: list[tuple]) -> list[list[Fraction]]:
+    """Each section's shares of thinned flows, as loads on links 0 .. S-2."""
+    return link_loads(assignment.N, S, ((n, z, sp, x * share) for z, sp, x in flows
+                                        for n, share in assignment.flows[z][sp]))
 
 
 def section_loads(
     assignment: AssignmentTensor, line: LineInstance, entry_rates: Sequence[Fraction]
 ) -> list[list[Fraction]]:
     """Passengers per train on each section and link; each E_z must lie in [0, A_z]."""
-    if len(entry_rates) != line.S:
-        raise DimensionMismatch(f"{len(entry_rates)} entry rates for {line.S} stations")
-    riders = []
-    for z, e in enumerate(map(Fraction, entry_rates)):
-        A_z = line.demand_rate(z)
-        if not 0 <= e <= A_z:
-            raise DimensionMismatch(f"entry rate {e} at station {z + 1} lies outside [0, {A_z}]")
-        if e:
-            riders += _riders(assignment, line, z, line.H * e / A_z)
-    return link_loads(assignment.N, line.S, riders)
+    return _flow_loads(assignment, line.S, _thinned(line, entry_rates))
 
 
 def load_coefficients(
@@ -230,8 +235,9 @@ def load_coefficients(
 ) -> list[list[list[Fraction]]]:
     """coef[n][s][z]: passengers per train on section n over link s per unit of E_z."""
     S, N = line.S, assignment.N
-    riders = [(n * S + z, z, sp, x) for z in range(S) if line.demand_rate(z)
-              for n, _, sp, x in _riders(assignment, line, z, line.H / line.demand_rate(z))]
+    full = _thinned(line, [line.demand_rate(z) for z in range(S)])
+    riders = [(n * S + z, z, sp, x * share / line.demand_rate(z))
+              for z, sp, x in full for n, share in assignment.flows[z][sp]]
     columns = link_loads(N * S, S, riders)  # row n·S + z: section n, riders from z
     return [[list(c) for c in zip(*columns[n * S:(n + 1) * S])] for n in range(N)]
 
@@ -242,20 +248,15 @@ def simulate_loads(
     line: LineInstance,
     C_n: Sequence[Fraction],
 ) -> LoadProfile:
-    """Aggregate section loads per link under FIFO demand thinning.
+    """Aggregate section loads per link, entry rates thinned as the module docstring sets out.
 
-    Entry rates are thinned proportionally over destinations:
-    E_zs' = E_z * A_zs' / A_z.  Overcrowding and demand that no section
-    presents are reported, not fatal.
+    Overcrowding and demand that no section presents are reported, not fatal.
     """
-    load = tuple(map(tuple, section_loads(assignment, line, entry_rates)))
+    flows = _thinned(line, entry_rates)
+    load = tuple(map(tuple, _flow_loads(assignment, line.S, flows)))
     caps = tuple(Fraction(c) for c in C_n)
     over = tuple((n, s) for n, row in enumerate(load) for s, x in enumerate(row) if x > caps[n])
-    unserved = tuple(
-        (z, sp, line.H * Fraction(entry_rates[z]) * line.A[z][sp] / line.demand_rate(z))
-        for z, sp in itertools.combinations(range(line.S), 2)
-        if entry_rates[z] and line.A[z][sp] and not assignment.flows[z][sp]
-    )
+    unserved = tuple((z, sp, x) for z, sp, x in flows if not assignment.flows[z][sp])
     return LoadProfile(load=load, C_n=caps, overcrowded=over, unserved=unserved)
 
 
@@ -337,21 +338,14 @@ def capacity_report(
 
 
 def _unserved_pair_fraction(spacing_pattern: Sequence[str]) -> Fraction:
-    """Share of O-D type pairs with no direct F/T/R connection.
+    """Share of O-D type pairs with no direct F/T/R connection: 2·c_F·c_R/n².
 
     Direct travel exists between equal types and to/from T; only the
-    F-R pairs (both directions) force a shift or transfer.
+    F-R pairs (both directions) force a shift or transfer.  An empty
+    pattern has none.
     """
-    counts: dict[str, int] = {}
-    for label in spacing_pattern:
-        counts[label] = counts.get(label, 0) + 1
-    total = len(spacing_pattern)
-    affected = Fraction(0)
-    for i, ci in counts.items():
-        for j, cj in counts.items():
-            if {i, j} == {"F", "R"}:
-                affected += Fraction(ci, total) * Fraction(cj, total)
-    return affected
+    n = len(spacing_pattern)
+    return Fraction(2 * spacing_pattern.count("F") * spacing_pattern.count("R"), n * n or 1)
 
 
 def access_penalty_ftr(spacing_pattern: Sequence[str] = ("F", "R", "T")) -> Fraction:
@@ -362,10 +356,7 @@ def access_penalty_ftr(spacing_pattern: Sequence[str] = ("F", "R", "T")) -> Frac
     [0, spacing/2], so the conditional mean of the cheaper of the two
     ends is spacing/6.
     """
-    affected = _unserved_pair_fraction(spacing_pattern)
-    if affected == 0:
-        return Fraction(0)
-    return affected * Fraction(1, 6)
+    return _unserved_pair_fraction(spacing_pattern) / 6
 
 
 def headway_correction(extra_length_m: float, cruise_speed_mps: float) -> float:

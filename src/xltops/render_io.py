@@ -314,7 +314,7 @@ def _cmd_simulate(args) -> int:
         assignment = flow_sim.build_assignment_split(spec, line, rule=args.split)
     else:
         assignment = flow_sim.build_assignment(spec, line)
-    C_n = flow_sim.section_capacities(spec, 0)
+    C_n = flow_sim.section_capacities(spec)
     profile = flow_sim.simulate_loads(assignment, rates, line, C_n)
     report = flow_sim.capacity_report(profile, spec, line)
     if profile.unserved:

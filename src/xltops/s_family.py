@@ -42,6 +42,7 @@ from .core_model import (
     StationTypeCatalog,
     TrainTypeSpec,
     _check_schema,
+    _whole,
     build_protocol,
     derive_parts,
     train_tables,
@@ -391,7 +392,6 @@ def as_multichart(chart: BarChart | MultiTrainChart) -> MultiTrainChart:
 def chart_to_protocol(
     chart_or_multichart: BarChart | MultiTrainChart,
     station_classification: Sequence[str] | None = None,
-    unit_capacity: float = 1.0,
 ) -> ProtocolSpec:
     """Expand a chart into the full seven-table protocol.
 
@@ -410,7 +410,7 @@ def chart_to_protocol(
     M = mtc.M
     trains, tables = [], []
     for train_label, chart in mtc.charts:
-        trains.append(TrainTypeSpec.uniform(train_label, M=M, N=M, unit_capacity=unit_capacity))
+        trains.append(TrainTypeSpec.uniform(train_label, M=M, N=M))
         a = np.zeros((M, len(types)), dtype=int)
         for i, label in enumerate(types):
             for m in chart.covered_units(label):
@@ -452,7 +452,7 @@ def greedy_presentation_refine(spec: ProtocolSpec, line: LineInstance) -> Protoc
     sizes = spec.section_sizes(0)
     caps = flow_sim.section_capacities(spec)
     vk = spec.v[0]
-    H, A, S = line.H, line.A, line.S
+    H, S = line.H, line.S
 
     parts = derive_parts(spec)
 
@@ -461,12 +461,10 @@ def greedy_presentation_refine(spec: ProtocolSpec, line: LineInstance) -> Protoc
     totals: dict[tuple[int, int], Fraction] = {}
     rows: dict[tuple[int, int], int] = {}  # each pair's row of link loads
     riders = []
-    for z in range(S):
-        for sp in range(z + 1, S):
-            if A[z][sp] > 0:
-                pair = (ti[z], ti[sp])
-                totals[pair] = totals.get(pair, 0) + A[z][sp]
-                riders.append((rows.setdefault(pair, len(rows)), z, sp, H * A[z][sp]))
+    for z, sp, x in line.flows:
+        pair = (ti[z], ti[sp])
+        totals[pair] = totals.get(pair, 0) + x
+        riders.append((rows.setdefault(pair, len(rows)), z, sp, H * x))
     per_link = dict(zip(rows, flow_sim.link_loads(len(rows), S, riders)))
     order = sorted(totals, key=lambda pair: (-totals[pair], types[pair[0]], types[pair[1]]))
 
@@ -540,9 +538,9 @@ def chart_from_json(doc: dict) -> BarChart | MultiTrainChart:
     try:
         if kind == "chart":
             return BarChart(
-                M=int(doc["M"]),
+                M=_whole(doc["M"]),
                 bars=tuple(
-                    Bar(label=x["label"], b=int(x["b"]), d=int(x["d"])) for x in doc["bars"]
+                    Bar(label=x["label"], b=_whole(x["b"]), d=_whole(x["d"])) for x in doc["bars"]
                 ),
             )
         return MultiTrainChart(

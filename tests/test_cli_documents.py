@@ -155,10 +155,14 @@ def _with(kind, value, *path):
         ("rates", _with("rates", [7, 3, 1, 0], "E")),
         ("spec", _with("spec", math.nan, "trains", 0, "lengths", 0)),
         ("spec", _with("spec", math.inf, "trains", 0, "lengths", 0)),
+        ("line", _with("line", [-1, 3, 3, 3], "platform_lengths")),
+        ("line", _with("line", [9.7, 3, 3, 3], "platform_lengths")),
+        ("chart", _with("chart", 4.5, "M")),
     ],
     ids=["stations-d-1", "stations-without-types", "M-Infinity", "H-Infinity", "no-bars",
          "label-true", "label-7", "M_min-too-long", "M_min-too-short", "M_min-negative", "E-negative",
-         "E-above-demand", "length-NaN", "length-Infinity"],
+         "E-above-demand", "length-NaN", "length-Infinity", "platform-negative",
+         "platform-fractional", "M-fractional"],
 )
 def test_malformed_document_exits_1_with_an_error_line(base, kind, doc):
     with open(base["mutated"], "w", encoding="utf-8") as handle:

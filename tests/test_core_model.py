@@ -1,6 +1,8 @@
 """Structural checks for catalogs, protocol construction and serialization."""
 
 import json
+import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -41,7 +43,7 @@ from xltops.errors import (
     UnknownStationType,
 )
 
-from conftest import make_line
+from conftest import make_line, seed_from_env
 
 
 def test_catalog_rejects_duplicate_labels():
@@ -126,7 +128,7 @@ def test_fr_i_default_platforms_cover_aligned_sections():
 
 
 def test_derive_parts_fr_h():
-    parts = derive_parts(fr_h(), 0)
+    parts = derive_parts(fr_h())
     assert [p.sections for p in parts] == [(1, 1), (2, 3), (4, 4)]
     assert [set(p.labels) for p in parts] == [{"F"}, {"F", "R"}, {"R"}]
 
@@ -163,6 +165,44 @@ def test_line_demand_rate_and_classification():
     line = make_line(("F", "R"), [[0, Fraction(5, 2)], [0, 0]])
     assert line.demand_rate(0) == Fraction(5, 2)
     assert fr_i().stations.indices(line.station_types) == (0, 1)
+
+
+def random_demand(rng, S):
+    return [[Fraction(rng.randint(1, 6), rng.randint(1, 3)) if sp > z and rng.random() < 0.5 else 0
+             for sp in range(S)] for z in range(S)]
+
+
+def test_line_flows_and_row_sums_follow_a():
+    """flows lists A's positive entries in (s, s') order, and demand_rate is each row's sum,
+    also on lines rebuilt by dataclasses.replace as the metering LP rebuilds them."""
+    rng = random.Random(f"{seed_from_env()}/line-flows")
+    for S in (1, 2, 3, 7, 24, 80):
+        line = make_line(["F"] * S, random_demand(rng, S), H=Fraction(rng.randint(1, 3), 2))
+        relabelled = replace(line, station_types=tuple(rng.choice("FR") for _ in range(S)))
+        for candidate in (line, relabelled, replace(line, A=random_demand(rng, S))):
+            A = candidate.A
+            assert candidate.flows == tuple(
+                (z, sp, A[z][sp]) for z in range(S) for sp in range(S) if A[z][sp] > 0
+            )
+            for z in range(S):
+                assert candidate.demand_rate(z) == sum(A[z], Fraction(0))
+        assert relabelled.flows == line.flows
+
+
+@pytest.mark.parametrize("lengths", [(9, 0), (9, -1), (9.7, 9), (9, math.nan), (9, "9")])
+def test_line_rejects_platform_lengths_that_are_not_whole_numbers_from_1(lengths):
+    with pytest.raises(DimensionMismatch, match="platform lengths"):
+        make_line(("F", "R"), [[0, 1], [0, 0]], platform_lengths=lengths)
+
+
+@pytest.mark.parametrize("lengths", [[9.7, 9], [9, math.inf], [9, math.nan], [9, "9"], [True, 9]])
+def test_line_document_platform_lengths_are_not_truncated(lengths):
+    doc = line_to_json(make_line(("F", "R"), [[0, 1], [0, 0]]))
+    doc["platform_lengths"] = lengths
+    with pytest.raises(SchemaError):
+        line_from_json(doc)
+    doc["platform_lengths"] = [9.0, 4]
+    assert line_from_json(doc).platform_lengths == (9, 4)
 
 
 # Every entry point that turns a line's station labels into type indices.

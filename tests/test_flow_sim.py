@@ -290,6 +290,35 @@ def test_load_coefficients_reproduce_per_flow_microsimulation():
         assert loads == oracle_loads(assignment, rates, line)
 
 
+@pytest.mark.parametrize("rule", ["balanced", "end_preference"])
+def test_unserved_matches_a_per_flow_oracle(rule):
+    """Each demanded flow between types whose bars share no unit is reported unserved,
+    in (origin, destination) order, at H·E_z·A[z][sp]/A_z passengers per train."""
+    rng = random.Random(f"{seed_from_env()}/unserved/{rule}")
+    reported = 0
+    for _ in range(40):
+        chart = generate_s(*rng.choice([(4, 2), (5, 2), (6, 3)]), 6)  # far bars do not meet
+        labels = [bar.label for bar in chart.bars]
+        S = rng.randint(2, 14)
+        types = [rng.choice(labels) for _ in range(S)]
+        A = [[Fraction(rng.randint(0, 6), rng.randint(1, 3)) if sp > z else 0 for sp in range(S)]
+             for z in range(S)]
+        line = make_line(types, A, H=Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+        rates = [line.demand_rate(z) * Fraction(rng.randint(0, 4), 4) for z in range(S)]
+        spec = chart_to_protocol(chart, types)
+        assignment = build_assignment_split(spec, line, rule=rule)
+        profile = simulate_loads(assignment, rates, line, section_capacities(spec))
+        expected = []
+        for z in range(S):
+            for sp in range(z + 1, S):
+                if A[z][sp] and rates[z] and chart.pair_overlap(types[z], types[sp]) == 0:
+                    A_z = sum(A[z], Fraction(0))
+                    expected.append((z, sp, line.H * rates[z] * A[z][sp] / A_z))
+        assert profile.unserved == tuple(expected)
+        reported += len(expected)
+    assert reported > 40
+
+
 @pytest.mark.parametrize("ctor", [fr_h, ftr])
 def test_end_preference_matches_the_per_link_reference(ctor):
     rng = random.Random(f"{seed_from_env()}/end-preference/{ctor.__name__}")
@@ -433,6 +462,12 @@ def test_access_penalty_analytic_value():
 def test_access_penalty_zero_when_all_pairs_served():
     assert access_penalty_ftr(("T", "T", "T")) == 0
     assert access_penalty_ftr(("F", "T")) == 0
+    assert access_penalty_ftr(()) == 0
+
+
+def test_access_penalty_counts_both_directions_of_each_f_r_pair():
+    # c_F = c_R = 2 of 5: 2·2·2/25 of the pairs, each at spacing/6.
+    assert access_penalty_ftr(("F", "F", "R", "T", "R")) == Fraction(4, 75)
 
 
 def test_access_penalty_monte_carlo_oracle():

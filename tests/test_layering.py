@@ -1,7 +1,7 @@
 """The package's intra-module imports form an acyclic graph that points one way.
 
-Layers, lowest first: errors -> core_model -> feasibility / s_family ->
-routing / flow_sim -> metering_opt -> render_io.  A module may import
+Layers, lowest first: errors -> core_model -> feasibility / flow_sim ->
+s_family -> routing / metering_opt -> render_io.  A module may import
 only from a lower layer.  ``__init__`` re-exports everything and is not
 a layer.  No module keeps an import it does not read, or a private
 module-level name that nothing in the package references.
@@ -17,17 +17,12 @@ LAYER = {
     "errors": 0,
     "core_model": 1,
     "feasibility": 2,
-    "s_family": 2,
-    "routing": 3,
-    "flow_sim": 3,
+    "flow_sim": 2,
+    "s_family": 3,
+    "routing": 4,
     "metering_opt": 4,
     "render_io": 5,
 }
-
-# s_family -> flow_sim: greedy_presentation_refine lives in s_family but
-# scores candidates with flow_sim; the benchmark's tracer looks it up on
-# s_family, so moving it next to the flow code waits for a benchmark change.
-UPWARD_EXCEPTIONS = {("s_family", "flow_sim")}
 
 
 def package_imports() -> dict[str, set[str]]:
@@ -53,8 +48,7 @@ def test_every_module_has_a_layer():
 
 def test_imports_point_down_the_layers():
     edges = {(m, t) for m, targets in package_imports().items() for t in targets}
-    upward = {(m, t) for m, t in edges if LAYER[t] >= LAYER[m]}
-    assert upward == UPWARD_EXCEPTIONS
+    assert {(m, t) for m, t in edges if LAYER[t] >= LAYER[m]} == set()
 
 
 def test_import_graph_is_acyclic():
