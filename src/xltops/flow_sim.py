@@ -15,7 +15,8 @@ from z), and section n takes share(n, z, sp) of them over links
 z .. sp-1.  ``link_loads`` puts riders on links for every caller: each is
 added at z and taken off at sp in a difference row, and one prefix sum per
 row gives the loads.  Loads are linear in E, and ``load_coefficients``
-divides the loads at full demand by A_z for the rows of the metering LP.
+divides the flows at full demand by A_z for the rows of the metering LP,
+one kernel call per origin over the links from that origin on.
 """
 
 from __future__ import annotations
@@ -195,13 +196,23 @@ def section_capacities(spec: ProtocolSpec) -> tuple[Fraction, ...]:
     )
 
 
+_ZERO = Fraction(0)
+
+
 def link_loads(rows: int, S: int, riders: Iterable[tuple]) -> list[list[Fraction]]:
-    """Loads of each row on links 0 .. S-2, where a rider (row, z, sp, x) rides links z .. sp-1."""
-    diff = [[Fraction(0)] * S for _ in range(rows)]
+    """Loads of each row on links 0 .. S-2, where a rider (row, z, sp, x) rides links z .. sp-1.
+
+    Each row is a difference row over the links, prefix-summed once.  A
+    rider to the last station needs no off-entry; an entry no rider
+    touched is still the shared ``_ZERO``, and the sums skip it by identity.
+    """
+    diff = [[_ZERO] * (S - 1) for _ in range(rows)]
     for row, z, sp, x in riders:
-        diff[row][z] += x
-        diff[row][sp] -= x
-    return [list(itertools.accumulate(d[:-1])) for d in diff]
+        d = diff[row]
+        d[z] = x if d[z] is _ZERO else d[z] + x
+        if sp < S - 1:
+            d[sp] = -x if d[sp] is _ZERO else d[sp] - x
+    return [list(itertools.accumulate(d, lambda a, b: a if b is _ZERO else a + b)) for d in diff]
 
 
 def _thinned(line: LineInstance, entry_rates: Sequence[Fraction]) -> list[tuple]:
@@ -233,13 +244,25 @@ def section_loads(
 def load_coefficients(
     assignment: AssignmentTensor, line: LineInstance
 ) -> list[list[list[Fraction]]]:
-    """coef[n][s][z]: passengers per train on section n over link s per unit of E_z."""
+    """coef[n][s][z]: passengers per train on section n over link s per unit of E_z.
+
+    Riders from z ride no link before z.  Each origin's riders go to
+    ``link_loads`` in one row per section over stations S-1 down to z, so
+    they all alight at the row's end and the sum runs over links z .. S-2 only.
+    """
     S, N = line.S, assignment.N
+    coef = [[[Fraction(0)] * S for _ in range(S - 1)] for _ in range(N)]
     full = _thinned(line, [line.demand_rate(z) for z in range(S)])
-    riders = [(n * S + z, z, sp, x * share / line.demand_rate(z))
-              for z, sp, x in full for n, share in assignment.flows[z][sp]]
-    columns = link_loads(N * S, S, riders)  # row n·S + z: section n, riders from z
-    return [[list(c) for c in zip(*columns[n * S:(n + 1) * S])] for n in range(N)]
+    for z, flows in itertools.groupby(full, key=lambda flow: flow[0]):
+        riders = []
+        for _, sp, x in flows:
+            x /= line.demand_rate(z)
+            riders += ((n, S - 1 - sp, S - 1 - z, x * share)
+                       for n, share in assignment.flows[z][sp])
+        for table, loads in zip(coef, link_loads(N, S - z, riders)):
+            for s, x in zip(range(S - 2, z - 1, -1), loads):  # reversed row: link S-2 first
+                table[s][z] = x
+    return coef
 
 
 def simulate_loads(

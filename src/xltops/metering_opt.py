@@ -13,22 +13,35 @@ only its right-hand side, the capacities C_n less the minimum rates' loads.
 So the optimal duals of one sizing's LP stay dual feasible for every
 sizing of that classification, and by weak duality bound its value by
 an affine function of the sizes (a Benders optimality cut); the outer
-search solves only the sizings that no such cut rules out.
+search solves only the sizings that no such cut rules out.  Before any
+LP, a sizing is screened by one integer comparison per section: the
+minimum rates fit it only if each section has at least the least size
+m with c*m at or above that section's heaviest minimum-rate load.
 
-The inner solver is an exact primal simplex over ``fractions.Fraction``
-(Bland's rule, so it terminates without cycling).  Rates are shifted by
-their lower bounds so the all-minimum solution is the starting vertex.
+The inner solver is an exact primal simplex on an integer-preserving
+tableau (Edmonds 1967; Bareiss 1968), with Bland's rule, so it
+terminates without cycling.  Each row is scaled by the lcm of its
+denominators, and a pivot on p = T[r][e] updates every other row to
+(p*a - f*b) // d, where d is the previous pivot (1 at the start); the
+division is exact, and no gcd is taken.  Every entry is then d times its
+value in the rational tableau of the row-scaled problem, with d > 0 and
+every row scale positive.  So each sign test and each ratio comparison
+(made by cross-multiplying) agrees with the rational tableau's, and
+both make the same pivots and give the same x and duals y.  Rates are
+shifted by their lower bounds so the all-minimum solution is the
+starting vertex.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 from . import flow_sim
-from .core_model import LineInstance, fr_i
+from .core_model import LineInstance, _whole, fr_i
 from .errors import BadSectionCount, DimensionMismatch, InfeasibleMinRates, SearchSpaceTooLarge
 
 _SPEC = fr_i()  # the type labels, end-of-line rule and presentation of every candidate
@@ -48,6 +61,10 @@ class MeteringProblem:
     unit_capacity: Fraction | int
     fixed_station_types: tuple[str, ...] | None = None
     fixed_sizes: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if not self.unit_capacity > 0:
+            raise DimensionMismatch(f"unit capacity must be positive, not {self.unit_capacity}")
 
 
 @dataclass(frozen=True)
@@ -75,45 +92,65 @@ def _simplex_max(
 
     Returns an optimal x and optimal duals y, the slack columns of the
     final objective row: y >= 0, y.A_ub >= c and y.b_ub = c.x.
+
+    The tableau holds integers only (see the module docstring): row i is
+    scaled by the lcm k_i of its denominators and the objective by k_c,
+    the slack columns start as the identity, and every entry is d times
+    its value in the rational tableau of that scaled problem.  x_j is
+    rhs / d in its basic row, and y_i = k_i * obj_i / (d * k_c).
     """
     n = len(c)
     m = len(b_ub)
-    # Tableau rows: [A | I | b]; objective row: [-c | 0 | 0].
-    rows = [list(A_ub[i]) + [Fraction(int(i == j)) for j in range(m)] + [b_ub[i]] for i in range(m)]
-    obj = [-Fraction(x) for x in c] + [Fraction(0)] * (m + 1)
+    scales = [math.lcm(*(a.denominator for a in row), b.denominator) for row, b in zip(A_ub, b_ub)]
+    rows = [
+        [a.numerator * (k // a.denominator) for a in row]
+        + [int(i == j) for j in range(m)]
+        + [b.numerator * (k // b.denominator)]
+        for i, (row, b, k) in enumerate(zip(A_ub, b_ub, scales))
+    ]
+    k_c = math.lcm(*(x.denominator for x in c))
+    obj = [-x.numerator * (k_c // x.denominator) for x in c] + [0] * (m + 1)
     basis = list(range(n, n + m))
+    d = 1  # the last pivot: every division by it below is exact
     while True:
         enter = next((j for j in range(n + m) if obj[j] < 0), None)
         if enter is None:
             break
-        best = None
+        leave = None
         for i in range(m):
             if rows[i][enter] > 0:
-                ratio = rows[i][-1] / rows[i][enter]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:
+                if leave is None:
+                    leave = i
+                    continue
+                # rhs_i / a_i against rhs_leave / a_leave, cross-multiplied (both a > 0)
+                here = rows[i][-1] * rows[leave][enter]
+                there = rows[leave][-1] * rows[i][enter]
+                if here < there or (here == there and basis[i] < basis[leave]):
+                    leave = i
+        if leave is None:
             raise ArithmeticError("objective unbounded (missing upper bounds)")
-        _, leave = best
-        piv = rows[leave][enter]
-        rows[leave] = [x / piv for x in rows[leave]]
+        pivot = rows[leave]
+        p = pivot[enter]
         for i in range(m):
-            if i != leave and rows[i][enter]:
+            if i != leave:
                 f = rows[i][enter]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[leave])]
-        if obj[enter]:
-            f = obj[enter]
-            obj = [a - f * b for a, b in zip(obj, rows[leave])]
+                rows[i] = [(p * a - f * b) // d for a, b in zip(rows[i], pivot)]
+        f = obj[enter]
+        obj = [(p * a - f * b) // d for a, b in zip(obj, pivot)]
+        d = p
         basis[leave] = enter
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = rows[i][-1]
-    return x, obj[n:n + m]
+            x[var] = Fraction(rows[i][-1], d)
+    return x, [Fraction(k * y, d * k_c) for k, y in zip(scales, obj[n:n + m])]
 
 
 def _check_sizes(problem: MeteringProblem, section_sizes: Sequence[int]) -> tuple[int, ...]:
-    sizes = tuple(int(m) for m in section_sizes)
+    try:
+        sizes = tuple(_whole(m) for m in section_sizes)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"section sizes must be whole numbers: {exc}") from None
     if sum(sizes) != problem.M or len(sizes) != _N:
         raise DimensionMismatch("section sizes must partition the train")
     if min(sizes) < 1:
@@ -137,16 +174,20 @@ class _ClassificationLP:
         coef = flow_sim.load_coefficients(self.assignment, line)
         self.rows = unit + [row for table in coef for row in table]
         self.base = flow_sim.section_loads(self.assignment, line, self.lo)
+        # Per section, the least size m with c*m >= its heaviest minimum-rate load.
+        self.least = [math.ceil(max(row, default=0) / self.c) for row in self.base]
+
+    def admits(self, sizes: tuple[int, ...]) -> bool:
+        """Whether the minimum rates fit the sizing: no section below its least size."""
+        return all(m >= least for m, least in zip(sizes, self.least))
 
     def rhs(self, sizes: tuple[int, ...]) -> list[Fraction]:
         """Right-hand sides for one sizing: the demand slack, then C_n - base."""
         C_n = [self.c * m for m in sizes]
-        for n, row in enumerate(self.base):
-            for s, load in enumerate(row):
-                if load > C_n[n]:
-                    raise InfeasibleMinRates(
-                        f"minimum rates overload section {n + 1} on link {s + 1}"
-                    )
+        for n, (m, least) in enumerate(zip(sizes, self.least)):
+            if m < least:
+                s = next(s for s, load in enumerate(self.base[n]) if load > C_n[n])
+                raise InfeasibleMinRates(f"minimum rates overload section {n + 1} on link {s + 1}")
         return self.slack + [C_n[n] - load for n, row in enumerate(self.base) for load in row]
 
     def solve(self, b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -247,14 +288,13 @@ def solve_outer(problem: MeteringProblem, cap: int = 10**6) -> MeteringSolution:
         lp = _ClassificationLP(problem, delta)
         cuts = []  # (k, w) from each solved sizing's duals
         for sizes in sizings:
-            try:
-                b = lp.rhs(sizes)
-            except InfeasibleMinRates:
+            if not lp.admits(sizes):
                 continue
             if best is not None and any(
                 k + sum(wn * mn for wn, mn in zip(w, sizes)) <= best[0] for k, w in cuts
             ):
                 continue
+            b = lp.rhs(sizes)
             x, y = lp.solve(b)
             cuts.append(lp.cut(y))
             if best is None or sum(x) > best[0]:

@@ -4,9 +4,9 @@ Oracles deliberately re-derive results through a different mechanism
 than the implementation: plain nested loops for constraint checking,
 station-by-station per-flow bookkeeping for loads, a per-link load
 table for the end-preference split, exhaustive step-path
-enumeration for routing, vertex enumeration for linear programs, one
-LP per candidate for the metering search, and sampling for the access
-penalty.
+enumeration for routing, vertex enumeration for linear programs, the
+rational (``Fraction``) simplex tableau for the integer one, one LP per
+candidate for the metering search, and sampling for the access penalty.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def oracle_optimal_plans(charts, origin: str, destination: str):
 
 
 # ---------------------------------------------------------------------------
-# Exact vertex-enumeration LP oracle
+# Exact LP oracles: vertex enumeration and the rational simplex tableau
 # ---------------------------------------------------------------------------
 
 
@@ -298,6 +298,51 @@ def oracle_lp_max(c, A_ub, b_ub, A_eq=(), b_eq=()):
         if best is None or val > best[0]:
             best = (val, x)
     return best
+
+
+def oracle_simplex_max(c, A_ub, b_ub):
+    """Primal simplex over a ``Fraction`` tableau: maximize c.x, A_ub x <= b_ub, x >= 0.
+
+    The rational tableau the metering LP used before its integer-preserving
+    one: Bland's rule (first improving column; least ratio, ties to the
+    smallest basic variable), every pivot row divided by its pivot.  Returns
+    an optimal x and the duals y, the slack columns of the final objective row.
+    """
+    n = len(c)
+    m = len(b_ub)
+    # Tableau rows: [A | I | b]; objective row: [-c | 0 | 0].
+    rows = [list(A_ub[i]) + [Fraction(int(i == j)) for j in range(m)] + [b_ub[i]] for i in range(m)]
+    obj = [-Fraction(x) for x in c] + [Fraction(0)] * (m + 1)
+    basis = list(range(n, n + m))
+    while True:
+        enter = next((j for j in range(n + m) if obj[j] < 0), None)
+        if enter is None:
+            break
+        best = None
+        for i in range(m):
+            if rows[i][enter] > 0:
+                ratio = rows[i][-1] / rows[i][enter]
+                if (best is None or ratio < best[0]
+                        or (ratio == best[0] and basis[i] < basis[best[1]])):
+                    best = (ratio, i)
+        if best is None:
+            raise ArithmeticError("objective unbounded (missing upper bounds)")
+        _, leave = best
+        piv = rows[leave][enter]
+        rows[leave] = [x / piv for x in rows[leave]]
+        for i in range(m):
+            if i != leave and rows[i][enter]:
+                f = rows[i][enter]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[leave])]
+        if obj[enter]:
+            f = obj[enter]
+            obj = [a - f * b for a, b in zip(obj, rows[leave])]
+        basis[leave] = enter
+    x = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = rows[i][-1]
+    return x, obj[n:n + m]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Exact metering LP against grid-search and vertex-enumeration oracles."""
 
 import itertools
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from conftest import (
     oracle_loads,
     oracle_lp_max,
     oracle_metering_outer,
+    oracle_simplex_max,
     seed_from_env,
 )
 
@@ -70,6 +73,21 @@ def test_min_rates_equal_to_demand_pin_the_solution():
     problem = fr_problem(A, M_min=(2, 2, 0, 0))
     sol = solve_inner_lp(problem, FR_TYPES, (3, 3, 3, 3))
     assert sol.E == (Fraction(2), Fraction(2), Z, Z)
+
+
+def test_fractional_section_sizes_are_rejected_not_truncated():
+    problem = fr_problem(pairwise_demand(3, 3, 3, 3))
+    with pytest.raises(DimensionMismatch, match="section sizes must be whole numbers"):
+        solve_inner_lp(problem, FR_TYPES, (3.9, 3, 3, 3))
+    with pytest.raises(DimensionMismatch, match="section sizes must be whole numbers"):
+        solve_outer(replace(problem, fixed_sizes=(3.9, 3, 3, 3)))
+    assert solve_inner_lp(problem, FR_TYPES, (3.0, 3, 3, 3)).section_sizes == (3, 3, 3, 3)
+
+
+@pytest.mark.parametrize("c", [0, -1, Fraction(-1, 2)])
+def test_nonpositive_unit_capacity_is_rejected(c):
+    with pytest.raises(DimensionMismatch, match=f"unit capacity must be positive, not {c}$"):
+        fr_problem(pairwise_demand(3, 3, 3, 3), unit_capacity=c)
 
 
 def test_infeasible_min_rates_raise():
@@ -483,3 +501,149 @@ def test_dual_cuts_bound_the_lp_count(monkeypatch, S, M, most):
             solution = solve_outer(problem)
         assert len(solves) <= most
         assert expected is None or solution == expected
+
+
+# ---------------------------------------------------------------------------
+# Integer-preserving tableau against the rational one
+# ---------------------------------------------------------------------------
+
+DENOMINATORS = (1, 2, 3, 5, 7, 12)
+
+
+def random_lp(rng, duplicate=False, zeros=False):
+    """A bounded LP with mixed denominators; optionally a repeated row and
+    zero right-hand sides, which make ratio-test ties (Bland's second rule)."""
+    def frac(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.choice(DENOMINATORS))
+
+    n, m = rng.randint(1, 6), rng.randint(2, 8)
+    A = [[frac(-3, 6) for _ in range(n)] for _ in range(m)]
+    b = [frac(0, 8) for _ in range(m)]
+    if duplicate:
+        i, j = rng.sample(range(m), 2)
+        A[j], b[j] = list(A[i]), b[i]
+    if zeros:
+        for i in rng.sample(range(m), rng.randint(1, m)):
+            b[i] = Z
+    A += [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]  # upper bounds
+    b += [frac(1, 9) for _ in range(n)]
+    return [frac(-2, 5) for _ in range(n)], A, b
+
+
+@pytest.mark.parametrize("duplicate, zeros", [(False, False), (True, False), (True, True)],
+                         ids=["mixed-denominators", "repeated-rows", "repeated-rows-zero-rhs"])
+def test_integer_tableau_matches_the_rational_one(duplicate, zeros):
+    rng = random.Random(seed_from_env() + 26)
+    for _ in range(300):
+        c, A, b = random_lp(rng, duplicate, zeros)
+        assert metering_opt._simplex_max(c, A, b) == oracle_simplex_max(c, A, b)
+
+
+def test_integer_tableau_breaks_a_ratio_tie_by_the_smaller_basic_variable():
+    """x enters with ratio 0 in rows 1 and 2; Bland's rule pivots on row 1,
+    so row 1's dual carries the objective and row 2's is 0."""
+    c, b = [Fraction(1)], [Z, Z, Fraction(1)]
+    A = [[Fraction(1, 2)], [Fraction(1, 3)], [Fraction(1)]]
+    assert metering_opt._simplex_max(c, A, b) == ([Z], [Fraction(2), Z, Z])
+    assert oracle_simplex_max(c, A, b) == ([Z], [Fraction(2), Z, Z])
+
+
+@pytest.mark.parametrize("S, M", [(4, 8), (5, 12), (6, 12)])
+def test_integer_tableau_matches_the_rational_one_on_every_search_lp(monkeypatch, S, M):
+    """Every LP that the outer search solves on workload-shaped lines."""
+    rng = random.Random(seed_from_env() + 27)
+    simplex, solved = metering_opt._simplex_max, []
+
+    def checked(*args):
+        result = simplex(*args)
+        assert result == oracle_simplex_max(*args)
+        solved.append(result)
+        return result
+
+    monkeypatch.setattr(metering_opt, "_simplex_max", checked)
+    for _ in range(2):
+        solve_outer(metering_workload_problem(rng, S, M))
+    assert solved
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(2, 3)], ids=["integral-c", "fractional-c"])
+def test_sizing_screen_skips_exactly_the_sizings_rhs_rejects(c):
+    """On random classifications, ``admits`` is false exactly when ``rhs``
+    raises, and exactly when the per-flow oracle's minimum-rate loads
+    exceed c*m somewhere."""
+    rng = random.Random(seed_from_env() + 28)
+    outcomes = set()
+    for _ in range(8):
+        S = rng.randint(2, 5)
+        problem = replace(random_metering_problem(rng, S, free_types=True), M=7, unit_capacity=c)
+        delta = rng.choice(list(_classifications(S)))
+        lp = _ClassificationLP(problem, delta)
+        line = replace(problem.line, station_types=delta)
+        for sizes in _compositions(problem.M, 4):
+            base = oracle_loads(build_assignment(fr_i(sizes), line), line.M_min, line)
+            overloaded = any(x > c * m for row, m in zip(base, sizes) for x in row)
+            try:
+                lp.rhs(sizes)
+                rejected = False
+            except InfeasibleMinRates:
+                rejected = True
+            assert lp.admits(sizes) is not rejected
+            assert rejected is overloaded
+            outcomes.add(rejected)
+    assert outcomes == {True, False}
+    # A minimum-rate load of exactly c*m fits: station 1 puts 3c on section 1.
+    tight = fr_problem(pairwise_demand(3 * c, 0, 0, 0), M_min=(3 * c, 0, 0, 0),
+                       unit_capacity=c, M=7)
+    lp = _ClassificationLP(tight, FR_TYPES)
+    assert lp.admits((3, 2, 1, 1)) and not lp.admits((2, 3, 1, 1))
+    # The message names the first link loaded beyond c*m, past one loaded to exactly c*m.
+    line = make_line(("F",) * 3, [[Z, 2 * c, Z], [Z, Z, 3 * c], [Z] * 3], M_min=(2 * c, 3 * c, Z))
+    lp = _ClassificationLP(MeteringProblem(line=line, M=7, unit_capacity=c), ("F",) * 3)
+    with pytest.raises(InfeasibleMinRates, match="overload section 1 on link 2$"):
+        lp.rhs((2, 3, 1, 1))
+
+
+# ---------------------------------------------------------------------------
+# Golden and metamorphic gates of the outer search
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "data" / "metering_s8_golden.json"
+
+
+def test_outer_matches_the_recorded_s8_answers():
+    """S = 8, M = 12 workload-shaped lines, answers recorded from the
+    rational-tableau search: E, classification, sizes and binding set."""
+    for case in json.loads(GOLDEN.read_text()):
+        S = len(case["A"])
+        line = LineInstance(
+            stations=tuple(f"s{z + 1}" for z in range(S)), platform_lengths=(9,) * S, H=1,
+            A=[[Fraction(x) for x in row] for row in case["A"]],
+            M_min=[Fraction(x) for x in case["M_min"]],
+        )
+        problem = MeteringProblem(
+            line=line, M=case["M"], unit_capacity=Fraction(case["unit_capacity"])
+        )
+        sol = solve_outer(problem)
+        assert [str(x) for x in sol.E] == case["E"]
+        assert list(sol.station_types) == case["station_types"]
+        assert list(sol.section_sizes) == case["section_sizes"]
+        assert [[b.kind, list(b.indices)] for b in sol.binding] == case["binding"]
+
+
+@pytest.mark.parametrize("t", [Fraction(3), Fraction(2, 7)])
+def test_scaling_demand_minimum_rates_and_capacity_scales_only_E(t):
+    rng = random.Random(seed_from_env() + 29)
+    for S, M in ((4, 8), (5, 8), (5, 9)):
+        problem = metering_workload_problem(rng, S, M)
+        line = problem.line
+        scaled = replace(
+            problem,
+            line=replace(line, A=[[t * x for x in row] for row in line.A],
+                         M_min=[t * m for m in line.M_min]),
+            unit_capacity=t * problem.unit_capacity,
+        )
+        sol, big = solve_outer(problem), solve_outer(scaled)
+        assert big.E == tuple(t * e for e in sol.E)
+        assert big.objective == t * sol.objective
+        assert (big.station_types, big.section_sizes, big.binding) == (
+            sol.station_types, sol.section_sizes, sol.binding)

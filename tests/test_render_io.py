@@ -234,6 +234,17 @@ def test_cli_optimize_metering_rejects_bad_sizes(tmp_path, capsys, fr_line_full,
     assert capsys.readouterr().err.strip() == message
 
 
+@pytest.mark.parametrize(
+    "capacity", ["0", "-1/2"], ids=["unit-capacity-0", "unit-capacity-negative"]
+)
+def test_cli_optimize_metering_rejects_a_nonpositive_unit_capacity(
+    tmp_path, capsys, fr_line_full, capacity
+):
+    line_path = write_json(tmp_path / "line.json", line_to_json(fr_line_full))
+    assert main(["optimize", "metering", "--line", line_path, f"--unit-capacity={capacity}"]) == 1
+    assert capsys.readouterr().err == f"error: unit capacity must be positive, not {capacity}\n"
+
+
 def _bar_without_d():
     doc = chart_to_json(generate_s(3, 2, 4))
     del doc["bars"][0]["d"]
