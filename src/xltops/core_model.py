@@ -381,11 +381,31 @@ def ftr(section_size: int = 2) -> ProtocolSpec:
 
 
 def _as_fraction(x) -> Fraction:
+    """A number as read from a document or the library: floats to within 1e-9, no booleans."""
     if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10**9)
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not a number")
     return Fraction(x)
+
+
+def over_lcm(xs: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """The lcm k of the denominators of rationals (integers count as over 1), and each times k."""
+    xs = tuple(xs)
+    k = math.lcm(*{x.denominator for x in xs})
+    return k, [x.numerator * (k // x.denominator) for x in xs]
+
+
+def fraction_sum(xs: Iterable[Fraction]) -> Fraction:
+    """The exact sum of rationals: integer numerators over the lcm of the denominators.
+
+    Adding ``Fraction``s takes a gcd at every step; this takes one, when
+    the sum is formed.
+    """
+    k, numerators = over_lcm(xs)
+    return Fraction(sum(numerators), k)
 
 
 @dataclass(frozen=True)
@@ -431,7 +451,7 @@ class LineInstance:
             if sp <= z:
                 raise DimensionMismatch("demand must vanish for s' <= s")
         object.__setattr__(self, "flows", flows)
-        object.__setattr__(self, "_row_sums", tuple(sum(row, Fraction(0)) for row in A))
+        object.__setattr__(self, "_row_sums", tuple(map(fraction_sum, A)))
         for z, m in enumerate(self.M_min):
             if not 0 <= m <= self.demand_rate(z):
                 raise DimensionMismatch(

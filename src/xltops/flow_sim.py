@@ -1,8 +1,12 @@
 """Steady-state passenger assignment and load accounting.
 
-Loads are computed in exact rational arithmetic (``fractions.Fraction``)
-so that the aggregated formula can be compared bit-for-bit against a
-per-flow microsimulation; floating point appears only at output.
+Loads are exact rationals (``fractions.Fraction``), so the aggregated
+formula can be compared bit-for-bit against a per-flow microsimulation;
+floating point appears only at output.  They are summed as integers:
+a flow or rider is an unreduced pair (p, q) meaning p/q passengers per
+train, each row of loads is accumulated over one scale k (the lcm of its
+riders' q), and each reported load is formed as ``Fraction(v, k)`` once,
+so a whole row of sums costs one gcd per link rather than one per addition.
 
 Conventions: stations are 0-based indices along the travel direction;
 link ``s`` is the stretch departing station ``s`` (0 .. S-2).  Loads are
@@ -12,9 +16,10 @@ Entry rates E are thinned proportionally over destinations, in one
 place (``_thinned``): the flow from z to sp in ``LineInstance.flows``
 carries H·E_z·A[z][sp]/A_z passengers per train (A_z is the demand rate
 from z), and section n takes share(n, z, sp) of them over links
-z .. sp-1.  ``link_loads`` puts riders on links for every caller: each is
-added at z and taken off at sp in a difference row, and one prefix sum per
-row gives the loads.  Loads are linear in E, and ``load_coefficients``
+z .. sp-1.  ``link_sums`` puts riders on links for every caller: each adds
+its integer p·(k/q) at z and takes it off at sp in a difference row, and
+one prefix sum per row gives k times the loads; ``link_loads`` divides
+by k.  Loads are linear in E, and ``load_coefficients``
 divides the flows at full demand by A_z for the rows of the metering LP,
 one kernel call per origin over the links from that origin on.
 """
@@ -22,13 +27,14 @@ one kernel call per origin over the links from that origin on.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core_model import LineInstance, ProtocolSpec, _as_fraction
+from .core_model import LineInstance, ProtocolSpec, _as_fraction, fraction_sum
 from .errors import AmbiguousAssignment, DimensionMismatch, NonpositiveSpeed
 
 
@@ -103,7 +109,7 @@ def capacity_shares(sections: Sequence[int], caps: Sequence[Fraction]) -> Shares
     capacity takes none; if every presenting section has zero capacity,
     the flow splits evenly.  Shares sum to 1 unless no section presents.
     """
-    total = sum((caps[n] for n in sections), Fraction(0))
+    total = fraction_sum(caps[n] for n in sections)
     if total == 0:
         return tuple((n, Fraction(1, len(sections))) for n in sections)
     return tuple((n, caps[n] / total) for n in sections if caps[n])
@@ -152,6 +158,7 @@ def build_assignment_split(
     z is placed, each section's load never rises over links z, z+1, ...:
     its heaviest link is z, and an on-board tally per section (boarded so
     far less alighted) is all the capacity test and the fallback read.
+    The tally, the flows and the capacities are integers over one scale D.
     """
     if rule not in ("balanced", "end_preference"):
         raise ValueError(f"unknown split rule {rule!r}")
@@ -164,17 +171,23 @@ def build_assignment_split(
     busyness = [int(spec.p[0][n].sum()) for n in range(N)]
     # Quietest presenting section first; the sort is stable, so ties keep section order.
     preference = [[sorted(sec, key=busyness.__getitem__) for sec in row] for row in presenting]
-    aboard = [Fraction(0)] * N  # per section, as the train leaves station z
-    alighting = [[Fraction(0)] * N for _ in range(S)]  # per station, per section
+    h, g = line.H.numerator, line.H.denominator
+    D = math.lcm(*{g * x.denominator for _, _, x in line.flows}, *(c.denominator for c in caps))
+    room = [c.numerator * (D // c.denominator) for c in caps]  # D times each capacity
+    pax_of = [[0] * S for _ in range(S)]  # D times passengers per train of each flow
+    for z, sp, x in line.flows:
+        pax_of[z][sp] = h * x.numerator * (D // (g * x.denominator))
+    aboard = [0] * N  # per section, as the train leaves station z
+    alighting = [[0] * N for _ in range(S)]  # per station, per section
     flows = [[()] * S for _ in range(S)]
     for z in range(S):
         aboard = [x - y for x, y in zip(aboard, alighting[z])]
         for sp in range(z + 1, S):
             candidates = preference[ti[z]][ti[sp]]
-            if line.A[z][sp] == 0 or not candidates:
+            pax = pax_of[z][sp]
+            if not pax or not candidates:
                 continue
-            pax = line.H * line.A[z][sp]
-            chosen = next((n for n in candidates if aboard[n] + pax <= caps[n]), None)
+            chosen = next((n for n in candidates if aboard[n] + pax <= room[n]), None)
             if chosen is None:
                 chosen = min(candidates, key=aboard.__getitem__)
             flows[z][sp] = ((chosen, Fraction(1)),)
@@ -191,46 +204,58 @@ def section_capacities(spec: ProtocolSpec) -> tuple[Fraction, ...]:
     """
     units = [_as_fraction(c) for c in spec.trains[0].capacities]
     return tuple(
-        sum((units[m - 1] for m in spec.section_units(0, n)), Fraction(0))
+        fraction_sum(units[m - 1] for m in spec.section_units(0, n))
         for n in range(1, spec.trains[0].N + 1)
     )
 
 
-_ZERO = Fraction(0)
+def link_sums(rows: int, S: int, riders: Iterable[tuple]) -> list[tuple[int, list[int]]]:
+    """Each row's scale k and k times its loads on links 0 .. S-2.
+
+    A rider (row, z, sp, p, q) puts p/q passengers (q > 0; p and q need
+    not be coprime) on links z .. sp-1 of its row.  A row's k is the lcm
+    of its riders' q, 1 if it has none; each rider adds p·(k/q) at z and
+    takes it off at sp in an integer difference row, prefix-summed once.
+    """
+    by_row = [[] for _ in range(rows)]
+    for rider in riders:
+        by_row[rider[0]].append(rider)
+    sums = []
+    for row in by_row:
+        k = math.lcm(*{q for *_, q in row})
+        diff = [0] * S  # entry S-1 takes the off-entries of riders to the last station
+        for _, z, sp, p, q in row:
+            v = p * (k // q)
+            diff[z] += v
+            diff[sp] -= v
+        sums.append((k, list(itertools.accumulate(diff[:-1]))))
+    return sums
 
 
 def link_loads(rows: int, S: int, riders: Iterable[tuple]) -> list[list[Fraction]]:
-    """Loads of each row on links 0 .. S-2, where a rider (row, z, sp, x) rides links z .. sp-1.
-
-    Each row is a difference row over the links, prefix-summed once.  A
-    rider to the last station needs no off-entry; an entry no rider
-    touched is still the shared ``_ZERO``, and the sums skip it by identity.
-    """
-    diff = [[_ZERO] * (S - 1) for _ in range(rows)]
-    for row, z, sp, x in riders:
-        d = diff[row]
-        d[z] = x if d[z] is _ZERO else d[z] + x
-        if sp < S - 1:
-            d[sp] = -x if d[sp] is _ZERO else d[sp] - x
-    return [list(itertools.accumulate(d, lambda a, b: a if b is _ZERO else a + b)) for d in diff]
+    """Loads of each row on links 0 .. S-2 (riders as in ``link_sums``), one ``Fraction`` each."""
+    return [[Fraction(v, k) for v in row] for k, row in link_sums(rows, S, riders)]
 
 
 def _thinned(line: LineInstance, entry_rates: Sequence[Fraction]) -> list[tuple]:
-    """(z, sp, H·E_z·A[z][sp]/A_z passengers per train) of each flow with riders."""
+    """(z, sp, p, q) of each flow with riders: p/q = H·E_z·A[z][sp]/A_z passengers per train."""
     if len(entry_rates) != line.S:
         raise DimensionMismatch(f"{len(entry_rates)} entry rates for {line.S} stations")
-    scale = []  # H·E_z/A_z per station
+    scale = []  # H·E_z/A_z per station, as (numerator, denominator)
     for z, e in enumerate(map(Fraction, entry_rates)):
         A_z = line.demand_rate(z)
         if not 0 <= e <= A_z:
             raise DimensionMismatch(f"entry rate {e} at station {z + 1} lies outside [0, {A_z}]")
-        scale.append(line.H * e / A_z if e else e)
-    return [(z, sp, x * scale[z]) for z, sp, x in line.flows if scale[z]]
+        f = line.H * e / A_z if e else e
+        scale.append((f.numerator, f.denominator))
+    return [(z, sp, x.numerator * scale[z][0], x.denominator * scale[z][1])
+            for z, sp, x in line.flows if scale[z][0]]
 
 
 def _flow_loads(assignment: AssignmentTensor, S: int, flows: list[tuple]) -> list[list[Fraction]]:
     """Each section's shares of thinned flows, as loads on links 0 .. S-2."""
-    return link_loads(assignment.N, S, ((n, z, sp, x * share) for z, sp, x in flows
+    return link_loads(assignment.N, S, ((n, z, sp, p * share.numerator, q * share.denominator)
+                                        for z, sp, p, q in flows
                                         for n, share in assignment.flows[z][sp]))
 
 
@@ -254,10 +279,11 @@ def load_coefficients(
     coef = [[[Fraction(0)] * S for _ in range(S - 1)] for _ in range(N)]
     full = _thinned(line, [line.demand_rate(z) for z in range(S)])
     for z, flows in itertools.groupby(full, key=lambda flow: flow[0]):
+        A_z = line.demand_rate(z)
         riders = []
-        for _, sp, x in flows:
-            x /= line.demand_rate(z)
-            riders += ((n, S - 1 - sp, S - 1 - z, x * share)
+        for _, sp, p, q in flows:  # p/q divided by A_z, times each share
+            p, q = p * A_z.denominator, q * A_z.numerator
+            riders += ((n, S - 1 - sp, S - 1 - z, p * share.numerator, q * share.denominator)
                        for n, share in assignment.flows[z][sp])
         for table, loads in zip(coef, link_loads(N, S - z, riders)):
             for s, x in zip(range(S - 2, z - 1, -1), loads):  # reversed row: link S-2 first
@@ -279,16 +305,23 @@ def simulate_loads(
     load = tuple(map(tuple, _flow_loads(assignment, line.S, flows)))
     caps = tuple(Fraction(c) for c in C_n)
     over = tuple((n, s) for n, row in enumerate(load) for s, x in enumerate(row) if x > caps[n])
-    unserved = tuple((z, sp, x) for z, sp, x in flows if not assignment.flows[z][sp])
+    unserved = tuple(
+        (z, sp, Fraction(p, q)) for z, sp, p, q in flows if not assignment.flows[z][sp]
+    )
     return LoadProfile(load=load, C_n=caps, overcrowded=over, unserved=unserved)
 
 
 def max_unit_density(rows: Sequence[Sequence[Fraction]], section_sizes: Sequence[int]) -> Fraction:
-    """Largest passengers-per-unit figure anywhere in per-section load rows."""
+    """Largest passengers-per-unit figure anywhere in per-section load rows.
+
+    Rows of integers (loads times a common denominator) give the figure
+    times that denominator; either way a ``Fraction`` is formed only for
+    each row's maximum.
+    """
     worst = Fraction(0)
     for n, row in enumerate(rows):
         if section_sizes[n] and row:
-            worst = max(worst, max(row) / section_sizes[n])
+            worst = max(worst, Fraction(max(row), section_sizes[n]))
     return worst
 
 
@@ -296,7 +329,7 @@ def max_load_point(profile: LoadProfile) -> int:
     """The first link (0-based) of maximum total load: ties go to the left."""
     if not profile.links:
         raise DimensionMismatch("a load profile with no links has no maximum load point")
-    totals = [sum(column, Fraction(0)) for column in zip(*profile.load)]
+    totals = [fraction_sum(column) for column in zip(*profile.load)]
     return totals.index(max(totals))
 
 

@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import flow_sim
-from .core_model import LineInstance, _whole, fr_i
+from .core_model import LineInstance, _whole, fr_i, fraction_sum, over_lcm
 from .errors import BadSectionCount, DimensionMismatch, InfeasibleMinRates, SearchSpaceTooLarge
 
 _SPEC = fr_i()  # the type labels, end-of-line rule and presentation of every candidate
@@ -194,18 +194,20 @@ class _ClassificationLP:
         """Optimal x and duals y against the right-hand sides b."""
         return _simplex_max([Fraction(1)] * len(self.lo), self.rows, b)
 
-    def cut(self, y: Sequence[Fraction]) -> tuple[Fraction, list[Fraction]]:
-        """(k, w) with sum x*(m) <= k + sum_n w_n m_n for every feasible sizing m.
+    def cut(self, y: Sequence[Fraction]) -> tuple[int, list[int], int]:
+        """(K, W, D) with sum x*(m) <= (K + sum_n W_n m_n) / D for every feasible sizing m.
 
         y is dual feasible for every sizing, since only b depends on it, so
         weak duality bounds each optimum by y.b(m) = k + w.m with
         k = y.b(0) = y.slack - y.base and w_n = c times the sum of section n's duals.
+        D is the lcm of the denominators of k and w, and K = k*D, W = w*D.
         """
         S = len(self.lo)
         b_at_zero = self.slack + [-load for row in self.base for load in row]
-        k = sum((yj * bj for yj, bj in zip(y, b_at_zero)), Fraction(0))
-        w = [self.c * sum(y[S + n * (S - 1):S + (n + 1) * (S - 1)], Fraction(0)) for n in range(_N)]
-        return k, w
+        k = fraction_sum(yj * bj for yj, bj in zip(y, b_at_zero))
+        w = [self.c * fraction_sum(y[S + n * (S - 1):S + (n + 1) * (S - 1)]) for n in range(_N)]
+        D, (K, *W) = over_lcm([k, *w])
+        return K, W, D
 
     def solution(self, sizes: tuple[int, ...], x: list, b: list) -> MeteringSolution:
         S = len(self.lo)
@@ -286,12 +288,15 @@ def solve_outer(problem: MeteringProblem, cap: int = 10**6) -> MeteringSolution:
     best = None  # (sum of x, lp, sizes, x, b); sum(E) exceeds sum(x) by the same sum(M_min)
     for delta in deltas:
         lp = _ClassificationLP(problem, delta)
-        cuts = []  # (k, w) from each solved sizing's duals
+        cuts = []  # (K, W, D) from each solved sizing's duals
         for sizes in sizings:
             if not lp.admits(sizes):
                 continue
+            # (K + W.m) / D <= best, cross-multiplied: D and the denominator are positive.
             if best is not None and any(
-                k + sum(wn * mn for wn, mn in zip(w, sizes)) <= best[0] for k, w in cuts
+                (K + sum(Wn * mn for Wn, mn in zip(W, sizes))) * best[0].denominator
+                <= best[0].numerator * D
+                for K, W, D in cuts
             ):
                 continue
             b = lp.rhs(sizes)

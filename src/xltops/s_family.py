@@ -45,6 +45,7 @@ from .core_model import (
     _whole,
     build_protocol,
     derive_parts,
+    fraction_sum,
     train_tables,
 )
 from .errors import (
@@ -456,16 +457,17 @@ def greedy_presentation_refine(spec: ProtocolSpec, line: LineInstance) -> Protoc
 
     parts = derive_parts(spec)
 
-    # Aggregate demand per origin-destination type pair (as type indices),
-    # and its passengers per train on each link before any split.
-    totals: dict[tuple[int, int], Fraction] = {}
+    # Demand per origin-destination type pair (as type indices), and its
+    # passengers per train on each link before any split.
+    demand: dict[tuple[int, int], list[Fraction]] = {}
     rows: dict[tuple[int, int], int] = {}  # each pair's row of link loads
     riders = []
     for z, sp, x in line.flows:
         pair = (ti[z], ti[sp])
-        totals[pair] = totals.get(pair, 0) + x
-        riders.append((rows.setdefault(pair, len(rows)), z, sp, H * x))
-    per_link = dict(zip(rows, flow_sim.link_loads(len(rows), S, riders)))
+        demand.setdefault(pair, []).append(x)
+        riders.append((rows.setdefault(pair, len(rows)), z, sp,
+                       H.numerator * x.numerator, H.denominator * x.denominator))
+    totals = {pair: fraction_sum(xs) for pair, xs in demand.items()}
     order = sorted(totals, key=lambda pair: (-totals[pair], types[pair[0]], types[pair[1]]))
 
     def feasible_spans(i: int, j: int) -> list[range]:
@@ -473,32 +475,46 @@ def greedy_presentation_refine(spec: ProtocolSpec, line: LineInstance) -> Protoc
         spans = [range(part.sections[0] - 1, part.sections[1]) for part in parts]
         return [span for span in spans if all(vk[n, i] and vk[n, j] for n in span)]
 
-    def add_pair(target: list[list[Fraction]], pair: tuple[int, int], sections) -> None:
-        pax = per_link[pair]
-        for n, share in flow_sim.capacity_shares(sections, caps):
-            row = target[n]
-            for link, x in enumerate(pax):
-                if x:
-                    row[link] += x * share
+    # Each pair's shares: of the input's presenting sections, then of each feasible span.
+    spans, shares = {}, {}
+    for pair in order:
+        spans[pair] = feasible_spans(*pair)
+        if not spans[pair]:
+            labels = (types[pair[0]], types[pair[1]])
+            raise UnreachableError(f"no part can serve the demanded pair {labels}")
+        shares[pair] = [flow_sim.capacity_shares(sections, caps)
+                        for sections in (presenting[pair[0]][pair[1]], *spans[pair])]
 
-    def density_with(pair: tuple[int, int], span: range) -> Fraction:
-        scratch = [row.copy() for row in load]
-        add_pair(scratch, pair, span)
+    # Every load below is an integer over one denominator: the lcm of the
+    # pair rows' scales times the lcm of the shares' denominators.
+    sums = flow_sim.link_sums(len(rows), S, riders)
+    k_pax = math.lcm(*(k for k, _ in sums))
+    pax = {pair: [v * (k_pax // k) for v in row] for pair, (k, row) in zip(rows, sums)}
+    k_share = math.lcm(*{x.denominator for options in shares.values()
+                         for option in options for _, x in option})
+    weights = {pair: [[(n, x.numerator * (k_share // x.denominator)) for n, x in option]
+                      for option in options] for pair, options in shares.items()}
+
+    def add_pair(target: list[list[int]], pair: tuple[int, int], option) -> None:
+        for n, w in option:
+            target[n] = [a + w * b for a, b in zip(target[n], pax[pair])]
+
+    def density_with(pair: tuple[int, int], option) -> Fraction:
+        scratch = load.copy()  # add_pair replaces the rows it changes
+        add_pair(scratch, pair, option)
         return flow_sim.max_unit_density(scratch, sizes)
 
     # Per-link loads of the refined spec so far, and of the input spec.
-    load = [[Fraction(0)] * (S - 1) for _ in range(spec.trains[0].N)]
+    load = [[0] * (S - 1) for _ in range(spec.trains[0].N)]
     baseline = [row.copy() for row in load]
     chosen: dict[tuple[int, int], range] = {}
     for pair in order:
-        add_pair(baseline, pair, presenting[pair[0]][pair[1]])
-        candidates = feasible_spans(*pair)
-        if not candidates:
-            labels = (types[pair[0]], types[pair[1]])
-            raise UnreachableError(f"no part can serve the demanded pair {labels}")
+        base, *options = weights[pair]
+        add_pair(baseline, pair, base)
         # min keeps the first of equal scores: ties go to the lowest part.
-        chosen[pair] = min(candidates, key=lambda span: density_with(pair, span))
-        add_pair(load, pair, chosen[pair])
+        best = min(range(len(options)), key=lambda c: density_with(pair, options[c]))
+        chosen[pair] = spans[pair][best]
+        add_pair(load, pair, options[best])
 
     # Hold the best-seen solution: never return a denser profile.
     if flow_sim.max_unit_density(load, sizes) > flow_sim.max_unit_density(baseline, sizes):

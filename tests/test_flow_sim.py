@@ -28,7 +28,14 @@ from xltops.errors import (
     DimensionMismatch,
     NonpositiveSpeed,
 )
-from xltops.flow_sim import capacity_shares, link_loads, load_coefficients, max_load_point
+from xltops.flow_sim import (
+    capacity_shares,
+    link_loads,
+    link_sums,
+    load_coefficients,
+    max_load_point,
+    max_unit_density,
+)
 
 from conftest import (
     access_penalty_ftr_mc,
@@ -147,9 +154,50 @@ def test_entry_rates_must_cover_every_station(fr_line_full):
 
 
 def test_link_loads_puts_each_rider_on_the_links_it_rides():
-    riders = [(0, 0, 3, Fraction(1)), (1, 1, 2, Fraction(2)), (0, 2, 3, Fraction(5))]
+    riders = [(0, 0, 3, 1, 1), (1, 1, 2, 2, 1), (0, 2, 3, 10, 2)]
     assert link_loads(2, 4, riders) == [[1, 1, 6], [0, 2, 0]]
     assert link_loads(1, 1, []) == [[]]
+
+
+def naive_link_loads(rows, S, riders):
+    """One ``Fraction`` sum per row and link over the riders on it."""
+    return [[sum((Fraction(p, q) for r, z, sp, p, q in riders if r == row and z <= s < sp),
+                 Fraction(0)) for s in range(S - 1)] for row in range(rows)]
+
+
+@pytest.mark.parametrize("S", [1, 2, 3, 7, 12])
+def test_link_loads_match_a_per_link_fraction_sum(S):
+    """Denominators up to 10^9, zero and negative amounts, unreduced pairs,
+    riders to the last station, and rows no rider reaches."""
+    rng = random.Random(seed_from_env() + 41 + S)
+    for _ in range(40):
+        rows = rng.randint(1, 5)
+        riders = []
+        for _ in range(rng.randint(0, 30) if S > 1 else 0):
+            z = rng.randrange(S - 1)
+            sp = S - 1 if rng.random() < 0.3 else rng.randint(z + 1, S - 1)
+            q = rng.choice((1, 2, 6, rng.randint(1, 10**9)))
+            p = rng.choice((0, rng.randint(-10**9, 10**9), rng.randint(-9, 9)))
+            t = rng.choice((1, 1, 4))  # p·t/(q·t): not in lowest terms
+            riders.append((rng.randrange(rows - 1) if rows > 1 else 0, z, sp, p * t, q * t))
+        loads = link_loads(rows, S, riders)
+        assert loads == naive_link_loads(rows, S, riders)
+        assert all(type(x) is Fraction for row in loads for x in row)
+        if rows > 1:
+            assert loads[-1] == [0] * (S - 1)  # the last row gets no riders
+        sums = link_sums(rows, S, riders)
+        assert [[Fraction(v, k) for v in row] for k, row in sums] == loads
+        assert sums[-1][0] == 1 or rows == 1
+
+
+def test_unit_density_stays_exact_on_integral_loads():
+    """Whole-number loads, as Fractions or as ints over a common denominator
+    (the refinement's rows), still give a Fraction density, never a float."""
+    loads = link_loads(2, 3, [(0, 0, 2, 6, 1), (1, 1, 2, 4, 2)])
+    assert loads == [[6, 6], [0, 2]]
+    for rows in (loads, [[6, 6], [0, 2]], [[10**17 + 1, 0], [0, 0]]):
+        density = max_unit_density(rows, [4, 3])
+        assert type(density) is Fraction and density == Fraction(max(rows[0]), 4)
 
 
 def test_demand_no_section_presents_is_reported():

@@ -438,8 +438,8 @@ def test_outer_tie_keeps_the_first_candidate():
 
 
 def cut_value(cut, sizes):
-    k, w = cut
-    return k + sum(wn * mn for wn, mn in zip(w, sizes))
+    K, W, D = cut
+    return Fraction(K + sum(Wn * mn for Wn, mn in zip(W, sizes)), D)
 
 
 def test_dual_cut_bounds_every_sizing_and_is_tight_at_its_own():
