@@ -72,6 +72,41 @@ def random_spec(rng: random.Random) -> ProtocolSpec:
     return build_protocol(catalog, trains, u=u, s=s, a=a, v=v, p=p)
 
 
+def float_e4_specs() -> dict[str, ProtocolSpec]:
+    """One-train specs whose float unit lengths put E4's aligned sums near a platform length.
+
+    Tables are plain nested lists.  Each spec aligns at types whose
+    aligned float sum is within an ulp or two of the platform length
+    (0.1 ten times sums to 0.9999999999999999), or over it by more than
+    the 1e-12 tolerance.
+    """
+    cases = {
+        # name: (unit lengths, section sizes, alignment per section, platform length per type)
+        "ten-tenths": ((0.1,) * 10, (10,), ((1,),), (1,)),
+        "ten-tenths-two-sections": ((0.1,) * 10, (5, 5), ((1,), (1,)), (1,)),
+        "one-two-seven-tenths": ((0.1, 0.2, 0.7), (1, 1, 1), ((1,), (1,), (1,)), (1,)),
+        "eleven-tenths": ((0.1,) * 11, (11,), ((1,),), (1,)),
+        "over-by-2e-12": ((1 + 2e-12,), (1,), ((1,),), (1,)),
+        "over-by-5e-13": ((1 + 5e-13,), (1,), ((1,),), (1,)),
+        "two-types": ((0.3,) * 4, (2, 2), ((1, 1), (1, 1)), (1, 2)),
+        "thirds-of-seven": ((7 / 3,) * 3, (1, 1, 1), ((1, 0), (1, 1), (1, 1)), (7, 4)),
+    }
+    specs = {}
+    for name, (lengths, sizes, a, d) in cases.items():
+        types = tuple("FR"[: len(d)])
+        M, N = len(lengths), len(sizes)
+        train = TrainTypeSpec(label="x", M=M, lengths=lengths, capacities=(1.0,) * M, N=N)
+        owner = [n for n, size in enumerate(sizes) for _ in range(size)]
+        u = [[int(owner[m] == n) for n in range(N)] for m in range(M)]
+        a = [list(row) for row in a]
+        p = [[[x * y for y in row] for x in row] for row in a]
+        specs[name] = build_protocol(
+            StationTypeCatalog(types=types, d=dict(zip(types, d))), [train],
+            u=[u], s=[[1] * len(types)], a=[a], v=[a], p=[p],
+        )
+    return specs
+
+
 # ---------------------------------------------------------------------------
 # Nested-loop constraint oracle
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from xltops import check, check_eol, check_presentation_standard, fr_h, fr_i, ft
 from xltops.core_model import StationTypeCatalog, TrainTypeSpec, build_protocol
 from xltops.errors import NonConsecutiveSection
 
-from conftest import make_line, oracle_violations, random_spec, seed_from_env
+from conftest import float_e4_specs, make_line, oracle_violations, random_spec, seed_from_env
 
 
 def as_tuples(report):
@@ -185,3 +185,21 @@ def test_removing_boundary_alignment_never_creates_e3_violations():
         assert after <= before
         checked += 1
     assert checked > 100
+
+
+def test_e4_float_sums_at_the_platform_length():
+    """E4 sums float unit lengths and allows 1e-12 over the platform; its detail uses {:g}."""
+    got = {
+        name: [(v.constraint, v.indices, v.detail) for v in check(spec).violations]
+        for name, spec in float_e4_specs().items()
+    }
+    assert got == {
+        "ten-tenths": [],
+        "ten-tenths-two-sections": [],
+        "one-two-seven-tenths": [],
+        "eleven-tenths": [("E4", (0, "F"), "aligned length 1.1 exceeds platform 1 at type F")],
+        "over-by-2e-12": [("E4", (0, "F"), "aligned length 1 exceeds platform 1 at type F")],
+        "over-by-5e-13": [],
+        "two-types": [("E4", (0, "F"), "aligned length 1.2 exceeds platform 1 at type F")],
+        "thirds-of-seven": [("E4", (0, "R"), "aligned length 4.66667 exceeds platform 4 at type R")],
+    }
