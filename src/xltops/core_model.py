@@ -11,11 +11,13 @@ train types, units and sections:
   v       - disembarkation / door opening (section x station type)
   p       - presentation (section x origin type x destination type)
 
-All tables are stored as read-only numpy 0/1 integer arrays.  Structural
-invariants (shapes, row sums, and E1: every section is a consecutive run
-of units) are enforced by ``build_protocol``; ``feasibility`` checks the
-behavioural constraints E2-E6.  ``train_tables`` lays out the tables of
-one train of consecutive sections, for the built-in constructors and for
+All tables are stored as tuples of tuples of Python ints 0 and 1, one
+tuple per row.  ``build_protocol`` reads every table once through
+``_read_table`` and enforces the structural invariants (shapes, row
+sums, and E1: every section is a consecutive run of units);
+``feasibility`` checks the behavioural constraints E2-E6.
+``train_tables`` lays out the tables of one train of consecutive
+sections, for the built-in constructors and for
 ``s_family.chart_to_protocol``.
 """
 
@@ -25,9 +27,9 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from itertools import chain
+from operator import countOf
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadSectionCount,
@@ -46,14 +48,120 @@ SCHEMA_VERSION = 1
 DOCUMENT_ERRORS = (ArithmeticError, AttributeError, KeyError, TypeError, ValueError)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.asarray(arr, dtype=np.int8)
-    out.setflags(write=False)
-    return out
+Table = tuple  # nested tuples of ints 0 and 1, one tuple per row
+
+_BITS = {0, 1}
+_ROWS = {list, tuple}
+
+# Per row width: one tuple per distinct good row, and the ids of those tuples.
+_Seen = dict[int, tuple[dict[tuple, tuple], set[int]]]
 
 
-def _is_binary(arr: np.ndarray) -> bool:
-    return bool(np.isin(arr, (0, 1)).all())
+def _fast_table(x, shape: tuple, seen: _Seen) -> Table | None:
+    """x as nested tuples, if it is lists or tuples of this shape with int 0/1 entries.
+
+    ``None`` in ``shape`` stands for any length.  ``seen`` is shared by
+    the reads of one protocol's tables.  Equal rows become one tuple,
+    so a table read from a document shares its rows as a built one
+    does, and a table whose rows are all such tuples (as a presentation
+    table holds the alignment rows) is not checked again.  Entries are
+    checked for type in one pass over the table; once they are all
+    ints, a row equal to a good row is good.
+    """
+    if not isinstance(x, (list, tuple)) or shape[0] not in (None, len(x)) or not x:
+        return None
+    if len(shape) > 2:
+        tables = [_fast_table(table, shape[1:], seen) for table in x]
+        return None if None in tables else tuple(tables)
+    width = shape[1]
+    distinct, ids = seen.setdefault(width, ({}, set()))
+    if ids.issuperset(map(id, x)):
+        return tuple(x)
+    if not (_ROWS.issuperset(map(type, x)) and set(map(len, x)) == {width}
+            and countOf(map(type, chain.from_iterable(x)), int) == width * len(x)):
+        return None
+    rows = []
+    for row in map(tuple, x):
+        good = distinct.get(row)
+        if good is None:
+            if not _BITS.issuperset(row):
+                return None
+            good = distinct[row] = row
+            ids.add(id(row))
+        rows.append(good)
+    return tuple(rows)
+
+
+def _array_shape(x) -> tuple[tuple[int, ...], list]:
+    """The shape of a nested table, found level by level, and its entries in row-major order.
+
+    Lists and tuples are dimensions, an array-like is read through its
+    ``tolist()`` and anything else is an entry, as an array constructor
+    reads them.  A level of unequal lengths, or of rows mixed with
+    entries, raises ValueError.
+    """
+    shape: list[int] = []
+    level = [x]
+    while True:
+        level = [e.tolist() if hasattr(e, "tolist") else e for e in level]
+        rows = [isinstance(e, (list, tuple)) for e in level]
+        if not any(rows):
+            return tuple(shape), level
+        if not all(rows) or len({len(e) for e in level}) > 1:
+            raise ValueError(
+                "setting an array element with a sequence. The requested array has an "
+                f"inhomogeneous shape after {len(shape)} dimensions. The detected shape "
+                f"was {tuple(shape)} + inhomogeneous part."
+            )
+        shape.append(len(level[0]))
+        level = [e for row in level for e in row]
+
+
+def _bit(x) -> int | None:
+    """An entry as 0 or 1: an integer other than a boolean, or a whole float; else None."""
+    if isinstance(x, bool) or not isinstance(x, (numbers.Integral, float)) or x not in (0, 1):
+        return None
+    return int(x)
+
+
+class _Read(NamedTuple):
+    """A table as read: its shape, and its nested tuples if it has the expected shape
+    and only 0/1 entries, else None."""
+
+    shape: tuple[int, ...]
+    table: Table | None
+
+
+def _read_table(x, shape: tuple | None, seen: _Seen) -> _Read:
+    """Read a 0/1 table expected to have ``shape``.
+
+    ``None`` in ``shape`` stands for any length; with ``shape`` None the
+    table's shape is only found.  An entry must be an integer other than
+    a boolean, or a whole float, equal to 0 or 1.  Ragged nesting raises
+    ValueError.  ``seen`` is shared by the reads of one protocol's tables
+    (see ``_fast_table``); a table read before is returned as it is.
+    """
+    if isinstance(x, _Read):
+        return x
+    table = None if shape is None else _fast_table(x, shape, seen)
+    if table is not None:
+        return _Read(tuple(len(x) if n is None else n for n in shape), table)
+    got, entries = _array_shape(x)
+    if shape is None or len(got) != len(shape) or any(
+        n not in (None, g) for n, g in zip(shape, got)
+    ):
+        return _Read(got, None)
+    bits = [_bit(e) for e in entries]
+    if None in bits:
+        return _Read(got, None)
+    entry = iter(bits)
+
+    def nest(dims: tuple[int, ...]) -> Table:
+        if len(dims) == 1:
+            return tuple(next(entry) for _ in range(dims[0]))
+        return tuple(nest(dims[1:]) for _ in range(dims[0]))
+
+    return _Read(got, nest(got))
 
 
 @dataclass(frozen=True)
@@ -150,21 +258,24 @@ class EolRule:
 class ProtocolSpec:
     """A complete protocol: catalogs plus the seven decision tables.
 
-    ``u``, ``a``, ``v`` and ``p`` are tuples with one array per train
-    type because train types may differ in unit and section counts.
-    ``delta``/``epsilon`` are optional: constructors emit line-independent
-    protocols and the station/train classifications are attached later.
+    Every table is a tuple of rows, each row a tuple of ints 0 and 1;
+    ``p[k][n][i]`` is the row of destination types that section n
+    presents at origin type i.  ``u``, ``a``, ``v`` and ``p`` hold one
+    table per train type because train types may differ in unit and
+    section counts.  ``delta``/``epsilon`` are optional: constructors
+    emit line-independent protocols and the station/train
+    classifications are attached later.
     """
 
     stations: StationTypeCatalog
     trains: tuple[TrainTypeSpec, ...]
-    u: tuple[np.ndarray, ...]  # per k: (M_k, N_k)
-    s: np.ndarray  # (K, C)
-    a: tuple[np.ndarray, ...]  # per k: (N_k, C)
-    v: tuple[np.ndarray, ...]  # per k: (N_k, C)
-    p: tuple[np.ndarray, ...]  # per k: (N_k, C, C)
-    delta: np.ndarray | None = None  # (S, C)
-    epsilon: np.ndarray | None = None  # (T, K)
+    u: tuple[Table, ...]  # per k: M_k rows of N_k
+    s: Table  # K rows of C
+    a: tuple[Table, ...]  # per k: N_k rows of C
+    v: tuple[Table, ...]  # per k: N_k rows of C
+    p: tuple[Table, ...]  # per k: N_k tables of C rows of C
+    delta: Table | None = None  # S rows of C
+    epsilon: Table | None = None  # T rows of K
     eol_rule: EolRule | None = None
 
     @property
@@ -177,59 +288,67 @@ class ProtocolSpec:
 
     def section_sizes(self, k: int = 0) -> tuple[int, ...]:
         """Unit counts per section of train type k."""
-        return tuple(int(n) for n in self.u[k].sum(axis=0))
+        return tuple(map(sum, zip(*self.u[k])))
 
     def section_units(self, k: int, n: int) -> tuple[int, ...]:
         """1-based unit indices of section n (1-based) of train type k."""
-        return tuple(int(m) + 1 for m in np.flatnonzero(self.u[k][:, n - 1]))
+        return tuple(m + 1 for m, row in enumerate(self.u[k]) if row[n - 1])
 
 
 def build_protocol(
     stations: StationTypeCatalog,
     trains: Sequence[TrainTypeSpec],
     *,
-    u: Sequence[np.ndarray],
-    s: np.ndarray,
-    a: Sequence[np.ndarray],
-    v: Sequence[np.ndarray],
-    p: Sequence[np.ndarray],
-    delta: np.ndarray | None = None,
-    epsilon: np.ndarray | None = None,
+    u: Sequence,
+    s,
+    a: Sequence,
+    v: Sequence,
+    p: Sequence,
+    delta=None,
+    epsilon=None,
     eol_rule: EolRule | None = None,
 ) -> ProtocolSpec:
     """Validate the tables and assemble an immutable ProtocolSpec.
 
-    Raises DimensionMismatch, RowSumViolation, NonConsecutiveSection or
-    NeverAlignedViolation when a structural invariant fails.
+    A table may be nested lists or tuples, or an array-like with
+    ``tolist()``; every entry must be 0 or 1, as an integer other than a
+    boolean or as a whole float.  Raises DimensionMismatch,
+    RowSumViolation, NonConsecutiveSection or NeverAlignedViolation when
+    a structural invariant fails, and ValueError for ragged nesting.
     """
     trains = tuple(trains)
     K, C = len(trains), stations.C
     if K == 0:
         raise DimensionMismatch("at least one train type is required")
 
-    s = np.asarray(s)
-    if s.shape != (K, C):
-        raise DimensionMismatch(f"stop table must be {K}x{C}, got {s.shape}")
+    seen: _Seen = {}
+    s_shape, s_t = _read_table(s, (K, C), seen)
+    if s_shape != (K, C):
+        raise DimensionMismatch(f"stop table must be {K}x{C}, got {s_shape}")
 
     u_t, a_t, v_t, p_t = [], [], [], []
     if not (len(u) == len(a) == len(v) == len(p) == K):
         raise DimensionMismatch("u, a, v, p need one table per train type")
     for k, train in enumerate(trains):
-        uk, ak, vk, pk = (np.asarray(x) for x in (u[k], a[k], v[k], p[k]))
-        if uk.shape != (train.M, train.N):
-            raise DimensionMismatch(f"u[{k}] must be {train.M}x{train.N}, got {uk.shape}")
-        if ak.shape != (train.N, C) or vk.shape != (train.N, C):
-            raise DimensionMismatch(f"a[{k}]/v[{k}] must be {train.N}x{C}")
-        if pk.shape != (train.N, C, C):
-            raise DimensionMismatch(f"p[{k}] must be {train.N}x{C}x{C}")
-        for name, arr in (("u", uk), ("a", ak), ("v", vk), ("p", pk)):
-            if not _is_binary(arr):
+        M, N = train.M, train.N
+        (u_shape, uk), (a_shape, ak), (v_shape, vk), (p_shape, pk) = (
+            _read_table(x, shape, seen)
+            for x, shape in ((u[k], (M, N)), (a[k], (N, C)), (v[k], (N, C)), (p[k], (N, C, C)))
+        )
+        if u_shape != (M, N):
+            raise DimensionMismatch(f"u[{k}] must be {M}x{N}, got {u_shape}")
+        if a_shape != (N, C) or v_shape != (N, C):
+            raise DimensionMismatch(f"a[{k}]/v[{k}] must be {N}x{C}")
+        if p_shape != (N, C, C):
+            raise DimensionMismatch(f"p[{k}] must be {N}x{C}x{C}")
+        for name, table in (("u", uk), ("a", ak), ("v", vk), ("p", pk)):
+            if table is None:
                 raise DimensionMismatch(f"{name}[{k}] must contain only 0/1 entries")
-        if not (uk.sum(axis=1) == 1).all():
+        if any(sum(row) != 1 for row in uk):
             raise NonConsecutiveSection(f"u[{k}]: every unit must belong to exactly one section")
-        for n in range(train.N):
-            members = np.flatnonzero(uk[:, n])
-            if len(members) == 0:
+        for n, column in enumerate(zip(*uk)):
+            members = [m for m, x in enumerate(column) if x]
+            if not members:
                 raise NonConsecutiveSection(f"u[{k}]: section {n + 1} is empty")
             if members[-1] - members[0] + 1 != len(members):
                 raise NonConsecutiveSection(
@@ -237,26 +356,26 @@ def build_protocol(
                 )
         # Doorless units force their whole section out of alignment.
         for m in sorted(train.never_aligned):
-            n = int(np.flatnonzero(uk[m - 1])[0])
-            if ak[n].any():
+            n = uk[m - 1].index(1)
+            if 1 in ak[n]:
                 raise NeverAlignedViolation(
                     f"u[{k}]: section {n + 1} contains doorless unit {m} but is aligned"
                 )
-        u_t.append(_frozen(uk))
-        a_t.append(_frozen(ak))
-        v_t.append(_frozen(vk))
-        p_t.append(_frozen(pk))
+        u_t.append(uk)
+        a_t.append(ak)
+        v_t.append(vk)
+        p_t.append(pk)
 
-    delta = _classification(delta, C, "delta", "S", "station")
-    epsilon = _classification(epsilon, K, "epsilon", "T", "train")
-    if not _is_binary(s):
+    delta = _classification(delta, C, "delta", "S", "station", seen)
+    epsilon = _classification(epsilon, K, "epsilon", "T", "train", seen)
+    if s_t is None:
         raise DimensionMismatch("stop table must contain only 0/1 entries")
 
     return ProtocolSpec(
         stations=stations,
         trains=trains,
         u=tuple(u_t),
-        s=_frozen(s),
+        s=s_t,
         a=tuple(a_t),
         v=tuple(v_t),
         p=tuple(p_t),
@@ -266,18 +385,26 @@ def build_protocol(
     )
 
 
-def _classification(table, width: int, name: str, rows: str, unit: str) -> np.ndarray | None:
+def _classification(
+    table, width: int, name: str, rows: str, unit: str, seen: _Seen
+) -> Table | None:
     """A station (delta) or train (epsilon) classification: 0/1, one type per row."""
     if table is None:
         return None
-    table = np.asarray(table)
-    if table.ndim != 2 or table.shape[1] != width:
+    shape, table = _read_table(table, (None, width), seen)
+    if len(shape) != 2 or shape[1] != width:
         raise DimensionMismatch(f"{name} must be {rows} x {width}")
-    if not _is_binary(table):
+    if table is None:
         raise DimensionMismatch(f"{name} must contain only 0/1 entries")
-    if not (table.sum(axis=1) == 1).all():
+    if any(sum(row) != 1 for row in table):
         raise RowSumViolation(f"each {unit} must be of exactly one type")
-    return _frozen(table)
+    return table
+
+
+def one_hot(indices: Iterable[int], width: int) -> Table:
+    """A classification table: row r has its 1 in column ``indices[r]``."""
+    rows = [(0,) * i + (1,) + (0,) * (width - 1 - i) for i in range(width)]
+    return tuple(rows[i] for i in indices)
 
 
 def derive_parts(spec: ProtocolSpec) -> list[TrainPart]:
@@ -287,9 +414,8 @@ def derive_parts(spec: ProtocolSpec) -> list[TrainPart]:
     Runs with an empty label set (sections never aligned) count as parts
     too, so the parts always cover every section.
     """
-    label_sets = [
-        frozenset(spec.stations.types[i] for i in np.flatnonzero(row)) for row in spec.a[0]
-    ]
+    types = spec.stations.types
+    label_sets = [frozenset(types[i] for i, x in enumerate(row) if x) for row in spec.a[0]]
     parts: list[TrainPart] = []
     start = 0
     for n in range(1, len(label_sets) + 1):
@@ -306,22 +432,27 @@ def derive_parts(spec: ProtocolSpec) -> list[TrainPart]:
 # ---------------------------------------------------------------------------
 
 
-def _full_presentation(a: np.ndarray) -> np.ndarray:
-    """p_nij = a_ni * a_nj: present every destination a section visits."""
-    return np.einsum("ni,nj->nij", a, a)
+def _full_presentation(a: Table) -> Table:
+    """p_nij = a_ni * a_nj: where section n aligns it presents its alignment row, else nothing.
+
+    The rows are shared: each is ``a[n]`` itself or one tuple of zeros.
+    """
+    zero = (0,) * len(a[0]) if a else ()
+    return tuple(tuple(row if x else zero for x in row) for row in a)
 
 
-def train_tables(sizes: Sequence[int], a, p=None) -> tuple[np.ndarray, ...]:
+def train_tables(sizes: Sequence[int], a, p=None) -> tuple[Table, ...]:
     """u, a, v, p and the stop row of one train of consecutive sections.
 
     Section n is a run of ``sizes[n]`` units; doors open wherever a
     section aligns (v = a), presentation is full unless ``p`` is given,
     and the train stops at every type where some section aligns.
     """
-    a = np.asarray(a)
-    u = np.repeat(np.eye(len(sizes), dtype=int), sizes, axis=0)
+    a = tuple(map(tuple, a))
+    rows = one_hot(range(len(sizes)), len(sizes))
+    u = tuple(row for row, size in zip(rows, sizes) for _ in range(size))
     p = _full_presentation(a) if p is None else p
-    return u, a, a, p, a.any(axis=0).astype(int)
+    return u, a, a, p, tuple(int(1 in column) for column in zip(*a))
 
 
 # Sections 1-3 align at F-stations, sections 2-4 at R-stations.
@@ -333,7 +464,7 @@ def _four_sections(types, sizes, a, p=None) -> ProtocolSpec:
     """Four consecutive sections, the F/R end-of-line rule, platforms spanning aligned sections."""
     train = TrainTypeSpec.uniform("xlt", M=sum(sizes), N=4)
     u, a, v, p, stops = train_tables(sizes, a, p)
-    d = dict(zip(types, map(int, np.asarray(sizes) @ a)))
+    d = {t: sum(size for size, row in zip(sizes, a) if row[i]) for i, t in enumerate(types)}
     return build_protocol(
         StationTypeCatalog(types=types, d=d), [train],
         u=[u], s=[stops], a=[a], v=[v], p=[p], eol_rule=_FR_RULE,
@@ -361,9 +492,10 @@ def fr_i(section_sizes: Sequence[int] = (3, 3, 3, 3)) -> ProtocolSpec:
     sizes = tuple(int(x) for x in section_sizes)
     if len(sizes) != 4 or any(x < 1 for x in sizes):
         raise BadSectionCount("fr_i needs exactly 4 positive section sizes")
-    F, R = 0, 1
-    p = np.zeros((4, 2, 2), dtype=int)
-    p[range(4), (F, F, R, R), (F, R, F, R)] = 1  # (section, origin type, destination type)
+    F, R = one_hot((0, 1), 2)  # a row of p: presents F, presents R
+    zero = (0, 0)
+    # p[n][origin type]: section n presents one (origin, destination) pair.
+    p = ((F, zero), (R, zero), (zero, F), (zero, R))
     return _four_sections(("F", "R"), sizes, _FR_ALIGNMENT, p)
 
 
@@ -472,6 +604,10 @@ class LineInstance:
 # ---------------------------------------------------------------------------
 
 
+def _lists(table: Table) -> list[list[int]]:
+    return [list(row) for row in table]
+
+
 def spec_to_json(spec: ProtocolSpec) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -491,17 +627,17 @@ def spec_to_json(spec: ProtocolSpec) -> dict:
             for t in spec.trains
         ],
         "tables": {
-            "u": [uk.tolist() for uk in spec.u],
-            "s": spec.s.tolist(),
-            "a": [ak.tolist() for ak in spec.a],
-            "v": [vk.tolist() for vk in spec.v],
-            "p": [pk.tolist() for pk in spec.p],
+            "u": [_lists(uk) for uk in spec.u],
+            "s": _lists(spec.s),
+            "a": [_lists(ak) for ak in spec.a],
+            "v": [_lists(vk) for vk in spec.v],
+            "p": [[_lists(rows) for rows in pk] for pk in spec.p],
         },
     }
     if spec.delta is not None:
-        doc["tables"]["delta"] = spec.delta.tolist()
+        doc["tables"]["delta"] = _lists(spec.delta)
     if spec.epsilon is not None:
-        doc["tables"]["epsilon"] = spec.epsilon.tolist()
+        doc["tables"]["epsilon"] = _lists(spec.epsilon)
     if spec.eol_rule is not None:
         doc["eol_rule"] = {
             "name": spec.eol_rule.name,
@@ -554,16 +690,31 @@ def spec_from_json(doc: dict) -> ProtocolSpec:
                 first_types=frozenset(doc["eol_rule"]["first_types"]),
                 last_types=frozenset(doc["eol_rule"]["last_types"]),
             )
+        # Every table is read, in this order, before build_protocol checks any:
+        # a ragged table is reported before a table of the wrong shape.
+        K, C = len(trains), stations.C
+        shapes = {"u": [(t.M, t.N) for t in trains], "a": [(t.N, C) for t in trains],
+                  "p": [(t.N, C, C) for t in trains]}
+        shapes["v"] = shapes["a"]
+        seen: _Seen = {}
+
+        def read(name: str) -> list[_Read]:
+            return [_read_table(x, shapes[name][k] if k < K else None, seen)
+                    for k, x in enumerate(tables[name])]
+
+        def read_optional(name: str, shape: tuple) -> _Read | None:
+            return _read_table(tables[name], shape, seen) if name in tables else None
+
         return build_protocol(
             stations,
             trains,
-            u=[np.asarray(x) for x in tables["u"]],
-            s=np.asarray(tables["s"]),
-            a=[np.asarray(x) for x in tables["a"]],
-            v=[np.asarray(x) for x in tables["v"]],
-            p=[np.asarray(x) for x in tables["p"]],
-            delta=np.asarray(tables["delta"]) if "delta" in tables else None,
-            epsilon=np.asarray(tables["epsilon"]) if "epsilon" in tables else None,
+            u=read("u"),
+            s=_read_table(tables["s"], (K, C), seen),
+            a=read("a"),
+            v=read("v"),
+            p=read("p"),
+            delta=read_optional("delta", (None, C)),
+            epsilon=read_optional("epsilon", (None, K)),
             eol_rule=rule,
         )
     except DOCUMENT_ERRORS as exc:

@@ -24,9 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .core_model import LineInstance, ProtocolSpec, _full_presentation
+from .core_model import LineInstance, ProtocolSpec
 from .errors import DimensionMismatch
 
 
@@ -62,69 +60,83 @@ def check(spec: ProtocolSpec) -> FeasibilityReport:
     """Evaluate E2-E6 over all index tuples and report every violation."""
     out: list[Violation] = []
     types = spec.stations.types
-    d = np.array(spec.stations.lengths())
+    d = spec.stations.lengths()
     for k, train in enumerate(spec.trains):
         ak, vk, pk, sk = spec.a[k], spec.v[k], spec.p[k], spec.s[k]
 
         # E2: a_kni = 1 requires s_ki = 1.
-        for n, i in zip(*np.nonzero(ak.astype(bool) & ~sk[np.newaxis, :].astype(bool))):
-            out.append(
-                Violation(
-                    "E2",
-                    (k, int(n) + 1, types[i]),
-                    f"section {n + 1} aligned at skipped type {types[i]}",
-                )
-            )
+        for n, row in enumerate(ak):
+            for i, x in enumerate(row):
+                if x and not sk[i]:
+                    out.append(
+                        Violation(
+                            "E2",
+                            (k, n + 1, types[i]),
+                            f"section {n + 1} aligned at skipped type {types[i]}",
+                        )
+                    )
 
         # E3: per station type, aligned section indices form one run.
-        for i in range(spec.C):
-            aligned = np.flatnonzero(ak[:, i])
+        for i, column in enumerate(zip(*ak)):
+            aligned = [n for n, x in enumerate(column) if x]
             for ia, na in enumerate(aligned):
                 for nb in aligned[ia + 1 :]:
-                    if not ak[na : nb + 1, i].all():
+                    if 0 in column[na : nb + 1]:
                         out.append(
                             Violation(
                                 "E3",
-                                (k, types[i], int(na) + 1, int(nb) + 1),
+                                (k, types[i], na + 1, nb + 1),
                                 f"aligned sections {na + 1} and {nb + 1} at "
                                 f"type {types[i]} are not consecutive",
                             )
                         )
 
         # E4: total aligned length fits the shortest platform of the type.
-        section_len = np.asarray(train.lengths) @ spec.u[k]  # length of each section
-        aligned_len = ak.T.astype(float) @ section_len  # per station type
-        for i in np.flatnonzero(aligned_len > d + 1e-12):
-            out.append(
-                Violation(
-                    "E4",
-                    (k, types[i]),
-                    f"aligned length {aligned_len[i]:g} exceeds platform "
-                    f"{d[i]} at type {types[i]}",
+        section_len = [0.0] * train.N  # length of each section
+        for length, row in zip(train.lengths, spec.u[k]):
+            section_len[row.index(1)] += length
+        for i, column in enumerate(zip(*ak)):
+            aligned_len = 0.0
+            for x, length in zip(column, section_len):
+                if x:
+                    aligned_len += length
+            if aligned_len > d[i] + 1e-12:
+                out.append(
+                    Violation(
+                        "E4",
+                        (k, types[i]),
+                        f"aligned length {aligned_len:g} exceeds platform "
+                        f"{d[i]} at type {types[i]}",
+                    )
                 )
-            )
 
         # E5: v_kni = 1 requires a_kni = 1.
-        for n, i in zip(*np.nonzero(vk.astype(bool) & ~ak.astype(bool))):
-            out.append(
-                Violation(
-                    "E5",
-                    (k, int(n) + 1, types[i]),
-                    f"section {n + 1} opens doors at type {types[i]} without alignment",
-                )
-            )
+        for n, (vrow, arow) in enumerate(zip(vk, ak)):
+            for i, (x, y) in enumerate(zip(vrow, arow)):
+                if x and not y:
+                    out.append(
+                        Violation(
+                            "E5",
+                            (k, n + 1, types[i]),
+                            f"section {n + 1} opens doors at type {types[i]} without alignment",
+                        )
+                    )
 
         # E6: p_knij = 1 requires doors open at both i and j.
-        ok = _full_presentation(vk)
-        for n, i, j in zip(*np.nonzero(pk.astype(bool) & ~ok.astype(bool))):
-            out.append(
-                Violation(
-                    "E6",
-                    (k, int(n) + 1, types[i], types[j]),
-                    f"section {n + 1} presents {types[j]} at {types[i]} "
-                    "without opening doors at both",
-                )
-            )
+        for n, (rows, vrow) in enumerate(zip(pk, vk)):
+            for i, row in enumerate(rows):
+                if 1 not in row or (vrow[i] and row == vrow):
+                    continue
+                for j, x in enumerate(row):
+                    if x and not (vrow[i] and vrow[j]):
+                        out.append(
+                            Violation(
+                                "E6",
+                                (k, n + 1, types[i], types[j]),
+                                f"section {n + 1} presents {types[j]} at {types[i]} "
+                                "without opening doors at both",
+                            )
+                        )
 
     return FeasibilityReport(tuple(out))
 
@@ -146,7 +158,7 @@ def check_presentation_standard(
         pk = spec.p[k]
         for i, j in required_pairs:
             ii, jj = spec.stations.index(i), spec.stations.index(j)
-            count = int(pk[:, ii, jj].sum())
+            count = sum(rows[ii][jj] for rows in pk)
             if mode == "at_least_one" and count < 1:
                 out.append(
                     Violation("PS_MIN", (k, i, j), f"pair {i}->{j} presented by no section")

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .core_model import LineInstance, ProtocolSpec, _as_fraction, fraction_sum
 from .errors import AmbiguousAssignment, DimensionMismatch, NonpositiveSpeed
 
@@ -97,8 +95,9 @@ def type_pair_sections(spec: ProtocolSpec, line: LineInstance) -> tuple[tuple[in
         raise DimensionMismatch("assignment is defined for a single train type")
     if line.station_types is None:
         raise DimensionMismatch("line must carry a station classification")
-    by_pair = np.moveaxis(spec.p[0], 0, -1)  # (origin type, destination type, section)
-    presenting = [[np.flatnonzero(row).tolist() for row in rows] for rows in by_pair]
+    pk, C = spec.p[0], spec.C
+    presenting = [[[n for n, rows in enumerate(pk) if rows[i][j]] for j in range(C)]
+                  for i in range(C)]
     return spec.stations.indices(line.station_types), presenting
 
 
@@ -168,7 +167,7 @@ def build_assignment_split(
     N = spec.trains[0].N
     S = line.S
     caps = section_capacities(spec)
-    busyness = [int(spec.p[0][n].sum()) for n in range(N)]
+    busyness = [sum(map(sum, rows)) for rows in spec.p[0]]
     # Quietest presenting section first; the sort is stable, so ties keep section order.
     preference = [[sorted(sec, key=busyness.__getitem__) for sec in row] for row in presenting]
     h, g = line.H.numerator, line.H.denominator

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from . import feasibility, flow_sim, metering_opt, routing, s_family
 from .core_model import (
     DOCUMENT_ERRORS,
@@ -64,11 +62,14 @@ def _gates_for(spec: ProtocolSpec, k: int, type_index: int, platform: int) -> tu
     ak, vk, pk = spec.a[k], spec.v[k], spec.p[k]
     types = spec.stations.types
     gates: list[str] = []
-    if spec.s[k, type_index]:
-        for n in np.flatnonzero(ak[:, type_index]):
-            size = spec.section_sizes(k)[n]
-            if vk[n, type_index]:
-                dests = [types[j] for j in np.flatnonzero(pk[n, type_index])]
+    if spec.s[k][type_index]:
+        sizes = spec.section_sizes(k)
+        for n, row in enumerate(ak):
+            if not row[type_index]:
+                continue
+            size = sizes[n]
+            if vk[n][type_index]:
+                dests = [types[j] for j, x in enumerate(pk[n][type_index]) if x]
                 sign = ",".join(dests) if dests else DISEMBARK_ONLY
             else:
                 sign = DISEMBARK_ONLY
@@ -105,17 +106,19 @@ def gate_door_consistency(spec: ProtocolSpec) -> list[str]:
     types = spec.stations.types
     for k, train in enumerate(spec.trains):
         ak, vk, pk = spec.a[k], spec.v[k], spec.p[k]
-        for n, i, j in zip(*np.nonzero(pk)):
+        presented = ((n, i, j) for n, rows in enumerate(pk) for i, row in enumerate(rows)
+                     if 1 in row for j, x in enumerate(row) if x)
+        for n, i, j in presented:
             where = f"train {train.label}, section {n + 1}"
-            if not (ak[n, i] and vk[n, i]):
+            if not (ak[n][i] and vk[n][i]):
                 problems.append(
                     f"{where}: advertises {types[j]} at {types[i]} without an open gate"
                 )
-            if not vk[n, j]:
+            if not vk[n][j]:
                 problems.append(
                     f"{where}: advertises {types[j]} at {types[i]} but cannot open at {types[j]}"
                 )
-            if not spec.s[k, j]:
+            if not spec.s[k][j]:
                 problems.append(
                     f"{where}: advertises {types[j]} but the train skips that type"
                 )

@@ -30,8 +30,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 from . import flow_sim
 from .core_model import (
     DOCUMENT_ERRORS,
@@ -46,6 +44,7 @@ from .core_model import (
     build_protocol,
     derive_parts,
     fraction_sum,
+    one_hot,
     train_tables,
 )
 from .errors import (
@@ -412,18 +411,18 @@ def chart_to_protocol(
     trains, tables = [], []
     for train_label, chart in mtc.charts:
         trains.append(TrainTypeSpec.uniform(train_label, M=M, N=M))
-        a = np.zeros((M, len(types)), dtype=int)
+        a = [[0] * len(types) for _ in range(M)]
         for i, label in enumerate(types):
             for m in chart.covered_units(label):
-                a[m - 1, i] = 1
+                a[m - 1][i] = 1
         tables.append(train_tables((1,) * M, a))
     u, a, v, p, s = zip(*tables)
 
     delta = epsilon = None
     if station_classification is not None:
-        delta = np.eye(len(types), dtype=int)[list(catalog.indices(station_classification))]
+        delta = one_hot(catalog.indices(station_classification), len(types))
     if len(mtc.rotation) > 1:
-        epsilon = np.eye(len(trains), dtype=int)[list(map(mtc.train_labels().index, mtc.rotation))]
+        epsilon = one_hot(map(mtc.train_labels().index, mtc.rotation), len(trains))
     return build_protocol(
         catalog, trains, u=u, s=s, a=a, v=v, p=p, delta=delta, epsilon=epsilon,
         eol_rule=_chart_eol_rule([chart for _, chart in mtc.charts]),
@@ -473,7 +472,7 @@ def greedy_presentation_refine(spec: ProtocolSpec, line: LineInstance) -> Protoc
     def feasible_spans(i: int, j: int) -> list[range]:
         """0-based sections of each part with doors open at both types throughout."""
         spans = [range(part.sections[0] - 1, part.sections[1]) for part in parts]
-        return [span for span in spans if all(vk[n, i] and vk[n, j] for n in span)]
+        return [span for span in spans if all(vk[n][i] and vk[n][j] for n in span)]
 
     # Each pair's shares: of the input's presenting sections, then of each feasible span.
     spans, shares = {}, {}
@@ -519,9 +518,11 @@ def greedy_presentation_refine(spec: ProtocolSpec, line: LineInstance) -> Protoc
     # Hold the best-seen solution: never return a denser profile.
     if flow_sim.max_unit_density(load, sizes) > flow_sim.max_unit_density(baseline, sizes):
         return spec
-    new_p = np.zeros_like(np.asarray(spec.p[0]))
-    for (i, j), span in chosen.items():
-        new_p[span.start : span.stop, i, j] = 1
+    C = spec.C
+    new_p = tuple(
+        tuple(tuple(int(n in chosen.get((i, j), ())) for j in range(C)) for i in range(C))
+        for n in range(spec.trains[0].N)
+    )
     return replace(spec, p=(new_p,))
 
 

@@ -122,36 +122,36 @@ def oracle_violations(spec: ProtocolSpec) -> set[tuple]:
         for n in range(N):
             for b in range(M):
                 for bp in range(b + 1, M):
-                    if uk[b, n] and uk[bp, n]:
-                        if any(not uk[m, n] for m in range(b, bp + 1)):
+                    if uk[b][n] and uk[bp][n]:
+                        if any(not uk[m][n] for m in range(b, bp + 1)):
                             found.add(("E1", k, n + 1, b + 1, bp + 1))
         for n in range(N):
             for i in range(C):
-                if ak[n, i] and not sk[i]:
+                if ak[n][i] and not sk[i]:
                     found.add(("E2", k, n + 1, types[i]))
         for i in range(C):
             for na in range(N):
                 for nb in range(na + 1, N):
-                    if ak[na, i] and ak[nb, i]:
-                        if any(not ak[n, i] for n in range(na, nb + 1)):
+                    if ak[na][i] and ak[nb][i]:
+                        if any(not ak[n][i] for n in range(na, nb + 1)):
                             found.add(("E3", k, types[i], na + 1, nb + 1))
         for i in range(C):
             total = 0.0
             for n in range(N):
-                if ak[n, i]:
+                if ak[n][i]:
                     for m in range(M):
-                        if uk[m, n]:
+                        if uk[m][n]:
                             total += train.lengths[m]
             if total > spec.stations.d[types[i]] + 1e-12:
                 found.add(("E4", k, types[i]))
         for n in range(N):
             for i in range(C):
-                if vk[n, i] and not ak[n, i]:
+                if vk[n][i] and not ak[n][i]:
                     found.add(("E5", k, n + 1, types[i]))
         for n in range(N):
             for i in range(C):
                 for j in range(C):
-                    if pk[n, i, j] and not (vk[n, i] and vk[n, j]):
+                    if pk[n][i][j] and not (vk[n][i] and vk[n][j]):
                         found.add(("E6", k, n + 1, types[i], types[j]))
     return found
 
@@ -198,7 +198,7 @@ def oracle_end_preference(spec: ProtocolSpec, line: LineInstance) -> AssignmentT
     N = spec.trains[0].N
     S = line.S
     caps = section_capacities(spec)
-    busyness = [int(spec.p[0][n].sum()) for n in range(N)]
+    busyness = [sum(map(sum, spec.p[0][n])) for n in range(N)]
     preference = [[sorted(sec, key=busyness.__getitem__) for sec in row] for row in presenting]
     running = [[Fraction(0)] * (S - 1) for _ in range(N)]
     flows = [[()] * S for _ in range(S)]

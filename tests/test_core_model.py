@@ -98,10 +98,64 @@ def test_never_aligned_unit_blocks_alignment():
 
 def test_tables_are_read_only():
     spec = fr_h()
-    with pytest.raises(ValueError):
-        spec.s[0, 0] = 0
-    with pytest.raises(ValueError):
-        spec.a[0][0, 0] = 0
+    with pytest.raises(TypeError):
+        spec.s[0][0] = 0
+    with pytest.raises(TypeError):
+        spec.a[0][0][0] = 0
+    with pytest.raises(TypeError):
+        spec.p[0][0][0][0] = 0
+
+
+def _with_u_entry(spec, value):
+    """spec's u tables as nested lists, with the first entry replaced."""
+    u = [[list(row) for row in uk] for uk in spec.u]
+    u[0][0][0] = value
+    return u
+
+
+@pytest.mark.parametrize("entry", [True, np.bool_(True), "1", 1.5, math.nan, None, {}])
+def test_build_protocol_rejects_table_entries_other_than_0_and_1(entry):
+    spec = fr_h(1)
+    u = _with_u_entry(spec, entry)
+    with pytest.raises(DimensionMismatch):
+        build_protocol(spec.stations, spec.trains, u=u, s=spec.s, a=spec.a, v=spec.v, p=spec.p)
+
+
+def test_build_protocol_rejects_boolean_tables():
+    spec = fr_h(1)
+    u = np.eye(4, dtype=bool)
+    with pytest.raises(DimensionMismatch, match=r"u\[0\] must contain only 0/1 entries"):
+        build_protocol(spec.stations, spec.trains, u=[u], s=spec.s, a=spec.a, v=spec.v, p=spec.p)
+
+
+@pytest.mark.parametrize("one", [1, 1.0, np.int64(1), np.float64(1.0)])
+def test_build_protocol_reads_whole_numbers_as_table_entries(one):
+    spec = fr_h(1)
+    built = build_protocol(spec.stations, spec.trains, u=_with_u_entry(spec, one), s=spec.s,
+                           a=spec.a, v=spec.v, p=spec.p, eol_rule=spec.eol_rule)
+    assert built == spec and type(built.u[0][0][0]) is int
+
+
+def test_ragged_tables_are_refused():
+    doc = spec_to_json(fr_h(1))
+    doc["tables"]["u"][0][1] = [0, 1]
+    with pytest.raises(SchemaError, match="inhomogeneous shape after 1 dimensions"):
+        spec_from_json(doc)
+    # Every table of a document is read before any is checked: the ragged p
+    # is reported, not the stop table of the wrong shape checked first.
+    doc = spec_to_json(fr_h(1))
+    doc["tables"]["s"] = [[1]]
+    doc["tables"]["p"][0][3][1] = [0]
+    with pytest.raises(SchemaError, match=r"inhomogeneous shape after 2 dimensions. "
+                                          r"The detected shape was \(4, 2\)"):
+        spec_from_json(doc)
+
+
+def test_a_null_classification_is_refused():
+    doc = spec_to_json(chart_to_protocol(generate_s(3, 2, 4), ("A", "B", "C")))
+    doc["tables"]["delta"] = None
+    with pytest.raises(DimensionMismatch, match="delta must be S x 3"):
+        spec_from_json(doc)
 
 
 @pytest.mark.parametrize("ctor", [fr_h, fr_i, ftr])
@@ -253,10 +307,8 @@ def test_spec_json_round_trip(ctor):
     back = spec_from_json(doc)
     assert back.stations == spec.stations
     assert back.trains == spec.trains
-    for name in ("u", "a", "v", "p"):
-        for x, y in zip(getattr(back, name), getattr(spec, name)):
-            assert np.array_equal(x, y)
-    assert np.array_equal(back.s, spec.s)
+    for name in ("u", "s", "a", "v", "p"):
+        assert getattr(back, name) == getattr(spec, name)
     assert back.eol_rule == spec.eol_rule
 
 

@@ -139,24 +139,29 @@ def test_eol_rule_requires_rear_first_and_front_last():
 
 def test_removing_alignment_never_creates_e2_violations():
     rng = random.Random(seed_from_env() + 1)
+    checked = 0
     for _ in range(200):
         spec = random_spec(rng)
         k = rng.randrange(spec.K)
-        ones = np.argwhere(spec.a[k] == 1)
-        if len(ones) == 0:
+        ones = [(n, i) for n, row in enumerate(spec.a[k]) for i, x in enumerate(row) if x == 1]
+        if not ones:
             continue
         n, i = ones[rng.randrange(len(ones))]
-        a2 = [x.copy() for x in spec.a]
-        a2[k][n, i] = 0
+        a2 = [[list(row) for row in ak] for ak in spec.a]
+        a2[k][n][i] = 0
         # doors and presentation must shrink accordingly to stay comparable
-        v2 = [np.minimum(x, y) for x, y in zip(spec.v, a2)]
-        p2 = [np.einsum("ni,nj->nij", y, y) * x for x, y in zip(spec.p, v2)]
+        v2 = [[[min(x, y) for x, y in zip(vrow, arow)] for vrow, arow in zip(vk, ak)]
+              for vk, ak in zip(spec.v, a2)]
+        p2 = [[[[x * vrow[i] * vrow[j] for j, x in enumerate(row)] for i, row in enumerate(rows)]
+               for rows, vrow in zip(pk, vk)] for pk, vk in zip(spec.p, v2)]
         spec2 = build_protocol(
             spec.stations, spec.trains, u=spec.u, s=spec.s, a=a2, v=v2, p=p2
         )
         before = {v.indices for v in check(spec).by_constraint("E2")}
         after = {v.indices for v in check(spec2).by_constraint("E2")}
         assert after <= before
+        checked += 1
+    assert checked > 150
 
 
 def test_removing_boundary_alignment_never_creates_e3_violations():
@@ -168,15 +173,15 @@ def test_removing_boundary_alignment_never_creates_e3_violations():
         ak = spec.a[k]
         # only drop a 1 that is first or last in its column's aligned set
         candidates = []
-        for i in range(spec.C):
-            rows = np.flatnonzero(ak[:, i])
-            if len(rows):
+        for i, column in enumerate(zip(*ak)):
+            rows = [n for n, x in enumerate(column) if x]
+            if rows:
                 candidates.extend([(rows[0], i), (rows[-1], i)])
         if not candidates:
             continue
         n, i = candidates[rng.randrange(len(candidates))]
-        a2 = [x.copy() for x in spec.a]
-        a2[k][n, i] = 0
+        a2 = [[list(row) for row in ak] for ak in spec.a]
+        a2[k][n][i] = 0
         spec2 = build_protocol(
             spec.stations, spec.trains, u=spec.u, s=spec.s, a=a2, v=spec.v, p=spec.p
         )

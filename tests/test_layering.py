@@ -4,11 +4,15 @@ Layers, lowest first: errors -> core_model -> feasibility / flow_sim ->
 s_family -> routing / metering_opt -> render_io.  A module may import
 only from a lower layer.  ``__init__`` re-exports everything and is not
 a layer.  No module keeps an import it does not read, or a private
-module-level name that nothing in the package references.
+module-level name that nothing in the package references.  The package
+depends on the standard library alone: every absolute import names a
+standard-library module, and importing the package loads no numpy.
 """
 
 import ast
 import graphlib
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "xltops"
@@ -103,3 +107,26 @@ def test_no_unused_imports_or_private_names():
                 if name.startswith("_") and not name.startswith("__") and name not in referenced
             ]
     assert unused == []
+
+
+def test_absolute_imports_are_standard_library():
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.stem}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+
+
+def test_importing_the_package_loads_no_numpy():
+    code = ("import sys, xltops; "
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            cwd=PACKAGE.parent, check=True, timeout=60)
+    assert result.stdout == "[]\n"

@@ -82,8 +82,8 @@ def test_gate_door_closure_holds_on_builtins(spec):
 
 def test_gate_door_closure_catches_unhonorable_signs():
     spec = fr_i()
-    p = [x.copy() for x in spec.p]
-    p[0][0, 0, 1] = 1  # section 1 advertises R but never opens at R stations
+    p = [[[list(row) for row in rows] for rows in pk] for pk in spec.p]
+    p[0][0][0][1] = 1  # section 1 advertises R but never opens at R stations
     broken = build_protocol(
         spec.stations, spec.trains, u=spec.u, s=spec.s, a=spec.a, v=spec.v, p=p
     )

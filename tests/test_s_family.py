@@ -265,8 +265,8 @@ def test_chart_protocol_tables_mirror_chart_geometry():
     # bar A covers units 1..4, C covers 5..8
     a = spec.a[0]
     iA, iC = spec.stations.index("A"), spec.stations.index("C")
-    assert [int(a[m, iA]) for m in range(8)] == [1, 1, 1, 1, 0, 0, 0, 0]
-    assert [int(a[m, iC]) for m in range(8)] == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert [row[iA] for row in a] == [1, 1, 1, 1, 0, 0, 0, 0]
+    assert [row[iC] for row in a] == [0, 0, 0, 0, 1, 1, 1, 1]
     assert spec.eol_rule is not None
     assert spec.eol_rule.first_types == frozenset({"C"})  # rear-aligned bar
     assert spec.eol_rule.last_types == frozenset({"A"})  # front-aligned bar
@@ -277,8 +277,8 @@ def test_chart_protocol_stop_table_reflects_skips():
     mtc = compose_skip_stop(base, [("1", ("T", "A")), ("2", ("T", "B"))])
     spec = chart_to_protocol(mtc)
     types = spec.stations.types
-    assert spec.s[0, types.index("B")] == 0
-    assert spec.s[1, types.index("A")] == 0
+    assert spec.s[0][types.index("B")] == 0
+    assert spec.s[1][types.index("A")] == 0
     assert spec.epsilon is not None  # rotation recorded for multi-train charts
 
 
