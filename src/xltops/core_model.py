@@ -12,9 +12,10 @@ train types, units and sections:
   p       - presentation (section x origin type x destination type)
 
 All tables are stored as tuples of tuples of Python ints 0 and 1, one
-tuple per row.  ``build_protocol`` reads every table once through
-``_read_table`` and enforces the structural invariants (shapes, row
-sums, and E1: every section is a consecutive run of units);
+tuple per row.  ``build_protocol`` reads every table, through the one
+walk ``_read_table``, before it checks any, for library calls and
+documents alike; then it enforces the structural invariants (shapes,
+row sums, and E1: every section is a consecutive run of units).
 ``feasibility`` checks the behavioural constraints E2-E6.
 ``train_tables`` lays out the tables of one train of consecutive
 sections, for the built-in constructors and for
@@ -27,9 +28,9 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice, repeat
 from operator import countOf
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BadSectionCount,
@@ -53,69 +54,6 @@ Table = tuple  # nested tuples of ints 0 and 1, one tuple per row
 _BITS = {0, 1}
 _ROWS = {list, tuple}
 
-# Per row width: one tuple per distinct good row, and the ids of those tuples.
-_Seen = dict[int, tuple[dict[tuple, tuple], set[int]]]
-
-
-def _fast_table(x, shape: tuple, seen: _Seen) -> Table | None:
-    """x as nested tuples, if it is lists or tuples of this shape with int 0/1 entries.
-
-    ``None`` in ``shape`` stands for any length.  ``seen`` is shared by
-    the reads of one protocol's tables.  Equal rows become one tuple,
-    so a table read from a document shares its rows as a built one
-    does, and a table whose rows are all such tuples (as a presentation
-    table holds the alignment rows) is not checked again.  Entries are
-    checked for type in one pass over the table; once they are all
-    ints, a row equal to a good row is good.
-    """
-    if not isinstance(x, (list, tuple)) or shape[0] not in (None, len(x)) or not x:
-        return None
-    if len(shape) > 2:
-        tables = [_fast_table(table, shape[1:], seen) for table in x]
-        return None if None in tables else tuple(tables)
-    width = shape[1]
-    distinct, ids = seen.setdefault(width, ({}, set()))
-    if ids.issuperset(map(id, x)):
-        return tuple(x)
-    if not (_ROWS.issuperset(map(type, x)) and set(map(len, x)) == {width}
-            and countOf(map(type, chain.from_iterable(x)), int) == width * len(x)):
-        return None
-    rows = []
-    for row in map(tuple, x):
-        good = distinct.get(row)
-        if good is None:
-            if not _BITS.issuperset(row):
-                return None
-            good = distinct[row] = row
-            ids.add(id(row))
-        rows.append(good)
-    return tuple(rows)
-
-
-def _array_shape(x) -> tuple[tuple[int, ...], list]:
-    """The shape of a nested table, found level by level, and its entries in row-major order.
-
-    Lists and tuples are dimensions, an array-like is read through its
-    ``tolist()`` and anything else is an entry, as an array constructor
-    reads them.  A level of unequal lengths, or of rows mixed with
-    entries, raises ValueError.
-    """
-    shape: list[int] = []
-    level = [x]
-    while True:
-        level = [e.tolist() if hasattr(e, "tolist") else e for e in level]
-        rows = [isinstance(e, (list, tuple)) for e in level]
-        if not any(rows):
-            return tuple(shape), level
-        if not all(rows) or len({len(e) for e in level}) > 1:
-            raise ValueError(
-                "setting an array element with a sequence. The requested array has an "
-                f"inhomogeneous shape after {len(shape)} dimensions. The detected shape "
-                f"was {tuple(shape)} + inhomogeneous part."
-            )
-        shape.append(len(level[0]))
-        level = [e for row in level for e in row]
-
 
 def _bit(x) -> int | None:
     """An entry as 0 or 1: an integer other than a boolean, or a whole float; else None."""
@@ -124,44 +62,96 @@ def _bit(x) -> int | None:
     return int(x)
 
 
-class _Read(NamedTuple):
-    """A table as read: its shape, and its nested tuples if it has the expected shape
-    and only 0/1 entries, else None."""
+def _ragged(shape: list[int]) -> ValueError:
+    return ValueError(
+        "setting an array element with a sequence. The requested array has an "
+        f"inhomogeneous shape after {len(shape)} dimensions. The detected shape "
+        f"was {tuple(shape)} + inhomogeneous part."
+    )
 
-    shape: tuple[int, ...]
-    table: Table | None
 
+def _read_table(x, shape: tuple | None, distinct: dict) -> tuple[tuple[int, ...], Table | None]:
+    """A table's shape, and its nested tuples if it has ``shape`` and only 0/1 entries, else None.
 
-def _read_table(x, shape: tuple | None, seen: _Seen) -> _Read:
-    """Read a 0/1 table expected to have ``shape``.
+    The table is walked once, a level at a time, as an array constructor
+    reads it: lists and tuples are dimensions, an array-like is read
+    through its ``tolist()`` and anything else is an entry (``_bit``
+    says which entries are 0 or 1).  A level of unequal lengths, or of
+    rows mixed with entries, raises ValueError.  ``None`` in ``shape``
+    stands for any length; with ``shape`` None the shape is only found.
 
-    ``None`` in ``shape`` stands for any length; with ``shape`` None the
-    table's shape is only found.  An entry must be an integer other than
-    a boolean, or a whole float, equal to 0 or 1.  Ragged nesting raises
-    ValueError.  ``seen`` is shared by the reads of one protocol's tables
-    (see ``_fast_table``); a table read before is returned as it is.
+    ``distinct`` is shared by the reads of one protocol's tables.  It
+    holds each good row, keyed by its value and by its id, so equal
+    rows become one tuple.  An object met twice at one level is read
+    once, and a row that already is one of those tuples is not read
+    again (as a presentation table holds the alignment rows).
     """
-    if isinstance(x, _Read):
-        return x
-    table = None if shape is None else _fast_table(x, shape, seen)
-    if table is not None:
-        return _Read(tuple(len(x) if n is None else n for n in shape), table)
-    got, entries = _array_shape(x)
-    if shape is None or len(got) != len(shape) or any(
-        n not in (None, g) for n, g in zip(shape, got)
+    found: list[int] = []
+    levels: list[tuple[list, dict]] = []  # per level: its objects, and by id those to read
+    level, skipped, exact = [x], False, False
+    while level:
+        unread = dict(zip(map(id, level), level))
+        if not _ROWS.issuperset(map(type, unread.values())):
+            nodes = [e.tolist() if hasattr(e, "tolist") else e for e in level]
+            nested = [isinstance(e, (list, tuple)) for e in nodes]
+            if not any(nested):
+                level = nodes
+                break
+            if not all(nested):
+                raise _ragged(found)
+            unread = dict(zip(map(id, level), nodes))
+        if skipped:
+            raise _ragged(found)  # the rows skipped above hold entries, so this level must too
+        widths = set(map(len, unread.values()))
+        if len(widths) > 1:
+            raise _ragged(found)
+        found.append(widths.pop())
+        known = unread.keys() & distinct.keys()
+        for i in known:
+            del unread[i]
+        skipped = bool(known)
+        levels.append((level, unread))
+        # Children that are all ints are the entries, to be read as they are (a first
+        # child that is not an int spares counting a level of rows).
+        first = next(chain.from_iterable(unread.values()), 0)
+        exact = type(first) is int and countOf(
+            map(type, chain.from_iterable(unread.values())), int) == found[-1] * len(unread)
+        level = [] if exact else list(chain.from_iterable(unread.values()))
+    found = tuple(found)
+    if shape is None or len(found) != len(shape) or any(
+        n not in (None, g) for n, g in zip(shape, found)
     ):
-        return _Read(got, None)
-    bits = [_bit(e) for e in entries]
-    if None in bits:
-        return _Read(got, None)
-    entry = iter(bits)
-
-    def nest(dims: tuple[int, ...]) -> Table:
-        if len(dims) == 1:
-            return tuple(next(entry) for _ in range(dims[0]))
-        return tuple(nest(dims[1:]) for _ in range(dims[0]))
-
-    return _Read(got, nest(got))
+        return found, None
+    if exact:
+        rows = map(tuple, levels[-1][1].values())
+    else:
+        bits = list(map(_bit, level))
+        if None in bits:
+            return found, None
+        entries = iter(bits)
+        rows = [tuple(islice(entries, found[-1])) for _ in levels[-1][1]]
+    good = []
+    for row in rows:
+        interned = distinct.get(row)
+        if interned is None:
+            if not _BITS.issuperset(row):
+                return found, None
+            interned = distinct[row] = distinct[id(row)] = row
+        good.append(interned)
+    # A table of tuples whose rows all read as themselves is returned as it is.
+    if all(type(node) is tuple and id(node) == i
+           for _, unread in levels[:-1] for i, node in unread.items()
+           ) and list(map(id, good)) == list(levels[-1][1]):
+        return found, x
+    # good holds the tables read at each level, in the order of their objects there.
+    for depth in range(len(levels) - 1, -1, -1):
+        level, unread = levels[depth]
+        if len(unread) < len(level):
+            by_id = dict(zip(unread, good))
+            good = list(map(by_id.get, map(id, level), level))
+        if depth:
+            good = list(zip(*[iter(good)] * found[depth - 1]))
+    return found, good[0]
 
 
 @dataclass(frozen=True)
@@ -222,9 +212,11 @@ class TrainTypeSpec:
             raise DimensionMismatch("per-unit lengths/capacities must have M entries")
         if any(not (math.isfinite(l) and l > 0) for l in self.lengths):
             raise DimensionMismatch("unit lengths must be positive and finite")
-        if any(_as_fraction(c) < 0 for c in self.capacities):
-            raise DimensionMismatch("unit capacities must be nonnegative")
-        if any(not (1 <= m <= self.M) for m in self.never_aligned):
+        capacities = (_as_fraction(c) if isinstance(c, str) else c for c in self.capacities)
+        if any(isinstance(c, bool) or not 0 <= c < math.inf for c in capacities):
+            raise DimensionMismatch("unit capacities must be nonnegative and finite")
+        if any(isinstance(m, bool) or not isinstance(m, numbers.Integral) or not 1 <= m <= self.M
+               for m in self.never_aligned):
             raise DimensionMismatch("never_aligned indices must be unit indices 1..M")
 
     @classmethod
@@ -312,29 +304,40 @@ def build_protocol(
 
     A table may be nested lists or tuples, or an array-like with
     ``tolist()``; every entry must be 0 or 1, as an integer other than a
-    boolean or as a whole float.  Raises DimensionMismatch,
-    RowSumViolation, NonConsecutiveSection or NeverAlignedViolation when
-    a structural invariant fails, and ValueError for ragged nesting.
+    boolean or as a whole float.  ``u``, ``a``, ``v`` and ``p`` hold one
+    table per train type.  Every table is read, in the order u, s, a, v,
+    p, delta, epsilon, before any is checked, so a ragged table (which
+    raises ValueError) is reported before a table of the wrong shape.
+    Then raises DimensionMismatch, RowSumViolation,
+    NonConsecutiveSection or NeverAlignedViolation when a structural
+    invariant fails.
     """
     trains = tuple(trains)
     K, C = len(trains), stations.C
+    distinct: dict = {}
+
+    def read(tables, shapes: list[tuple]) -> list:
+        # A table beyond the K train types is read for its shape only.
+        return [_read_table(x, shape, distinct)
+                for x, shape in zip(tables, chain(shapes, repeat(None)))]
+
+    u = read(u, [(t.M, t.N) for t in trains])
+    s_shape, s_t = _read_table(s, (K, C), distinct)
+    a = read(a, [(t.N, C) for t in trains])
+    v = read(v, [(t.N, C) for t in trains])
+    p = read(p, [(t.N, C, C) for t in trains])
+    delta = None if delta is None else _read_table(delta, (None, C), distinct)
+    epsilon = None if epsilon is None else _read_table(epsilon, (None, K), distinct)
+
     if K == 0:
         raise DimensionMismatch("at least one train type is required")
-
-    seen: _Seen = {}
-    s_shape, s_t = _read_table(s, (K, C), seen)
     if s_shape != (K, C):
         raise DimensionMismatch(f"stop table must be {K}x{C}, got {s_shape}")
-
-    u_t, a_t, v_t, p_t = [], [], [], []
     if not (len(u) == len(a) == len(v) == len(p) == K):
         raise DimensionMismatch("u, a, v, p need one table per train type")
     for k, train in enumerate(trains):
         M, N = train.M, train.N
-        (u_shape, uk), (a_shape, ak), (v_shape, vk), (p_shape, pk) = (
-            _read_table(x, shape, seen)
-            for x, shape in ((u[k], (M, N)), (a[k], (N, C)), (v[k], (N, C)), (p[k], (N, C, C)))
-        )
+        (u_shape, uk), (a_shape, ak), (v_shape, vk), (p_shape, pk) = u[k], a[k], v[k], p[k]
         if u_shape != (M, N):
             raise DimensionMismatch(f"u[{k}] must be {M}x{N}, got {u_shape}")
         if a_shape != (N, C) or v_shape != (N, C):
@@ -361,37 +364,31 @@ def build_protocol(
                 raise NeverAlignedViolation(
                     f"u[{k}]: section {n + 1} contains doorless unit {m} but is aligned"
                 )
-        u_t.append(uk)
-        a_t.append(ak)
-        v_t.append(vk)
-        p_t.append(pk)
 
-    delta = _classification(delta, C, "delta", "S", "station", seen)
-    epsilon = _classification(epsilon, K, "epsilon", "T", "train", seen)
+    delta = _classification(delta, C, "delta", "S", "station")
+    epsilon = _classification(epsilon, K, "epsilon", "T", "train")
     if s_t is None:
         raise DimensionMismatch("stop table must contain only 0/1 entries")
 
     return ProtocolSpec(
         stations=stations,
         trains=trains,
-        u=tuple(u_t),
+        u=tuple(uk for _, uk in u),
         s=s_t,
-        a=tuple(a_t),
-        v=tuple(v_t),
-        p=tuple(p_t),
+        a=tuple(ak for _, ak in a),
+        v=tuple(vk for _, vk in v),
+        p=tuple(pk for _, pk in p),
         delta=delta,
         epsilon=epsilon,
         eol_rule=eol_rule,
     )
 
 
-def _classification(
-    table, width: int, name: str, rows: str, unit: str, seen: _Seen
-) -> Table | None:
-    """A station (delta) or train (epsilon) classification: 0/1, one type per row."""
-    if table is None:
+def _classification(read, width: int, name: str, rows: str, unit: str) -> Table | None:
+    """A station (delta) or train (epsilon) classification, as read: 0/1, one type per row."""
+    if read is None:
         return None
-    shape, table = _read_table(table, (None, width), seen)
+    shape, table = read
     if len(shape) != 2 or shape[1] != width:
         raise DimensionMismatch(f"{name} must be {rows} x {width}")
     if table is None:
@@ -678,7 +675,7 @@ def spec_from_json(doc: dict) -> ProtocolSpec:
                     _as_fraction(c) if isinstance(c, str) else c for c in t["capacities"]
                 ),
                 N=_whole(t["N"]),
-                never_aligned=frozenset(t.get("never_aligned", ())),
+                never_aligned=frozenset(map(_whole, t.get("never_aligned", ()))),
             )
             for t in doc["trains"]
         )
@@ -690,32 +687,12 @@ def spec_from_json(doc: dict) -> ProtocolSpec:
                 first_types=frozenset(doc["eol_rule"]["first_types"]),
                 last_types=frozenset(doc["eol_rule"]["last_types"]),
             )
-        # Every table is read, in this order, before build_protocol checks any:
-        # a ragged table is reported before a table of the wrong shape.
-        K, C = len(trains), stations.C
-        shapes = {"u": [(t.M, t.N) for t in trains], "a": [(t.N, C) for t in trains],
-                  "p": [(t.N, C, C) for t in trains]}
-        shapes["v"] = shapes["a"]
-        seen: _Seen = {}
-
-        def read(name: str) -> list[_Read]:
-            return [_read_table(x, shapes[name][k] if k < K else None, seen)
-                    for k, x in enumerate(tables[name])]
-
-        def read_optional(name: str, shape: tuple) -> _Read | None:
-            return _read_table(tables[name], shape, seen) if name in tables else None
-
+        # A classification given as null is refused as a table of the wrong shape.
         return build_protocol(
-            stations,
-            trains,
-            u=read("u"),
-            s=_read_table(tables["s"], (K, C), seen),
-            a=read("a"),
-            v=read("v"),
-            p=read("p"),
-            delta=read_optional("delta", (None, C)),
-            epsilon=read_optional("epsilon", (None, K)),
-            eol_rule=rule,
+            stations, trains, u=tables["u"], s=tables["s"], a=tables["a"], v=tables["v"],
+            p=tables["p"], eol_rule=rule,
+            **{name: [] if tables[name] is None else tables[name]
+               for name in ("delta", "epsilon") if name in tables},
         )
     except DOCUMENT_ERRORS as exc:
         raise SchemaError(f"malformed spec document: {exc}") from exc

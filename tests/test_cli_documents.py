@@ -162,13 +162,17 @@ def _with(kind, value, *path):
         ("line", _with("line", True, "H")),
         ("line", _with("line", [True, 0, 0, 0], "M_min")),
         ("spec", _with("spec", True, "trains", 0, "capacities", 0)),
+        ("spec", _with("spec", math.nan, "trains", 0, "capacities", 0)),
+        ("spec", _with("spec", math.inf, "trains", 0, "capacities", 0)),
+        ("spec", _with("spec", -1, "trains", 0, "capacities", 0)),
         ("spec", _with("spec", True, "tables", "u", 0, 0, 0)),
     ],
     ids=["stations-d-1", "stations-without-types", "M-Infinity", "H-Infinity", "no-bars",
          "label-true", "label-7", "M_min-too-long", "M_min-too-short", "M_min-negative", "E-negative",
          "E-above-demand", "length-NaN", "length-Infinity", "platform-negative",
          "platform-fractional", "M-fractional",
-         "A-true", "H-true", "M_min-true", "capacity-true", "u-entry-true"],
+         "A-true", "H-true", "M_min-true", "capacity-true", "capacity-NaN", "capacity-Infinity",
+         "capacity-negative", "u-entry-true"],
 )
 def test_malformed_document_exits_1_with_an_error_line(base, kind, doc):
     with open(base["mutated"], "w", encoding="utf-8") as handle:

@@ -136,6 +136,25 @@ def test_build_protocol_reads_whole_numbers_as_table_entries(one):
     assert built == spec and type(built.u[0][0][0]) is int
 
 
+@pytest.mark.parametrize("one", [1.0, np.int64(1), np.float64(1.0)])
+def test_tuples_of_other_numbers_are_read_as_ints(one):
+    spec = fr_h(1)
+    u = [tuple(map(tuple, _with_u_entry(spec, one)[0]))]
+    built = build_protocol(spec.stations, spec.trains, u=u, s=spec.s, a=spec.a, v=spec.v, p=spec.p,
+                           eol_rule=spec.eol_rule)
+    assert built == spec and type(built.u[0][0][0]) is int
+
+
+def test_a_row_read_before_is_no_block_of_p():
+    # a's rows are read first; one of them where p holds a block of rows is ragged.
+    spec = fr_h(1)
+    a = [tuple(map(tuple, spec.a[0]))]
+    p = [(a[0][0], *spec.p[0][1:])]
+    with pytest.raises(ValueError, match=r"inhomogeneous shape after 2 dimensions. "
+                                         r"The detected shape was \(4, 2\)"):
+        build_protocol(spec.stations, spec.trains, u=spec.u, s=spec.s, a=a, v=a, p=p)
+
+
 def test_ragged_tables_are_refused():
     doc = spec_to_json(fr_h(1))
     doc["tables"]["u"][0][1] = [0, 1]
@@ -151,11 +170,53 @@ def test_ragged_tables_are_refused():
         spec_from_json(doc)
 
 
+def test_build_protocol_reads_every_table_before_checking_any():
+    # A library call reports the ragged p, as a document with the same tables does.
+    spec = fr_h(1)
+    p = [[list(map(list, block)) for block in spec.p[0]]]
+    p[0][3][1] = [0]
+    with pytest.raises(ValueError, match=r"inhomogeneous shape after 2 dimensions. "
+                                         r"The detected shape was \(4, 2\)"):
+        build_protocol(spec.stations, spec.trains, u=spec.u, s=[[1]], a=spec.a, v=spec.v, p=p)
+
+
 def test_a_null_classification_is_refused():
     doc = spec_to_json(chart_to_protocol(generate_s(3, 2, 4), ("A", "B", "C")))
     doc["tables"]["delta"] = None
     with pytest.raises(DimensionMismatch, match="delta must be S x 3"):
         spec_from_json(doc)
+
+
+@pytest.mark.parametrize("index, read", [(1, {1}), (1.0, {1}), (True, None), (1.5, None)])
+def test_never_aligned_indices_are_read_as_whole_numbers(index, read):
+    doc = spec_to_json(fr_h(1))
+    doc["tables"]["a"][0][0] = [0, 0]  # section 1, which holds unit 1, never aligns
+    doc["trains"][0]["never_aligned"] = [index]
+    if read is None:
+        with pytest.raises(SchemaError, match="is not a whole number"):
+            spec_from_json(doc)
+    else:
+        never_aligned = spec_from_json(doc).trains[0].never_aligned
+        assert never_aligned == read and all(type(m) is int for m in never_aligned)
+
+
+@pytest.mark.parametrize("index", [True, 1.0, 2.5, 0, 3])
+def test_train_types_refuse_never_aligned_indices_other_than_units(index):
+    with pytest.raises(DimensionMismatch, match="never_aligned"):
+        TrainTypeSpec.uniform("t", M=2, N=1, never_aligned=(index,))
+
+
+@pytest.mark.parametrize("capacity", [True, math.nan, math.inf, -math.inf, -1, Fraction(-1, 3)])
+def test_train_types_refuse_capacities_other_than_finite_nonnegative_numbers(capacity):
+    with pytest.raises(DimensionMismatch, match="capacities"):
+        TrainTypeSpec("t", M=2, lengths=(1.0, 1.0), capacities=(1.0, capacity), N=1)
+
+
+def test_train_types_read_capacities_given_as_strings():
+    train = TrainTypeSpec("t", M=2, lengths=(1.0, 1.0), capacities=("3/10", 0), N=1)
+    assert train.capacities == ("3/10", 0)
+    with pytest.raises(DimensionMismatch, match="capacities"):
+        TrainTypeSpec("t", M=2, lengths=(1.0, 1.0), capacities=("-3/10", 0), N=1)
 
 
 @pytest.mark.parametrize("ctor", [fr_h, fr_i, ftr])

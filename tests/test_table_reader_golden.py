@@ -35,6 +35,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from xltops import (
     build_protocol,
@@ -172,8 +173,7 @@ def faults(name: str, table) -> dict:
     """Shape faults of one table."""
     t = _lists(table)
     depth = DEPTH[name]
-    per_train = name in PER_TRAIN
-    top = 1 if per_train else 0
+    top = 1 if name in PER_TRAIN else 0  # the depth of one table
     out = {}
     for d in range(1, depth + 1):
         out[f"dropped at depth {d}"] = _at_depth(t, d - 1, _dropped)
@@ -246,13 +246,33 @@ def digests() -> dict:
     }
 
 
-def test_every_table_form_reads_as_recorded():
+@pytest.fixture(scope="module")
+def got() -> dict:
+    return digests()
+
+
+def test_every_table_form_reads_as_recorded(got):
     recorded = json.loads(GOLDEN.read_text())
-    got = digests()
     for spec_name, spec_cases in recorded.items():
         for case, expected in spec_cases.items():
             assert got[spec_name][case] == expected, (spec_name, case)
     assert got == recorded
+
+
+def test_library_calls_fail_as_documents_do(got):
+    # Both read every table before checking any, so a document's error is the
+    # library's, wrapped in SchemaError.  A null classification is the one
+    # difference: to the library, None means that there is none.
+    for spec_name, spec in base_specs().items():
+        for case, tables in cases(spec_name, spec).items():
+            result = got[spec_name][case]
+            if isinstance(result, list) and all(
+                tables.get(name, ()) is not None for name in ("delta", "epsilon")
+            ):
+                library, document = result
+                assert library.startswith("ValueError: "), (spec_name, case)
+                assert document == "SchemaError: malformed spec document: " + library.split(
+                    ": ", 1)[1], (spec_name, case)
 
 
 def record() -> None:
