@@ -204,6 +204,9 @@ class TrainTypeSpec:
     never_aligned: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
+        if any(isinstance(n, bool) or not isinstance(n, numbers.Integral)
+               for n in (self.M, self.N)):
+            raise DimensionMismatch("unit and section counts must be whole numbers")
         if self.M < 1:
             raise DimensionMismatch("a train needs at least one unit")
         if not (1 <= self.N <= self.M):
@@ -218,6 +221,10 @@ class TrainTypeSpec:
         if any(isinstance(m, bool) or not isinstance(m, numbers.Integral) or not 1 <= m <= self.M
                for m in self.never_aligned):
             raise DimensionMismatch("never_aligned indices must be unit indices 1..M")
+        # Stored as ints, so that a document writes them as numbers whatever integers came in.
+        object.__setattr__(self, "M", int(self.M))
+        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "never_aligned", frozenset(map(int, self.never_aligned)))
 
     @classmethod
     def uniform(
@@ -537,6 +544,33 @@ def fraction_sum(xs: Iterable[Fraction]) -> Fraction:
     return Fraction(sum(numerators), k)
 
 
+def _listed(x) -> tuple:
+    """A list field as a tuple: a string is refused (TypeError), not read as its characters."""
+    if isinstance(x, str):
+        raise TypeError(f"expected a list, not the string {x!r}")
+    return tuple(x)
+
+
+def _read_numbers(xs: Sequence, memo: dict) -> tuple[Fraction, ...]:
+    """Entries through ``_as_fraction``, each distinct one once: ``memo`` maps (type, value) to it.
+
+    Keying by type keeps 1, 1.0, "1" and True apart, and equal entries share one
+    ``Fraction``.  New entries are converted in the order they first occur, so the first
+    entry that is no number raises; an unhashable entry is no number, and the entries are
+    then converted one by one to find the first that is none.
+    """
+    keys = list(zip(map(type, xs), xs))
+    try:
+        new = [key for key in dict.fromkeys(keys) if key not in memo]
+    except TypeError:
+        for x in xs:
+            _as_fraction(x)
+        raise
+    for key in new:
+        memo[key] = _as_fraction(key[1])
+    return tuple(map(memo.__getitem__, keys))
+
+
 @dataclass(frozen=True)
 class LineInstance:
     """An ordered line: stations, platform lengths, headway and demand.
@@ -545,6 +579,12 @@ class LineInstance:
     on and below the diagonal.  ``M_min`` holds the equity floor on the
     metered entry rate of each station.  ``flows`` lists each demanded
     flow ``(s, s', A[s][s'])``, a positive entry of A, in (s, s') order.
+
+    Each distinct number of A and ``M_min`` is read once, and equal
+    entries share one ``Fraction``.  The rows of A are summed, and the
+    signs and ``M_min`` checked, as integers over one scale: the lcm of
+    the denominators of A's distinct entries.  A number that cannot be
+    read, or a string given for a list, raises DimensionMismatch.
     """
 
     stations: tuple[str, ...]
@@ -555,34 +595,52 @@ class LineInstance:
     station_types: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        S = len(self.stations)
-        if not S:
-            raise DimensionMismatch("a line needs at least one station")
-        object.__setattr__(self, "H", _as_fraction(self.H))
-        A = tuple(tuple(_as_fraction(x) for x in row) for row in self.A)
+        memo: dict = {}
+        try:
+            object.__setattr__(self, "stations", _listed(self.stations))
+            S = len(self.stations)
+            if not S:
+                raise DimensionMismatch("a line needs at least one station")
+            object.__setattr__(self, "H", _as_fraction(self.H))
+            A = tuple(_read_numbers(row, memo) for row in map(_listed, _listed(self.A)))
+            values = list(memo.values())  # the distinct entries of A
+            M_min = () if self.M_min is None else _listed(self.M_min)
+            M_min = _read_numbers(M_min, memo) if M_min else (Fraction(0),) * S
+            if self.station_types is not None:
+                object.__setattr__(self, "station_types", _listed(self.station_types))
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise DimensionMismatch(str(exc)) from exc
         object.__setattr__(self, "A", A)
-        if not self.M_min:
-            object.__setattr__(self, "M_min", (Fraction(0),) * S)
-        else:
-            object.__setattr__(self, "M_min", tuple(_as_fraction(x) for x in self.M_min))
-        if any(len(x) != S for x in (self.platform_lengths, A, self.M_min, *A)):
+        object.__setattr__(self, "M_min", M_min)
+        if any(len(x) != S for x in (self.platform_lengths, A, M_min, *A)):
             raise DimensionMismatch("line tables must all be S-sized")
         if any(not isinstance(x, numbers.Integral) or x < 1 for x in self.platform_lengths):
             raise DimensionMismatch("platform lengths must be whole numbers >= 1")
+        object.__setattr__(self, "platform_lengths", tuple(map(int, self.platform_lengths)))
         if self.station_types is not None and len(self.station_types) != S:
             raise DimensionMismatch("station_types must have one label per station")
         if self.H <= 0:
             raise DimensionMismatch("headway must be positive")
-        flows = tuple((z, sp, x) for z, row in enumerate(A) for sp, x in enumerate(row) if x)
-        for z, sp, x in flows:
-            if x < 0:
-                raise DimensionMismatch("demand must be nonnegative")
-            if sp <= z:
-                raise DimensionMismatch("demand must vanish for s' <= s")
-        object.__setattr__(self, "flows", flows)
-        object.__setattr__(self, "_row_sums", tuple(map(fraction_sum, A)))
-        for z, m in enumerate(self.M_min):
-            if not 0 <= m <= self.demand_rate(z):
+        k, scaled = over_lcm(values)
+        times_k = dict(zip(map(id, values), scaled))
+        flows, sums, misplaced = [], [], False
+        for z, row in enumerate(A):
+            row_k = list(map(times_k.__getitem__, map(id, row)))
+            misplaced = misplaced or any(row_k[:z + 1])
+            sums.append(sum(row_k))
+            flows += [(z, sp, x) for sp, x, n in zip(range(z + 1, S), row[z + 1:], row_k[z + 1:])
+                      if n]
+        if misplaced or min(scaled, default=0) < 0:
+            for z, row in enumerate(A):  # the first demanded flow at fault, in (s, s') order
+                for sp, x in enumerate(row):
+                    if x < 0:
+                        raise DimensionMismatch("demand must be nonnegative")
+                    if x and sp <= z:
+                        raise DimensionMismatch("demand must vanish for s' <= s")
+        object.__setattr__(self, "flows", tuple(flows))
+        object.__setattr__(self, "_row_sums", tuple(Fraction(n, k) for n in sums))
+        for z, (m, n) in enumerate(zip(M_min, sums)):
+            if not 0 <= m.numerator * k <= n * m.denominator:
                 raise DimensionMismatch(
                     f"minimum entry rate at station {z + 1} lies outside [0, its demand]"
                 )
@@ -721,12 +779,16 @@ def line_from_json(doc: dict) -> LineInstance:
     _check_schema(doc, "line")
     try:
         return LineInstance(
-            stations=tuple(doc["stations"]),
+            stations=doc["stations"],
             platform_lengths=tuple(map(_whole, doc["platform_lengths"])),
             H=doc["H"],
             A=doc["A"],
-            M_min=tuple(doc.get("M_min", ())),
-            station_types=tuple(doc["station_types"]) if "station_types" in doc else None,
+            M_min=_listed(doc.get("M_min", ())),  # null is refused, not read as no floor
+            station_types=_listed(doc["station_types"]) if "station_types" in doc else None,
         )
+    except DimensionMismatch as exc:
+        if exc.__cause__ is None:  # read, but not a line
+            raise
+        raise SchemaError(f"malformed line document: {exc}") from exc.__cause__
     except DOCUMENT_ERRORS as exc:
         raise SchemaError(f"malformed line document: {exc}") from exc

@@ -7,6 +7,8 @@ a flow or rider is an unreduced pair (p, q) meaning p/q passengers per
 train, each row of loads is accumulated over one scale k (the lcm of its
 riders' q), and each reported load is formed as ``Fraction(v, k)`` once,
 so a whole row of sums costs one gcd per link rather than one per addition.
+The overcrowding test and the thinning of entry rates work on the same
+integer numerators and denominators.
 
 Conventions: stations are 0-based indices along the travel direction;
 link ``s`` is the stretch departing station ``s`` (0 .. S-2).  Loads are
@@ -30,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core_model import LineInstance, ProtocolSpec, _as_fraction, fraction_sum
 from .errors import AmbiguousAssignment, DimensionMismatch, NonpositiveSpeed
@@ -179,6 +181,7 @@ def build_assignment_split(
     aboard = [0] * N  # per section, as the train leaves station z
     alighting = [[0] * N for _ in range(S)]  # per station, per section
     flows = [[()] * S for _ in range(S)]
+    whole = [((n, Fraction(1)),) for n in range(N)]  # one shares tuple per section
     for z in range(S):
         aboard = [x - y for x, y in zip(aboard, alighting[z])]
         for sp in range(z + 1, S):
@@ -189,7 +192,7 @@ def build_assignment_split(
             chosen = next((n for n in candidates if aboard[n] + pax <= room[n]), None)
             if chosen is None:
                 chosen = min(candidates, key=aboard.__getitem__)
-            flows[z][sp] = ((chosen, Fraction(1)),)
+            flows[z][sp] = whole[chosen]
             aboard[chosen] += pax
             alighting[sp][chosen] += pax
     return AssignmentTensor(N, tuple(map(tuple, flows)))
@@ -237,32 +240,49 @@ def link_loads(rows: int, S: int, riders: Iterable[tuple]) -> list[list[Fraction
 
 
 def _thinned(line: LineInstance, entry_rates: Sequence[Fraction]) -> list[tuple]:
-    """(z, sp, p, q) of each flow with riders: p/q = H·E_z·A[z][sp]/A_z passengers per train."""
+    """(z, sp, p, q) of each flow with riders: p/q = H·E_z·A[z][sp]/A_z passengers per train.
+
+    Each station's H·E_z/A_z and the test 0 <= E_z <= A_z are worked on integer
+    numerators and denominators; p/q need not be in lowest terms.
+    """
     if len(entry_rates) != line.S:
         raise DimensionMismatch(f"{len(entry_rates)} entry rates for {line.S} stations")
-    scale = []  # H·E_z/A_z per station, as (numerator, denominator)
+    h, g = line.H.numerator, line.H.denominator
+    scale = []  # H·E_z/A_z per station, as (numerator, denominator) in lowest terms
     for z, e in enumerate(map(Fraction, entry_rates)):
         A_z = line.demand_rate(z)
-        if not 0 <= e <= A_z:
+        p, q = e.numerator, e.denominator
+        a, b = A_z.numerator, A_z.denominator
+        if p < 0 or p * b > a * q:
             raise DimensionMismatch(f"entry rate {e} at station {z + 1} lies outside [0, {A_z}]")
-        f = line.H * e / A_z if e else e
-        scale.append((f.numerator, f.denominator))
+        p, q = h * p * b, g * q * a
+        d = math.gcd(p, q)
+        scale.append((p // d, q // d) if p else (0, 1))
     return [(z, sp, x.numerator * scale[z][0], x.denominator * scale[z][1])
             for z, sp, x in line.flows if scale[z][0]]
 
 
-def _flow_loads(assignment: AssignmentTensor, S: int, flows: list[tuple]) -> list[list[Fraction]]:
-    """Each section's shares of thinned flows, as loads on links 0 .. S-2."""
-    return link_loads(assignment.N, S, ((n, z, sp, p * share.numerator, q * share.denominator)
-                                        for z, sp, p, q in flows
-                                        for n, share in assignment.flows[z][sp]))
+def _riders(assignment: AssignmentTensor, flows: list[tuple]) -> Iterator[tuple]:
+    """Each section's share of each thinned flow, as riders of ``link_sums``.
+
+    The assignment shares one tuple of shares between the flows of a type pair, so
+    each tuple is split into (section, numerator, denominator) once.
+    """
+    split: dict[int, list[tuple]] = {}  # by id of a tuple of shares
+    for z, sp, p, q in flows:
+        shares = assignment.flows[z][sp]
+        parts = split.get(id(shares))
+        if parts is None:
+            parts = split[id(shares)] = [(n, x.numerator, x.denominator) for n, x in shares]
+        for n, a, b in parts:
+            yield n, z, sp, p * a, q * b
 
 
 def section_loads(
     assignment: AssignmentTensor, line: LineInstance, entry_rates: Sequence[Fraction]
 ) -> list[list[Fraction]]:
     """Passengers per train on each section and link; each E_z must lie in [0, A_z]."""
-    return _flow_loads(assignment, line.S, _thinned(line, entry_rates))
+    return link_loads(assignment.N, line.S, _riders(assignment, _thinned(line, entry_rates)))
 
 
 def load_coefficients(
@@ -301,13 +321,17 @@ def simulate_loads(
     Overcrowding and demand that no section presents are reported, not fatal.
     """
     flows = _thinned(line, entry_rates)
-    load = tuple(map(tuple, _flow_loads(assignment, line.S, flows)))
+    sums = link_sums(assignment.N, line.S, _riders(assignment, flows))
+    load = tuple(tuple(Fraction(v, k) for v in row) for k, row in sums)
     caps = tuple(Fraction(c) for c in C_n)
-    over = tuple((n, s) for n, row in enumerate(load) for s, x in enumerate(row) if x > caps[n])
+    over = []
+    for n, ((k, row), C) in enumerate(zip(sums, caps)):
+        c, d = C.numerator * k, C.denominator  # a load v/k exceeds C when v·d > c
+        over += [(n, s) for s, v in enumerate(row) if v * d > c]
     unserved = tuple(
         (z, sp, Fraction(p, q)) for z, sp, p, q in flows if not assignment.flows[z][sp]
     )
-    return LoadProfile(load=load, C_n=caps, overcrowded=over, unserved=unserved)
+    return LoadProfile(load=load, C_n=caps, overcrowded=tuple(over), unserved=unserved)
 
 
 def max_unit_density(rows: Sequence[Sequence[Fraction]], section_sizes: Sequence[int]) -> Fraction:

@@ -26,6 +26,8 @@ from .core_model import (
     LineInstance,
     ProtocolSpec,
     SCHEMA_VERSION,
+    _as_fraction,
+    _listed,
     fr_h,
     fr_i,
     ftr,
@@ -308,7 +310,7 @@ def _cmd_simulate(args) -> int:
         if not isinstance(rates_doc, dict) or rates_doc.get("kind") != "rates":
             raise SchemaError("entries file must be a 'rates' document")
         try:
-            rates = [Fraction(str(x)) for x in rates_doc["E"]]
+            rates = list(map(_as_fraction, _listed(rates_doc["E"])))  # as the line reads A
         except DOCUMENT_ERRORS as exc:
             raise SchemaError(f"malformed rates document: {exc}") from exc
     else:

@@ -166,13 +166,18 @@ def _with(kind, value, *path):
         ("spec", _with("spec", math.inf, "trains", 0, "capacities", 0)),
         ("spec", _with("spec", -1, "trains", 0, "capacities", 0)),
         ("spec", _with("spec", True, "tables", "u", 0, 0, 0)),
+        ("line", _with("line", "0123", "A", 0)),
+        ("line", _with("line", "0000", "M_min")),
+        ("line", _with("line", "abcd", "stations")),
+        ("rates", _with("rates", "6310", "E")),
     ],
     ids=["stations-d-1", "stations-without-types", "M-Infinity", "H-Infinity", "no-bars",
          "label-true", "label-7", "M_min-too-long", "M_min-too-short", "M_min-negative", "E-negative",
          "E-above-demand", "length-NaN", "length-Infinity", "platform-negative",
          "platform-fractional", "M-fractional",
          "A-true", "H-true", "M_min-true", "capacity-true", "capacity-NaN", "capacity-Infinity",
-         "capacity-negative", "u-entry-true"],
+         "capacity-negative", "u-entry-true", "A-row-string", "M_min-string", "stations-string",
+         "E-string"],
 )
 def test_malformed_document_exits_1_with_an_error_line(base, kind, doc):
     with open(base["mutated"], "w", encoding="utf-8") as handle:
@@ -220,3 +225,21 @@ def test_unserved_demand_gets_a_warning_line(tmp_path):
     code, written, err_out = _run([*argv, "--out", str(tmp_path / "loads.txt")])
     assert (code, written, err_out) == (0, "", err)
     assert (tmp_path / "loads.txt").read_bytes() == out.encode()
+
+
+def test_entry_rates_are_read_as_the_line_reads_its_numbers(tmp_path):
+    # 5/7 as a JSON float is read as 5/7 in the line, so sending it back as E_1 is full demand.
+    line = line_to_json(make_line(("R", "F"), [[0, 1], [0, 0]]))
+    line["A"][0][1] = 5 / 7
+    paths = {}
+    for name, doc in (("spec", DOCUMENTS["spec"]), ("line", line),
+                      ("float", {"schema_version": 1, "kind": "rates", "E": [5 / 7, 0]}),
+                      ("string", {"schema_version": 1, "kind": "rates", "E": ["5/7", 0]})):
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+    argv = ["simulate", "--spec", paths["spec"], "--line", paths["line"], "--split", "balanced"]
+    full = _run(argv)
+    assert full[0] == 0 and full[2] == "", full
+    for rates in ("float", "string"):
+        assert _run([*argv, "--entries", paths[rates]]) == full, rates

@@ -43,6 +43,8 @@ from xltops.errors import (
     UnknownStationType,
 )
 
+from xltops.core_model import _as_fraction, train_tables
+
 from conftest import make_line, seed_from_env
 
 
@@ -274,6 +276,60 @@ def test_line_instance_invariants():
         )
     with pytest.raises(DimensionMismatch, match="at least one station"):
         LineInstance(stations=(), platform_lengths=(), H=1, A=())
+
+
+@pytest.mark.parametrize("bad", [True, "x", None, math.nan, [1]],
+                         ids=["true", "x", "None", "NaN", "list"])
+@pytest.mark.parametrize("field", ["A", "H", "M_min"])
+def test_line_numbers_that_cannot_be_read_raise_dimension_mismatch(field, bad):
+    with pytest.raises((TypeError, ValueError)) as plain:
+        _as_fraction(bad)
+    fields = {"A": [[0, 1], [0, 0]], "H": 1, "M_min": [0, 0]}
+    if field == "H":
+        fields["H"] = bad
+    else:
+        fields[field][-1] = bad if field == "M_min" else [0, bad]
+    with pytest.raises(DimensionMismatch) as typed:
+        LineInstance(stations=("a", "b"), platform_lengths=(9, 9), **fields)
+    assert str(typed.value) == str(plain.value)
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [("A", ["01", "00"]), ("A", "0100"), ("M_min", "00"), ("stations", "ab"),
+     ("station_types", "FR")],
+    ids=["A-rows", "A", "M_min", "stations", "station_types"],
+)
+def test_a_string_is_no_list_of_its_characters(field, text):
+    fields = {"stations": ("a", "b"), "platform_lengths": (9, 9), "H": 1,
+              "A": ((0, 1), (0, 0)), "M_min": (0, 0), "station_types": ("F", "R")}
+    doc = line_to_json(LineInstance(**fields))
+    with pytest.raises(DimensionMismatch, match="not the string"):
+        LineInstance(**{**fields, field: text})
+    doc[field] = text
+    with pytest.raises(SchemaError, match="not the string"):
+        line_from_json(doc)
+
+
+def test_numpy_integers_are_written_as_json_numbers():
+    i = np.int64
+    u, a, v, p, stops = train_tables((1, 2, 1), ((1, 0), (1, 1), (0, 0)))
+    train = TrainTypeSpec("xlt", M=i(4), lengths=(1.0,) * 4, capacities=(1.0,) * 4, N=i(3),
+                          never_aligned=frozenset({i(4)}))
+    spec = build_protocol(StationTypeCatalog(("F", "R"), {"F": 3, "R": 2}), [train],
+                          u=[u], s=[stops], a=[a], v=[v], p=[p])
+    back = spec_from_json(json.loads(json.dumps(spec_to_json(spec))))
+    assert back.trains == spec.trains and back.a == spec.a
+    assert {type(n) for n in (train.M, train.N, *train.never_aligned)} == {int}
+    line = make_line(("F", "R"), [[0, 1], [0, 0]], platform_lengths=(i(9), i(4)))
+    assert line_from_json(json.loads(json.dumps(line_to_json(line)))) == line
+    assert {type(n) for n in line.platform_lengths} == {int}
+
+
+@pytest.mark.parametrize("M, N", [(4, 2.5), (4.0, 2), (True, 1), (2, True)])
+def test_train_types_refuse_counts_other_than_whole_numbers(M, N):
+    with pytest.raises(DimensionMismatch, match="whole numbers"):
+        TrainTypeSpec("t", M=M, lengths=(1.0,) * 4, capacities=(1.0,) * 4, N=N)
 
 
 def test_line_demand_rate_and_classification():
