@@ -12,10 +12,11 @@ train types, units and sections:
   p       - presentation (section x origin type x destination type)
 
 All tables are stored as tuples of tuples of Python ints 0 and 1, one
-tuple per row.  ``build_protocol`` reads every table, through the one
-walk ``_read_table``, before it checks any, for library calls and
-documents alike; then it enforces the structural invariants (shapes,
-row sums, and E1: every section is a consecutive run of units).
+tuple per row.  ``build_protocol`` reads every table, each on its own
+through the one level-by-level walk ``_read_table``, before it checks
+any, for library calls and documents alike; then it enforces the
+structural invariants (shapes, row sums, and E1: every section is a
+consecutive run of units).
 ``feasibility`` checks the behavioural constraints E2-E6.
 ``train_tables`` lays out the tables of one train of consecutive
 sections, for the built-in constructors and for
@@ -28,8 +29,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, repeat
-from operator import countOf
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -55,9 +55,19 @@ _BITS = {0, 1}
 _ROWS = {list, tuple}
 
 
+def _integer(x) -> bool:
+    """Whether x is an integer other than a boolean (numpy integers count)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _real(x) -> bool:
+    """Whether x is a real number other than a boolean."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _bit(x) -> int | None:
     """An entry as 0 or 1: an integer other than a boolean, or a whole float; else None."""
-    if isinstance(x, bool) or not isinstance(x, (numbers.Integral, float)) or x not in (0, 1):
+    if not (_integer(x) or isinstance(x, float)) or x not in (0, 1):
         return None
     return int(x)
 
@@ -70,7 +80,7 @@ def _ragged(shape: list[int]) -> ValueError:
     )
 
 
-def _read_table(x, shape: tuple | None, distinct: dict) -> tuple[tuple[int, ...], Table | None]:
+def _read_table(x, shape: tuple | None) -> tuple[tuple[int, ...], Table | None]:
     """A table's shape, and its nested tuples if it has ``shape`` and only 0/1 entries, else None.
 
     The table is walked once, a level at a time, as an array constructor
@@ -80,78 +90,46 @@ def _read_table(x, shape: tuple | None, distinct: dict) -> tuple[tuple[int, ...]
     rows mixed with entries, raises ValueError.  ``None`` in ``shape``
     stands for any length; with ``shape`` None the shape is only found.
 
-    ``distinct`` is shared by the reads of one protocol's tables.  It
-    holds each good row, keyed by its value and by its id, so equal
-    rows become one tuple.  An object met twice at one level is read
-    once, and a row that already is one of those tuples is not read
-    again (as a presentation table holds the alignment rows).
+    Rows whose entries are all ints 0 and 1 are taken as they are (a
+    tuple row stays itself); otherwise every entry goes through ``_bit``.
+    At a level that is not all lists, an object met more than once (as a
+    presentation table holds the alignment rows) is looked into once.
     """
     found: list[int] = []
-    levels: list[tuple[list, dict]] = []  # per level: its objects, and by id those to read
-    level, skipped, exact = [x], False, False
+    level, rows = [x], None
     while level:
-        unread = dict(zip(map(id, level), level))
-        if not _ROWS.issuperset(map(type, unread.values())):
-            nodes = [e.tolist() if hasattr(e, "tolist") else e for e in level]
-            nested = [isinstance(e, (list, tuple)) for e in nodes]
+        types = set(map(type, level))
+        if not _ROWS.issuperset(types):
+            level = [e.tolist() if hasattr(e, "tolist") else e for e in level]
+            nested = [isinstance(e, (list, tuple)) for e in level]
             if not any(nested):
-                level = nodes
                 break
             if not all(nested):
                 raise _ragged(found)
-            unread = dict(zip(map(id, level), nodes))
-        if skipped:
-            raise _ragged(found)  # the rows skipped above hold entries, so this level must too
-        widths = set(map(len, unread.values()))
+        widths = set(map(len, level))
         if len(widths) > 1:
             raise _ragged(found)
         found.append(widths.pop())
-        known = unread.keys() & distinct.keys()
-        for i in known:
-            del unread[i]
-        skipped = bool(known)
-        levels.append((level, unread))
-        # Children that are all ints are the entries, to be read as they are (a first
-        # child that is not an int spares counting a level of rows).
-        first = next(chain.from_iterable(unread.values()), 0)
-        exact = type(first) is int and countOf(
-            map(type, chain.from_iterable(unread.values())), int) == found[-1] * len(unread)
-        level = [] if exact else list(chain.from_iterable(unread.values()))
+        looked = level if types == {list} else dict(zip(map(id, level), level)).values()
+        if ({int}.issuperset(map(type, chain.from_iterable(looked)))
+                and _BITS.issuperset(chain.from_iterable(looked))):
+            rows, level = level, []
+        else:
+            level = list(chain.from_iterable(level))
     found = tuple(found)
     if shape is None or len(found) != len(shape) or any(
         n not in (None, g) for n, g in zip(shape, found)
     ):
         return found, None
-    if exact:
-        rows = map(tuple, levels[-1][1].values())
-    else:
+    if rows is None:
         bits = list(map(_bit, level))
         if None in bits:
             return found, None
-        entries = iter(bits)
-        rows = [tuple(islice(entries, found[-1])) for _ in levels[-1][1]]
-    good = []
-    for row in rows:
-        interned = distinct.get(row)
-        if interned is None:
-            if not _BITS.issuperset(row):
-                return found, None
-            interned = distinct[row] = distinct[id(row)] = row
-        good.append(interned)
-    # A table of tuples whose rows all read as themselves is returned as it is.
-    if all(type(node) is tuple and id(node) == i
-           for _, unread in levels[:-1] for i, node in unread.items()
-           ) and list(map(id, good)) == list(levels[-1][1]):
-        return found, x
-    # good holds the tables read at each level, in the order of their objects there.
-    for depth in range(len(levels) - 1, -1, -1):
-        level, unread = levels[depth]
-        if len(unread) < len(level):
-            by_id = dict(zip(unread, good))
-            good = list(map(by_id.get, map(id, level), level))
-        if depth:
-            good = list(zip(*[iter(good)] * found[depth - 1]))
-    return found, good[0]
+        rows = zip(*[iter(bits)] * found[-1])
+    table = list(map(tuple, rows))
+    for n in reversed(found[:-1]):
+        table = list(zip(*[iter(table)] * n))
+    return found, table[0]
 
 
 @dataclass(frozen=True)
@@ -167,8 +145,11 @@ class StationTypeCatalog:
         if set(self.d) != set(self.types):
             raise DimensionMismatch("platform lengths must cover exactly the declared types")
         for i, length in self.d.items():
-            if length < 1:
-                raise DimensionMismatch(f"platform length for type {i!r} must be >= 1")
+            if not _integer(length) or length < 1:
+                raise DimensionMismatch(
+                    f"platform length for type {i!r} must be a whole number >= 1")
+        # Stored as ints, so that a document writes them as numbers whatever integers came in.
+        object.__setattr__(self, "d", {i: int(length) for i, length in self.d.items()})
 
     @property
     def C(self) -> int:
@@ -204,8 +185,7 @@ class TrainTypeSpec:
     never_aligned: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        if any(isinstance(n, bool) or not isinstance(n, numbers.Integral)
-               for n in (self.M, self.N)):
+        if not (_integer(self.M) and _integer(self.N)):
             raise DimensionMismatch("unit and section counts must be whole numbers")
         if self.M < 1:
             raise DimensionMismatch("a train needs at least one unit")
@@ -213,13 +193,12 @@ class TrainTypeSpec:
             raise DimensionMismatch("section count must satisfy 1 <= N <= M")
         if len(self.lengths) != self.M or len(self.capacities) != self.M:
             raise DimensionMismatch("per-unit lengths/capacities must have M entries")
-        if any(not (math.isfinite(l) and l > 0) for l in self.lengths):
-            raise DimensionMismatch("unit lengths must be positive and finite")
+        if any(not (_real(l) and math.isfinite(l) and l > 0) for l in self.lengths):
+            raise DimensionMismatch("unit lengths must be positive and finite numbers")
         capacities = (_as_fraction(c) if isinstance(c, str) else c for c in self.capacities)
-        if any(isinstance(c, bool) or not 0 <= c < math.inf for c in capacities):
+        if any(not (_real(c) and 0 <= c < math.inf) for c in capacities):
             raise DimensionMismatch("unit capacities must be nonnegative and finite")
-        if any(isinstance(m, bool) or not isinstance(m, numbers.Integral) or not 1 <= m <= self.M
-               for m in self.never_aligned):
+        if any(not (_integer(m) and 1 <= m <= self.M) for m in self.never_aligned):
             raise DimensionMismatch("never_aligned indices must be unit indices 1..M")
         # Stored as ints, so that a document writes them as numbers whatever integers came in.
         object.__setattr__(self, "M", int(self.M))
@@ -321,20 +300,18 @@ def build_protocol(
     """
     trains = tuple(trains)
     K, C = len(trains), stations.C
-    distinct: dict = {}
 
     def read(tables, shapes: list[tuple]) -> list:
         # A table beyond the K train types is read for its shape only.
-        return [_read_table(x, shape, distinct)
-                for x, shape in zip(tables, chain(shapes, repeat(None)))]
+        return [_read_table(x, shape) for x, shape in zip(tables, chain(shapes, repeat(None)))]
 
     u = read(u, [(t.M, t.N) for t in trains])
-    s_shape, s_t = _read_table(s, (K, C), distinct)
+    s_shape, s_t = _read_table(s, (K, C))
     a = read(a, [(t.N, C) for t in trains])
     v = read(v, [(t.N, C) for t in trains])
     p = read(p, [(t.N, C, C) for t in trains])
-    delta = None if delta is None else _read_table(delta, (None, C), distinct)
-    epsilon = None if epsilon is None else _read_table(epsilon, (None, K), distinct)
+    delta = None if delta is None else _read_table(delta, (None, C))
+    epsilon = None if epsilon is None else _read_table(epsilon, (None, K))
 
     if K == 0:
         raise DimensionMismatch("at least one train type is required")
@@ -614,7 +591,7 @@ class LineInstance:
         object.__setattr__(self, "M_min", M_min)
         if any(len(x) != S for x in (self.platform_lengths, A, M_min, *A)):
             raise DimensionMismatch("line tables must all be S-sized")
-        if any(not isinstance(x, numbers.Integral) or x < 1 for x in self.platform_lengths):
+        if any(not _integer(x) or x < 1 for x in self.platform_lengths):
             raise DimensionMismatch("platform lengths must be whole numbers >= 1")
         object.__setattr__(self, "platform_lengths", tuple(map(int, self.platform_lengths)))
         if self.station_types is not None and len(self.station_types) != S:
@@ -721,16 +698,16 @@ def spec_from_json(doc: dict) -> ProtocolSpec:
     _check_schema(doc, "spec")
     try:
         stations = StationTypeCatalog(
-            types=tuple(doc["stations"]["types"]),
+            types=_listed(doc["stations"]["types"]),
             d={i: _whole(x) for i, x in doc["stations"]["d"].items()},
         )
         trains = tuple(
             TrainTypeSpec(
                 label=t["label"],
                 M=_whole(t["M"]),
-                lengths=tuple(t["lengths"]),
+                lengths=_listed(t["lengths"]),
                 capacities=tuple(
-                    _as_fraction(c) if isinstance(c, str) else c for c in t["capacities"]
+                    _as_fraction(c) if isinstance(c, str) else c for c in _listed(t["capacities"])
                 ),
                 N=_whole(t["N"]),
                 never_aligned=frozenset(map(_whole, t.get("never_aligned", ()))),
@@ -742,8 +719,8 @@ def spec_from_json(doc: dict) -> ProtocolSpec:
         if "eol_rule" in doc:
             rule = EolRule(
                 name=doc["eol_rule"]["name"],
-                first_types=frozenset(doc["eol_rule"]["first_types"]),
-                last_types=frozenset(doc["eol_rule"]["last_types"]),
+                first_types=frozenset(_listed(doc["eol_rule"]["first_types"])),
+                last_types=frozenset(_listed(doc["eol_rule"]["last_types"])),
             )
         # A classification given as null is refused as a table of the wrong shape.
         return build_protocol(

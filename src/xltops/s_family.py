@@ -40,6 +40,7 @@ from .core_model import (
     StationTypeCatalog,
     TrainTypeSpec,
     _check_schema,
+    _listed,
     _whole,
     build_protocol,
     derive_parts,
@@ -564,7 +565,7 @@ def chart_from_json(doc: dict) -> BarChart | MultiTrainChart:
             charts=tuple(
                 (entry["train"], chart_from_json(entry["chart"])) for entry in doc["charts"]
             ),
-            rotation=tuple(doc["rotation"]),
+            rotation=_listed(doc["rotation"]),
         )
     except DOCUMENT_ERRORS as exc:
         raise SchemaError(f"malformed chart document: {exc}") from exc

@@ -170,6 +170,12 @@ def _with(kind, value, *path):
         ("line", _with("line", "0000", "M_min")),
         ("line", _with("line", "abcd", "stations")),
         ("rates", _with("rates", "6310", "E")),
+        ("spec", _with("spec", True, "trains", 0, "lengths", 0)),
+        ("spec", _with("spec", "FR", "stations", "types")),
+        ("spec", _with("spec", "1111", "trains", 0, "capacities")),
+        ("spec", _with("spec", "R", "eol_rule", "first_types")),
+        ("spec", _with("spec", "F", "eol_rule", "last_types")),
+        ("multichart", _with("multichart", "12", "rotation")),
     ],
     ids=["stations-d-1", "stations-without-types", "M-Infinity", "H-Infinity", "no-bars",
          "label-true", "label-7", "M_min-too-long", "M_min-too-short", "M_min-negative", "E-negative",
@@ -177,7 +183,8 @@ def _with(kind, value, *path):
          "platform-fractional", "M-fractional",
          "A-true", "H-true", "M_min-true", "capacity-true", "capacity-NaN", "capacity-Infinity",
          "capacity-negative", "u-entry-true", "A-row-string", "M_min-string", "stations-string",
-         "E-string"],
+         "E-string", "length-true", "types-string", "capacities-string", "first_types-string",
+         "last_types-string", "rotation-string"],
 )
 def test_malformed_document_exits_1_with_an_error_line(base, kind, doc):
     with open(base["mutated"], "w", encoding="utf-8") as handle:

@@ -18,7 +18,10 @@ from xltops import (
     build_assignment,
     build_assignment_split,
     build_protocol,
+    chart_from_json,
+    chart_to_json,
     chart_to_protocol,
+    compose_skip_stop,
     check_eol,
     derive_gate_signs,
     derive_parts,
@@ -59,11 +62,23 @@ def test_catalog_lengths_follow_type_order():
     assert cat.index("R") == 1
 
 
+@pytest.mark.parametrize("length", [2.5, 3.0, True, "3", None, 0, np.bool_(True)])
+def test_catalog_refuses_platform_lengths_other_than_whole_numbers_from_1(length):
+    with pytest.raises(DimensionMismatch, match="platform length for type 'R'"):
+        StationTypeCatalog(types=("F", "R"), d={"F": 3, "R": length})
+
+
 def test_train_spec_validates_shapes():
     with pytest.raises(DimensionMismatch):
         TrainTypeSpec.uniform("t", M=4, N=5)
     with pytest.raises(DimensionMismatch):
         TrainTypeSpec(label="t", M=2, lengths=(1.0,), capacities=(1.0, 1.0), N=1)
+
+
+@pytest.mark.parametrize("length", [True, "1", "x", None, [1.0], math.nan, 0, -1.0])
+def test_train_types_refuse_unit_lengths_other_than_positive_finite_numbers(length):
+    with pytest.raises(DimensionMismatch, match="unit lengths"):
+        TrainTypeSpec("t", M=2, lengths=(1.0, length), capacities=(1.0, 1.0), N=1)
 
 
 def test_build_protocol_rejects_nonconsecutive_section():
@@ -311,16 +326,40 @@ def test_a_string_is_no_list_of_its_characters(field, text):
         line_from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "path, text",
+    [(("stations", "types"), "FR"), (("trains", 0, "capacities"), "1111"),
+     (("trains", 0, "lengths"), "1111"), (("eol_rule", "first_types"), "R"),
+     (("eol_rule", "last_types"), "F"), (("rotation",), "12")],
+    ids=["types", "capacities", "lengths", "first_types", "last_types", "rotation"],
+)
+def test_a_spec_or_chart_document_string_is_no_list_of_its_characters(path, text):
+    if path == ("rotation",):
+        chart = generate_s(3, 2, 2)
+        doc = chart_to_json(compose_skip_stop(chart, [("1", "ABC"), ("2", "ACB")]))
+        read = chart_from_json
+    else:
+        doc, read = spec_to_json(fr_h(1)), spec_from_json
+    read(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = text
+    with pytest.raises(SchemaError, match="not the string"):
+        read(doc)
+
+
 def test_numpy_integers_are_written_as_json_numbers():
     i = np.int64
     u, a, v, p, stops = train_tables((1, 2, 1), ((1, 0), (1, 1), (0, 0)))
     train = TrainTypeSpec("xlt", M=i(4), lengths=(1.0,) * 4, capacities=(1.0,) * 4, N=i(3),
                           never_aligned=frozenset({i(4)}))
-    spec = build_protocol(StationTypeCatalog(("F", "R"), {"F": 3, "R": 2}), [train],
+    spec = build_protocol(StationTypeCatalog(("F", "R"), {"F": i(3), "R": np.int8(2)}), [train],
                           u=[u], s=[stops], a=[a], v=[v], p=[p])
     back = spec_from_json(json.loads(json.dumps(spec_to_json(spec))))
-    assert back.trains == spec.trains and back.a == spec.a
-    assert {type(n) for n in (train.M, train.N, *train.never_aligned)} == {int}
+    assert back.trains == spec.trains and back.a == spec.a and back.stations == spec.stations
+    assert {type(n) for n in (train.M, train.N, *train.never_aligned,
+                              *spec.stations.d.values())} == {int}
     line = make_line(("F", "R"), [[0, 1], [0, 0]], platform_lengths=(i(9), i(4)))
     assert line_from_json(json.loads(json.dumps(line_to_json(line)))) == line
     assert {type(n) for n in line.platform_lengths} == {int}
@@ -360,7 +399,8 @@ def test_line_flows_and_row_sums_follow_a():
         assert relabelled.flows == line.flows
 
 
-@pytest.mark.parametrize("lengths", [(9, 0), (9, -1), (9.7, 9), (9, math.nan), (9, "9")])
+@pytest.mark.parametrize(
+    "lengths", [(9, 0), (9, -1), (9.7, 9), (9, math.nan), (9, "9"), (9, True)])
 def test_line_rejects_platform_lengths_that_are_not_whole_numbers_from_1(lengths):
     with pytest.raises(DimensionMismatch, match="platform lengths"):
         make_line(("F", "R"), [[0, 1], [0, 0]], platform_lengths=lengths)

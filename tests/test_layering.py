@@ -4,7 +4,9 @@ Layers, lowest first: errors -> core_model -> feasibility / flow_sim ->
 s_family -> routing / metering_opt -> render_io.  A module may import
 only from a lower layer.  ``__init__`` re-exports everything and is not
 a layer.  No module keeps an import it does not read, or a private
-module-level name that nothing in the package references.  The package
+module-level name that nothing in the package references, and every
+top-level function and class is named outside its own definition: called
+or read somewhere in the package, or exported by ``__init__``.  The package
 depends on the standard library alone: every absolute import names a
 standard-library module, and importing the package loads no numpy.
 """
@@ -107,6 +109,16 @@ def test_no_unused_imports_or_private_names():
                 if name.startswith("_") and not name.startswith("__") and name not in referenced
             ]
     assert unused == []
+
+
+def test_every_top_level_function_and_class_is_named_elsewhere():
+    statements = [(path.stem, node) for path in sorted(PACKAGE.glob("*.py"))
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    named = [(node, _references(node)) for _, node in statements]
+    dead = [f"{module}: {node.name}" for module, node in statements
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not any(node.name in names for other, names in named if other is not node)]
+    assert dead == []
 
 
 def test_absolute_imports_are_standard_library():

@@ -18,7 +18,10 @@ S(5, 2, 4) chart spec):
 
 Each input goes through the library (``build_protocol``) and through a
 document (``spec_from_json``), and the fixture holds the sha256 of
-``spec_to_json`` of the result, or ``ErrorType: message``.
+``spec_to_json`` of the result, or ``ErrorType: message``.  The digest
+cannot tell a list from a tuple, or a numpy scalar from an int, so every
+spec built is also checked to hold tuples at every level and entries of
+type ``int``.
 
 To record the fixture again, run
 ``PYTHONPATH=src python tests/test_table_reader_golden.py``.
@@ -189,12 +192,18 @@ def faults(name: str, table) -> dict:
     return out
 
 
+def _tuples_of_ints(x) -> bool:
+    return type(x) is int or type(x) is tuple and all(map(_tuples_of_ints, x))
+
+
 def _result(make) -> str:
     """sha256 of the spec document ``make()`` returns, or the error it raises."""
     try:
         spec = make()
     except Exception as exc:  # the golden records every error, typed or not
         return f"{type(exc).__name__}: {exc}"
+    tables = (spec.u, spec.s, spec.a, spec.v, spec.p, spec.delta, spec.epsilon)
+    assert _tuples_of_ints(tuple(t for t in tables if t is not None))
     return hashlib.sha256(json.dumps(spec_to_json(spec), sort_keys=True).encode()).hexdigest()
 
 
