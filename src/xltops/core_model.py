@@ -140,6 +140,10 @@ class StationTypeCatalog:
     d: Mapping[str, int]
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "types", _listed(self.types))
+        except TypeError as exc:
+            raise DimensionMismatch(str(exc)) from None
         if len(set(self.types)) != len(self.types):
             raise DimensionMismatch("station-type labels must be unique")
         if set(self.d) != set(self.types):
@@ -195,12 +199,18 @@ class TrainTypeSpec:
             raise DimensionMismatch("per-unit lengths/capacities must have M entries")
         if any(not (_real(l) and math.isfinite(l) and l > 0) for l in self.lengths):
             raise DimensionMismatch("unit lengths must be positive and finite numbers")
-        capacities = (_as_fraction(c) if isinstance(c, str) else c for c in self.capacities)
+        try:
+            capacities = [_as_fraction(c) if isinstance(c, str) else c for c in self.capacities]
+        except (ArithmeticError, ValueError) as exc:
+            raise DimensionMismatch(f"unit capacities must be numbers: {exc}") from None
         if any(not (_real(c) and 0 <= c < math.inf) for c in capacities):
             raise DimensionMismatch("unit capacities must be nonnegative and finite")
         if any(not (_integer(m) and 1 <= m <= self.M) for m in self.never_aligned):
             raise DimensionMismatch("never_aligned indices must be unit indices 1..M")
-        # Stored as ints, so that a document writes them as numbers whatever integers came in.
+        # Stored as ints and floats, so that a document writes them as numbers whatever came in:
+        # a float length stays a float, another whole length becomes an int, the rest floats.
+        object.__setattr__(self, "lengths", tuple(
+            float(l) if isinstance(l, float) or l != int(l) else int(l) for l in self.lengths))
         object.__setattr__(self, "M", int(self.M))
         object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "never_aligned", frozenset(map(int, self.never_aligned)))
@@ -528,6 +538,17 @@ def _listed(x) -> tuple:
     return tuple(x)
 
 
+def _station_types(station_types, S: int) -> tuple[str, ...]:
+    """A station classification as a tuple of S labels; a string or another length is refused."""
+    try:
+        station_types = _listed(station_types)
+    except TypeError as exc:
+        raise DimensionMismatch(str(exc)) from exc
+    if len(station_types) != S:
+        raise DimensionMismatch("station_types must have one label per station")
+    return station_types
+
+
 def _read_numbers(xs: Sequence, memo: dict) -> tuple[Fraction, ...]:
     """Entries through ``_as_fraction``, each distinct one once: ``memo`` maps (type, value) to it.
 
@@ -583,8 +604,6 @@ class LineInstance:
             values = list(memo.values())  # the distinct entries of A
             M_min = () if self.M_min is None else _listed(self.M_min)
             M_min = _read_numbers(M_min, memo) if M_min else (Fraction(0),) * S
-            if self.station_types is not None:
-                object.__setattr__(self, "station_types", _listed(self.station_types))
         except (ArithmeticError, TypeError, ValueError) as exc:
             raise DimensionMismatch(str(exc)) from exc
         object.__setattr__(self, "A", A)
@@ -594,8 +613,8 @@ class LineInstance:
         if any(not _integer(x) or x < 1 for x in self.platform_lengths):
             raise DimensionMismatch("platform lengths must be whole numbers >= 1")
         object.__setattr__(self, "platform_lengths", tuple(map(int, self.platform_lengths)))
-        if self.station_types is not None and len(self.station_types) != S:
-            raise DimensionMismatch("station_types must have one label per station")
+        if self.station_types is not None:
+            object.__setattr__(self, "station_types", _station_types(self.station_types, S))
         if self.H <= 0:
             raise DimensionMismatch("headway must be positive")
         k, scaled = over_lcm(values)

@@ -34,7 +34,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .core_model import LineInstance, ProtocolSpec, _as_fraction, fraction_sum
+from .core_model import (
+    LineInstance,
+    ProtocolSpec,
+    _read_numbers,
+    _station_types,
+    fraction_sum,
+    over_lcm,
+)
 from .errors import AmbiguousAssignment, DimensionMismatch, NonpositiveSpeed
 
 
@@ -91,16 +98,26 @@ class CapacityReport:
     gain: Fraction  # full XLT units at the MLP / reference units
 
 
-def type_pair_sections(spec: ProtocolSpec, line: LineInstance) -> tuple[tuple[int, ...], list]:
-    """Each station's type index, and the sections presenting each type pair, ascending."""
+def type_pair_sections(
+    spec: ProtocolSpec, line: LineInstance, station_types: Sequence[str] | None = None
+) -> tuple[tuple[int, ...], list]:
+    """Each station's type index, and the sections presenting each type pair, ascending.
+
+    The stations are classified by ``station_types`` if given, else by
+    ``line.station_types``.
+    """
     if spec.K != 1:
         raise DimensionMismatch("assignment is defined for a single train type")
-    if line.station_types is None:
+    if station_types is not None:
+        station_types = _station_types(station_types, line.S)
+    elif line.station_types is not None:
+        station_types = line.station_types
+    else:
         raise DimensionMismatch("line must carry a station classification")
     pk, C = spec.p[0], spec.C
     presenting = [[[n for n, rows in enumerate(pk) if rows[i][j]] for j in range(C)]
                   for i in range(C)]
-    return spec.stations.indices(line.station_types), presenting
+    return spec.stations.indices(station_types), presenting
 
 
 def capacity_shares(sections: Sequence[int], caps: Sequence[Fraction]) -> Shares:
@@ -108,8 +125,11 @@ def capacity_shares(sections: Sequence[int], caps: Sequence[Fraction]) -> Shares
 
     Shares are proportional to section capacity, so a section of zero
     capacity takes none; if every presenting section has zero capacity,
-    the flow splits evenly.  Shares sum to 1 unless no section presents.
+    the flow splits evenly.  Shares sum to 1 unless no section presents,
+    and a lone presenting section takes all of the flow.
     """
+    if len(sections) == 1:
+        return ((sections[0], Fraction(1)),)
     total = fraction_sum(caps[n] for n in sections)
     if total == 0:
         return tuple((n, Fraction(1, len(sections))) for n in sections)
@@ -127,15 +147,18 @@ def _balanced(spec: ProtocolSpec, ti: Sequence[int], presenting: list) -> Assign
     )
 
 
-def build_assignment(spec: ProtocolSpec, line: LineInstance) -> AssignmentTensor:
+def build_assignment(
+    spec: ProtocolSpec, line: LineInstance, station_types: Sequence[str] | None = None
+) -> AssignmentTensor:
     """All-or-nothing assignment from the presentation table.
 
     Requires a single train type and an exactly-one presentation over
     the demanded pairs; raises AmbiguousAssignment otherwise.  A pair
     nobody demands may be presented by several sections: it gets the
-    balanced split's shares and carries nothing.
+    balanced split's shares and carries nothing.  ``station_types``, if
+    given, classifies the stations in place of ``line.station_types``.
     """
-    ti, presenting = type_pair_sections(spec, line)
+    ti, presenting = type_pair_sections(spec, line, station_types)
     for z, sp, _ in line.flows:
         sections = presenting[ti[z]][ti[sp]]
         if len(sections) > 1:
@@ -202,13 +225,12 @@ def section_capacities(spec: ProtocolSpec) -> tuple[Fraction, ...]:
     """C_n = sum of unit capacities over each section of the first train type.
 
     Float capacities convert as ``LineInstance`` converts its numbers, so
-    0.3 reads 3/10 rather than the nearest binary fraction.
+    0.3 reads 3/10 rather than the nearest binary fraction, and each
+    distinct capacity is converted once.
     """
-    units = [_as_fraction(c) for c in spec.trains[0].capacities]
-    return tuple(
-        fraction_sum(units[m - 1] for m in spec.section_units(0, n))
-        for n in range(1, spec.trains[0].N + 1)
-    )
+    k, units = over_lcm(_read_numbers(spec.trains[0].capacities, {}))
+    return tuple(Fraction(sum(x for x, bit in zip(units, column) if bit), k)
+                 for column in zip(*spec.u[0]))
 
 
 def link_sums(rows: int, S: int, riders: Iterable[tuple]) -> list[tuple[int, list[int]]]:

@@ -18,17 +18,26 @@ LP, a sizing is screened by one integer comparison per section: the
 minimum rates fit it only if each section has at least the least size
 m with c*m at or above that section's heaviest minimum-rate load.
 
-The inner solver is an exact primal simplex on an integer-preserving
-tableau (Edmonds 1967; Bareiss 1968), with Bland's rule, so it
-terminates without cycling.  Each row is scaled by the lcm of its
-denominators, and a pivot on p = T[r][e] updates every other row to
-(p*a - f*b) // d, where d is the previous pivot (1 at the start); the
-division is exact, and no gcd is taken.  Every entry is then d times its
-value in the rational tableau of the row-scaled problem, with d > 0 and
-every row scale positive.  So each sign test and each ratio comparison
-(made by cross-multiplying) agrees with the rational tableau's, and
-both make the same pivots and give the same x and duals y.  Rates are
-shifted by their lower bounds so the all-minimum solution is the
+The search runs on Python integers from each classification's setup to
+the winner.  Each LP row i is scaled once per classification by its own
+k_i, the lcm of the row's denominators, of its right-hand side at zero
+sizes and, on a load row, of c; a sizing's right-hand side is then the
+integer B0_i + ck_i*m_n.  Scaling a row by k_i > 0 changes no sign and no
+ratio order, so the scaled LP makes the same pivots as the rational one.
+
+The inner solver is an exact primal simplex on an integer tableau
+(Edmonds 1967; Bareiss 1968) with per-row denominators, and Bland's
+rule, so it terminates without cycling.  Row i holds integers over its
+own den_i > 0, the objective row over od > 0.  A pivot on p = T[r][e]
+keeps row r as it is and sets den_r = p; a row with f = T[i][e] != 0
+becomes p*T[i] - f*T[r] over den_i*p, reduced by the gcd of its entries
+and denominator; a row with f = 0 is not touched.  So every row is its
+row of the rational tableau over a positive denominator, each sign test
+and each ratio comparison (cross-multiplied; den_i cancels within a row)
+agrees with the rational tableau's, and both make the same pivots and
+give the same x and duals y.  The duals, the cuts and the incumbent stay
+integers over od; ``Fraction``s are formed for the winner alone.  Rates
+are shifted by their lower bounds so the all-minimum solution is the
 starting vertex.
 """
 
@@ -36,12 +45,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import flow_sim
-from .core_model import LineInstance, _whole, fr_i, fraction_sum, over_lcm
+from .core_model import LineInstance, _whole, fr_i
 from .errors import BadSectionCount, DimensionMismatch, InfeasibleMinRates, SearchSpaceTooLarge
 
 _SPEC = fr_i()  # the type labels, end-of-line rule and presentation of every candidate
@@ -83,39 +92,25 @@ class MeteringSolution:
     binding: tuple[BindingConstraint, ...]
 
 
-def _simplex_max(
-    c: Sequence[Fraction],
-    A_ub: Sequence[Sequence[Fraction]],
-    b_ub: Sequence[Fraction],
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Maximize c.x subject to A_ub x <= b_ub, x >= 0 (all b_ub >= 0).
+def _simplex_max(obj: list[int], rows: list[Sequence[int]]) -> tuple:
+    """Optimal tableau of max c.x subject to A x <= b, x >= 0 (all b >= 0), on integers.
 
-    Returns an optimal x and optimal duals y, the slack columns of the
-    final objective row: y >= 0, y.A_ub >= c and y.b_ub = c.x.
-
-    The tableau holds integers only (see the module docstring): row i is
-    scaled by the lcm k_i of its denominators and the objective by k_c,
-    the slack columns start as the identity, and every entry is d times
-    its value in the rational tableau of that scaled problem.  x_j is
-    rhs / d in its basic row, and y_i = k_i * obj_i / (d * k_c).
+    ``rows`` holds each row [A_i | e_i | b_i] as integers, the slack
+    columns the identity, and ``obj`` is [-c | 0 | 0] on integers.
+    Returns (obj, od, rows, den, basis): the rational tableau's objective
+    row is obj / od and its row i is rows[i] / den[i], with basic column
+    basis[i] (see the module docstring).  So x_j is rows[i][-1] / den[i]
+    in its basic row, obj[-1] / od is c.x, and the duals y_i = obj[n + i] / od
+    give y >= 0, y.A >= c and y.b = c.x.
     """
-    n = len(c)
-    m = len(b_ub)
-    scales = [math.lcm(*(a.denominator for a in row), b.denominator) for row, b in zip(A_ub, b_ub)]
-    rows = [
-        [a.numerator * (k // a.denominator) for a in row]
-        + [int(i == j) for j in range(m)]
-        + [b.numerator * (k // b.denominator)]
-        for i, (row, b, k) in enumerate(zip(A_ub, b_ub, scales))
-    ]
-    k_c = math.lcm(*(x.denominator for x in c))
-    obj = [-x.numerator * (k_c // x.denominator) for x in c] + [0] * (m + 1)
+    m = len(rows)
+    n = len(obj) - m - 1
+    den, od = [1] * m, 1
     basis = list(range(n, n + m))
-    d = 1  # the last pivot: every division by it below is exact
     while True:
         enter = next((j for j in range(n + m) if obj[j] < 0), None)
         if enter is None:
-            break
+            return obj, od, rows, den, basis
         leave = None
         for i in range(m):
             if rows[i][enter] > 0:
@@ -132,18 +127,22 @@ def _simplex_max(
         pivot = rows[leave]
         p = pivot[enter]
         for i in range(m):
-            if i != leave:
-                f = rows[i][enter]
-                rows[i] = [(p * a - f * b) // d for a, b in zip(rows[i], pivot)]
-        f = obj[enter]
-        obj = [(p * a - f * b) // d for a, b in zip(obj, pivot)]
-        d = p
+            f = rows[i][enter]
+            if f and i != leave:
+                rows[i], den[i] = _eliminate(rows[i], den[i], pivot, p, f)
+        obj, od = _eliminate(obj, od, pivot, p, obj[enter])
+        den[leave] = p
         basis[leave] = enter
-    x = [Fraction(0)] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = Fraction(rows[i][-1], d)
-    return x, [Fraction(k * y, d * k_c) for k, y in zip(scales, obj[n:n + m])]
+
+
+def _eliminate(row: Sequence[int], d: int, pivot: Sequence[int], p: int, f: int) -> tuple:
+    """(p*row - f*pivot, d*p), divided by the gcd of its entries and denominator."""
+    row = [p * a - f * b for a, b in zip(row, pivot)]
+    d *= p
+    g = math.gcd(d, *row)
+    if g > 1:
+        return [a // g for a in row], d // g
+    return row, d
 
 
 def _check_sizes(problem: MeteringProblem, section_sizes: Sequence[int]) -> tuple[int, ...]:
@@ -161,65 +160,89 @@ def _check_sizes(problem: MeteringProblem, section_sizes: Sequence[int]) -> tupl
 class _ClassificationLP:
     """The LP in x = E - M_min of one classification: its rows (upper bounds,
     then loads per section and link) and the load ``base`` the minimum rates
-    put on each section and link are fixed; a sizing sets C_n - base."""
+    put on each section and link are fixed; a sizing sets C_n - base.
+
+    Row i is kept scaled by its own k_i (see the module docstring): the
+    integer row with its slack column, B0_i = k_i*b_i at zero sizes, and
+    ck_i = k_i*c on a load row (0 on an upper bound)."""
 
     def __init__(self, problem: MeteringProblem, station_types: Sequence[str]) -> None:
+        self.line = line = problem.line
+        self.assignment = flow_sim.build_assignment(_SPEC, line, station_types)
         self.station_types = tuple(station_types)
-        self.line = line = replace(problem.line, station_types=self.station_types)
-        self.assignment = flow_sim.build_assignment(_SPEC, line)
-        self.c = Fraction(problem.unit_capacity)
+        self.c = c = Fraction(problem.unit_capacity)
         self.lo = line.M_min
-        self.slack = [line.demand_rate(z) - lo for z, lo in enumerate(self.lo)]
-        unit = [[Fraction(int(z == y)) for y in range(line.S)] for z in range(line.S)]
+        S = line.S
         coef = flow_sim.load_coefficients(self.assignment, line)
-        self.rows = unit + [row for table in coef for row in table]
         self.base = flow_sim.section_loads(self.assignment, line, self.lo)
         # Per section, the least size m with c*m >= its heaviest minimum-rate load.
-        self.least = [math.ceil(max(row, default=0) / self.c) for row in self.base]
+        self.least = [math.ceil(max(row, default=0) / c) for row in self.base]
+        m = S + _N * (S - 1)
+        slack = [(0,) * i + (1,) + (0,) * (m - 1 - i) for i in range(m)]
+        self.rows, self.B0, self.ck = [], [], [0] * S
+        for z, lo in enumerate(self.lo):  # x_z <= A_z - M_min_z, times its denominator
+            b = line.demand_rate(z) - lo
+            self.rows.append((0,) * z + (b.denominator,) + (0,) * (S - 1 - z) + slack[z])
+            self.B0.append(b.numerator)
+        for table, base in zip(coef, self.base):  # c*m_n - base over each link
+            for row, load in zip(table, base):
+                k = math.lcm(*(a.denominator for a in row), load.denominator, c.denominator)
+                self.rows.append(tuple(a.numerator * (k // a.denominator) for a in row)
+                                 + slack[len(self.rows)])
+                self.B0.append(-load.numerator * (k // load.denominator))
+                self.ck.append(c.numerator * (k // c.denominator))
+        # Each row's section; an upper bound's ck is 0, so its section is never read.
+        self.section = [0] * S + [n for n in range(_N) for _ in range(S - 1)]
 
     def admits(self, sizes: tuple[int, ...]) -> bool:
         """Whether the minimum rates fit the sizing: no section below its least size."""
         return all(m >= least for m, least in zip(sizes, self.least))
 
-    def rhs(self, sizes: tuple[int, ...]) -> list[Fraction]:
-        """Right-hand sides for one sizing: the demand slack, then C_n - base."""
-        C_n = [self.c * m for m in sizes]
+    def rhs(self, sizes: tuple[int, ...]) -> list[int]:
+        """Scaled right-hand sides for one sizing: k_i times the demand slack, then C_n - base."""
         for n, (m, least) in enumerate(zip(sizes, self.least)):
             if m < least:
-                s = next(s for s, load in enumerate(self.base[n]) if load > C_n[n])
+                s = next(s for s, load in enumerate(self.base[n]) if load > self.c * m)
                 raise InfeasibleMinRates(f"minimum rates overload section {n + 1} on link {s + 1}")
-        return self.slack + [C_n[n] - load for n, row in enumerate(self.base) for load in row]
+        return [B0 + ck * sizes[n] for B0, ck, n in zip(self.B0, self.ck, self.section)]
 
-    def solve(self, b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-        """Optimal x and duals y against the right-hand sides b."""
-        return _simplex_max([Fraction(1)] * len(self.lo), self.rows, b)
+    def solve(self, sizes: tuple[int, ...]) -> tuple:
+        """The optimal tableau of ``_simplex_max`` for one sizing."""
+        obj = [-1] * len(self.lo) + [0] * (len(self.rows) + 1)
+        return _simplex_max(obj, [row + (b,) for row, b in zip(self.rows, self.rhs(sizes))])
 
-    def cut(self, y: Sequence[Fraction]) -> tuple[int, list[int], int]:
+    def cut(self, tableau: tuple) -> tuple[int, list[int], int]:
         """(K, W, D) with sum x*(m) <= (K + sum_n W_n m_n) / D for every feasible sizing m.
 
-        y is dual feasible for every sizing, since only b depends on it, so
-        weak duality bounds each optimum by y.b(m) = k + w.m with
-        k = y.b(0) = y.slack - y.base and w_n = c times the sum of section n's duals.
-        D is the lcm of the denominators of k and w, and K = k*D, W = w*D.
+        The duals y_i = obj_i / od of the scaled rows are dual feasible for
+        every sizing, since only b depends on it, so weak duality bounds each
+        optimum by y.b(m) = sum_i y_i (B0_i + ck_i m_n): K = sum obj_i B0_i,
+        W_n = the sum of obj_i ck_i over section n's rows, and D = od.
+        """
+        obj, od = tableau[0], tableau[1]
+        y = obj[len(self.lo):-1]
+        K = sum(yi * B0 for yi, B0 in zip(y, self.B0))
+        W = [0] * _N
+        for yi, ck, n in zip(y, self.ck, self.section):
+            W[n] += yi * ck
+        return K, W, od
+
+    def solution(self, sizes: tuple[int, ...], tableau: tuple) -> MeteringSolution:
+        """The rates, binding constraints and load profile of a solved sizing.
+
+        A basic column's value is its row's rhs over the row's den, and every
+        other column is 0; a bound or a load binds where its slack is 0.
         """
         S = len(self.lo)
-        b_at_zero = self.slack + [-load for row in self.base for load in row]
-        k = fraction_sum(yj * bj for yj, bj in zip(y, b_at_zero))
-        w = [self.c * fraction_sum(y[S + n * (S - 1):S + (n + 1) * (S - 1)]) for n in range(_N)]
-        D, (K, *W) = over_lcm([k, *w])
-        return K, W, D
-
-    def solution(self, sizes: tuple[int, ...], x: list, b: list) -> MeteringSolution:
-        S = len(self.lo)
-        E = tuple(lo + dx for lo, dx in zip(self.lo, x))
+        _, _, rows, den, basis = tableau
+        value = {var: Fraction(row[-1], d) for row, d, var in zip(rows, den, basis) if row[-1]}
+        E = tuple(lo + value.get(z, 0) for z, lo in enumerate(self.lo))
         C_n = tuple(self.c * m for m in sizes)
         tags = [BindingConstraint("upper", (z + 1,)) for z in range(S)] + [
             BindingConstraint("load", (n + 1, s + 1)) for n in range(_N) for s in range(S - 1)
         ]
-        binding = [BindingConstraint("lower", (z + 1,)) for z in range(S) if E[z] == self.lo[z]]
-        for row, rhs, tag in zip(self.rows, b, tags):
-            if sum(r * dx for r, dx in zip(row, x)) == rhs:
-                binding.append(tag)
+        binding = [BindingConstraint("lower", (z + 1,)) for z in range(S) if z not in value]
+        binding += [tag for i, tag in enumerate(tags, start=S) if i not in value]
         return MeteringSolution(
             E=E,
             station_types=self.station_types,
@@ -238,8 +261,7 @@ def solve_inner_lp(
     """Optimal entry rates for a fixed classification and sizing."""
     sizes = _check_sizes(problem, section_sizes)
     lp = _ClassificationLP(problem, station_types)
-    b = lp.rhs(sizes)
-    return lp.solution(sizes, lp.solve(b)[0], b)
+    return lp.solution(sizes, lp.solve(sizes))
 
 
 def _compositions(total: int, parts: int):
@@ -272,7 +294,7 @@ def solve_outer(problem: MeteringProblem, cap: int = 10**6) -> MeteringSolution:
     that solving every candidate's LP gives.
     """
     if problem.fixed_station_types is not None:
-        deltas = [tuple(problem.fixed_station_types)]
+        deltas = [problem.fixed_station_types]
     else:
         deltas = list(_classifications(problem.line.S))
     if problem.fixed_sizes is not None:
@@ -285,7 +307,8 @@ def solve_outer(problem: MeteringProblem, cap: int = 10**6) -> MeteringSolution:
         raise SearchSpaceTooLarge(f"{count} candidates exceed the cap of {cap}")
     sizings = [_check_sizes(problem, sizes) for sizes in sizings]
 
-    best = None  # (sum of x, lp, sizes, x, b); sum(E) exceeds sum(x) by the same sum(M_min)
+    # (num, den, lp, sizes, tableau): sum(x) = num/den; sum(E) exceeds it by sum(M_min)
+    best = None
     for delta in deltas:
         lp = _ClassificationLP(problem, delta)
         cuts = []  # (K, W, D) from each solved sizing's duals
@@ -294,19 +317,18 @@ def solve_outer(problem: MeteringProblem, cap: int = 10**6) -> MeteringSolution:
                 continue
             # (K + W.m) / D <= best, cross-multiplied: D and the denominator are positive.
             if best is not None and any(
-                (K + sum(Wn * mn for Wn, mn in zip(W, sizes))) * best[0].denominator
-                <= best[0].numerator * D
+                (K + sum(Wn * mn for Wn, mn in zip(W, sizes))) * best[1] <= best[0] * D
                 for K, W, D in cuts
             ):
                 continue
-            b = lp.rhs(sizes)
-            x, y = lp.solve(b)
-            cuts.append(lp.cut(y))
-            if best is None or sum(x) > best[0]:
-                best = (sum(x), lp, sizes, x, b)
+            tableau = lp.solve(sizes)
+            cuts.append(lp.cut(tableau))
+            value, od = tableau[0][-1], tableau[1]
+            if best is None or value * best[1] > best[0] * od:
+                best = (value, od, lp, sizes, tableau)
     if best is None:
         raise InfeasibleMinRates("no enumerated candidate admits feasible rates")
-    return best[1].solution(*best[2:])
+    return best[2].solution(*best[3:])
 
 
 @dataclass(frozen=True)

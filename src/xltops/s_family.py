@@ -141,6 +141,10 @@ class MultiTrainChart:
     rotation: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "rotation", _listed(self.rotation))
+        except TypeError as exc:
+            raise DimensionMismatch(str(exc)) from None
         if not self.charts:
             raise DimensionMismatch("at least one chart is required")
         if len(set(self.train_labels())) != len(self.charts):

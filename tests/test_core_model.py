@@ -56,6 +56,12 @@ def test_catalog_rejects_duplicate_labels():
         StationTypeCatalog(types=("F", "F"), d={"F": 3})
 
 
+def test_catalog_refuses_a_string_of_labels():
+    with pytest.raises(DimensionMismatch, match="not the string 'FR'"):
+        StationTypeCatalog(types="FR", d={"F": 3, "R": 5})
+    assert StationTypeCatalog(types=["F", "R"], d={"F": 3, "R": 5}).types == ("F", "R")
+
+
 def test_catalog_lengths_follow_type_order():
     cat = StationTypeCatalog(types=("F", "R"), d={"R": 5, "F": 3})
     assert cat.lengths() == (3, 5)
@@ -234,6 +240,34 @@ def test_train_types_read_capacities_given_as_strings():
     assert train.capacities == ("3/10", 0)
     with pytest.raises(DimensionMismatch, match="capacities"):
         TrainTypeSpec("t", M=2, lengths=(1.0, 1.0), capacities=("-3/10", 0), N=1)
+
+
+@pytest.mark.parametrize("capacity", ["x", "1/0", ""])
+def test_train_types_refuse_capacity_strings_that_are_no_number(capacity):
+    with pytest.raises(DimensionMismatch, match="unit capacities must be numbers"):
+        TrainTypeSpec("t", M=2, lengths=(1.0, 1.0), capacities=(1.0, capacity), N=1)
+
+
+def test_unit_lengths_of_any_real_type_are_written_and_read_back():
+    """A float length stays a float, another whole length becomes an int and
+    any other real a float, so every spec document serialises."""
+    lengths = (1.5, 1, 2.0, Fraction(3), Fraction(3, 2), np.float32(2.0), np.float32(0.5),
+               np.float64(2.0), np.int64(2), Fraction(1, 3))
+    spec = fr_i()
+    train = replace(spec.trains[0], M=len(lengths), lengths=lengths,
+                    capacities=(1.0,) * len(lengths), never_aligned=frozenset())
+    assert train.lengths == (1.5, 1, 2.0, 3, 1.5, 2, 0.5, 2.0, 2, 1 / 3)
+    assert [type(x) for x in train.lengths] == [float, int, float, int, float, int, float,
+                                                float, int, float]
+    doc = json.loads(json.dumps({"lengths": list(train.lengths)}))
+    assert tuple(doc["lengths"]) == train.lengths
+    assert [type(x) for x in doc["lengths"]] == [type(x) for x in train.lengths]
+    M = spec.trains[0].M
+    whole = replace(spec.trains[0], lengths=(Fraction(1), np.float32(1.0)) + (1.0,) * (M - 2))
+    spec = replace(spec, trains=(whole,))
+    text = json.dumps(spec_to_json(spec))
+    assert spec_from_json(json.loads(text)) == spec
+    assert spec_to_json(spec_from_json(json.loads(text))) == json.loads(text)
 
 
 @pytest.mark.parametrize("ctor", [fr_h, fr_i, ftr])

@@ -78,6 +78,22 @@ def test_full_presentation_is_ambiguous(fr_line_full):
         build_assignment(fr_h(), fr_line_full)
 
 
+def test_a_classification_passed_apart_assigns_as_the_line_would(fr_line_full):
+    """``station_types`` stands in for the line's own and is checked as the line checks it."""
+    spec = fr_i()
+    types = tuple(reversed(fr_line_full.station_types))
+    assert build_assignment(spec, fr_line_full, types) == build_assignment(
+        spec, replace(fr_line_full, station_types=types))
+    bare = replace(fr_line_full, station_types=None)
+    assert build_assignment(spec, bare, fr_line_full.station_types) == build_assignment(
+        spec, fr_line_full)
+    for bad, message in ((types[:3], "one label per station"), ("".join(types), "not the string")):
+        with pytest.raises(DimensionMismatch, match=message):
+            build_assignment(spec, fr_line_full, bad)
+        with pytest.raises(DimensionMismatch, match=message):
+            replace(fr_line_full, station_types=bad)
+
+
 def test_balanced_split_shares_by_capacity(fr_line_full):
     spec = fr_h()
     assignment = build_assignment_split(spec, fr_line_full, rule="balanced")

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -16,6 +17,7 @@ from xltops.errors import (
     DimensionMismatch,
     InfeasibleMinRates,
     SearchSpaceTooLarge,
+    UnknownStationType,
 )
 from xltops.metering_opt import (
     MeteringProblem,
@@ -345,6 +347,22 @@ def test_outer_rejects_bad_fixed_sizes(sizes, error, message):
         solve_outer(problem)
 
 
+def test_a_fixed_classification_of_the_wrong_form_is_refused():
+    """The classification is checked as the line checks its own: one label per
+    station, each a label of fr_i, and a string is not read as its characters."""
+    A = pairwise_demand(3, 3, 3, 3)
+    with pytest.raises(DimensionMismatch, match="one label per station"):
+        solve_outer(fr_problem(A, fixed_delta=("F", "R", "F")))
+    with pytest.raises(UnknownStationType, match="'Z'"):
+        solve_outer(fr_problem(A, fixed_delta=("F", "R", "Z", "R")))
+    with pytest.raises(DimensionMismatch, match="not the string 'FRFR'"):
+        solve_inner_lp(fr_problem(A), "FRFR", (3, 3, 3, 3))
+    with pytest.raises(DimensionMismatch, match="not the string 'FRFR'"):
+        solve_outer(fr_problem(A, fixed_delta="FRFR"))
+    with pytest.raises(DimensionMismatch, match="one label per station"):
+        solve_inner_lp(fr_problem(A), ("F", "R", "F", "R", "F"), (3, 3, 3, 3))
+
+
 def test_outer_with_fewer_units_than_sections_has_no_candidate():
     with pytest.raises(InfeasibleMinRates, match="no enumerated candidate"):
         solve_outer(fr_problem(pairwise_demand(3, 3, 3, 3), M=3))
@@ -458,7 +476,7 @@ def test_dual_cut_bounds_every_sizing_and_is_tight_at_its_own():
                     optimum[sizes] = value - floor
             lp = _ClassificationLP(problem, delta)
             for m in optimum:
-                cut = lp.cut(lp.solve(lp.rhs(m))[1])
+                cut = lp.cut(lp.solve(m))
                 assert cut_value(cut, m) == optimum[m]
                 for m2, value in optimum.items():
                     assert cut_value(cut, m2) >= value
@@ -484,7 +502,8 @@ def metering_workload_problem(rng, S, M, c=10):
 @pytest.mark.parametrize("S, M, most", [(4, 8, 20), (5, 12, 60)])
 def test_dual_cuts_bound_the_lp_count(monkeypatch, S, M, most):
     """Without cuts the outer search solves 80 LPs at S = 4, M = 8 and 960
-    at S = 5, M = 12; the answer stays the one-LP-per-candidate oracle's."""
+    at S = 5, M = 12; the answer stays the one-LP-per-candidate oracle's.
+    Every LP goes through the one integer kernel, which is counted."""
     rng = random.Random(seed_from_env() + 25)
     simplex, solves = metering_opt._simplex_max, []
 
@@ -508,6 +527,34 @@ def test_dual_cuts_bound_the_lp_count(monkeypatch, S, M, most):
 # ---------------------------------------------------------------------------
 
 DENOMINATORS = (1, 2, 3, 5, 7, 12)
+
+
+def integer_lp(c, A, b):
+    """The integer kernel's input for max c.x, A x <= b: each row [A_i | e_i | b_i]
+    scaled by the lcm k_i of its denominators, and -c by the lcm k_c of its own."""
+    m = len(A)
+    scales = [math.lcm(*(a.denominator for a in row), bi.denominator) for row, bi in zip(A, b)]
+    rows = [[int(a * k) for a in row] + [int(i == j) for j in range(m)] + [int(bi * k)]
+            for i, (row, bi, k) in enumerate(zip(A, b, scales))]
+    k_c = math.lcm(*(x.denominator for x in c))
+    return [-int(x * k_c) for x in c] + [0] * (m + 1), rows, scales, k_c
+
+
+def tableau_answer(n, tableau):
+    """x and the duals y of a final tableau of the integer kernel, as ``Fraction``s."""
+    obj, od, rows, den, basis = tableau
+    x = [Z] * n
+    for row, d, var in zip(rows, den, basis):
+        if var < n:
+            x[var] = Fraction(row[-1], d)
+    return x, [Fraction(y, od) for y in obj[n:-1]]
+
+
+def integer_simplex(c, A, b):
+    """x and y of max c.x, A x <= b through the integer kernel, duals scaled back to A's rows."""
+    obj, rows, scales, k_c = integer_lp(c, A, b)
+    x, y = tableau_answer(len(c), metering_opt._simplex_max(obj, rows))
+    return x, [k * yi / k_c for k, yi in zip(scales, y)]
 
 
 def random_lp(rng, duplicate=False, zeros=False):
@@ -536,7 +583,7 @@ def test_integer_tableau_matches_the_rational_one(duplicate, zeros):
     rng = random.Random(seed_from_env() + 26)
     for _ in range(300):
         c, A, b = random_lp(rng, duplicate, zeros)
-        assert metering_opt._simplex_max(c, A, b) == oracle_simplex_max(c, A, b)
+        assert integer_simplex(c, A, b) == oracle_simplex_max(c, A, b)
 
 
 def test_integer_tableau_breaks_a_ratio_tie_by_the_smaller_basic_variable():
@@ -544,19 +591,28 @@ def test_integer_tableau_breaks_a_ratio_tie_by_the_smaller_basic_variable():
     so row 1's dual carries the objective and row 2's is 0."""
     c, b = [Fraction(1)], [Z, Z, Fraction(1)]
     A = [[Fraction(1, 2)], [Fraction(1, 3)], [Fraction(1)]]
-    assert metering_opt._simplex_max(c, A, b) == ([Z], [Fraction(2), Z, Z])
+    assert integer_simplex(c, A, b) == ([Z], [Fraction(2), Z, Z])
     assert oracle_simplex_max(c, A, b) == ([Z], [Fraction(2), Z, Z])
 
 
 @pytest.mark.parametrize("S, M", [(4, 8), (5, 12), (6, 12)])
 def test_integer_tableau_matches_the_rational_one_on_every_search_lp(monkeypatch, S, M):
-    """Every LP that the outer search solves on workload-shaped lines."""
+    """Every LP that the outer search solves on workload-shaped lines, against
+    the rational tableau on the same rows and objective as ``Fraction``s."""
     rng = random.Random(seed_from_env() + 27)
     simplex, solved = metering_opt._simplex_max, []
 
-    def checked(*args):
-        result = simplex(*args)
-        assert result == oracle_simplex_max(*args)
+    def checked(obj, rows):
+        m = len(rows)
+        n = len(obj) - m - 1
+        assert obj[n:] == [0] * (m + 1)
+        assert [list(row[n:-1]) for row in rows] == [[int(i == j) for j in range(m)]
+                                                      for i in range(m)]
+        c = [-Fraction(v) for v in obj[:n]]
+        A = [[Fraction(a) for a in row[:n]] for row in rows]
+        b = [Fraction(row[-1]) for row in rows]
+        result = simplex(obj, rows)
+        assert tableau_answer(n, result) == oracle_simplex_max(c, A, b)
         solved.append(result)
         return result
 
@@ -607,13 +663,12 @@ def test_sizing_screen_skips_exactly_the_sizings_rhs_rejects(c):
 # Golden and metamorphic gates of the outer search
 # ---------------------------------------------------------------------------
 
-GOLDEN = Path(__file__).parent / "data" / "metering_s8_golden.json"
+DATA = Path(__file__).parent / "data"
 
 
-def test_outer_matches_the_recorded_s8_answers():
-    """S = 8, M = 12 workload-shaped lines, answers recorded from the
-    rational-tableau search: E, classification, sizes and binding set."""
-    for case in json.loads(GOLDEN.read_text()):
+def assert_outer_matches_golden(path):
+    """E, classification, sizes and binding set of each recorded line."""
+    for case in json.loads(path.read_text()):
         S = len(case["A"])
         line = LineInstance(
             stations=tuple(f"s{z + 1}" for z in range(S)), platform_lengths=(9,) * S, H=1,
@@ -628,6 +683,44 @@ def test_outer_matches_the_recorded_s8_answers():
         assert list(sol.station_types) == case["station_types"]
         assert list(sol.section_sizes) == case["section_sizes"]
         assert [[b.kind, list(b.indices)] for b in sol.binding] == case["binding"]
+
+
+def test_outer_matches_the_recorded_s8_answers():
+    """S = 8, M = 12 workload-shaped lines, answers recorded from the
+    rational-tableau search."""
+    assert_outer_matches_golden(DATA / "metering_s8_golden.json")
+
+
+def test_outer_matches_the_recorded_s10_answers():
+    """S = 10, M = 12 workload-shaped lines (``metering_workload_problem`` on
+    ``random.Random(1)``), answers recorded from the search that scaled each
+    LP row per sizing and kept its duals and cuts as ``Fraction``s."""
+    assert_outer_matches_golden(DATA / "metering_s10_golden.json")
+
+
+def test_outer_solves_exactly_the_recorded_lps(monkeypatch):
+    """The (classification, sizing) pairs whose LP the outer search solves, in
+    order, on workload-shaped lines, recorded from the search that kept its
+    duals and cuts as ``Fraction``s.  A cut that prunes one sizing more or
+    less, or a screen that lets one more through, changes the list."""
+    recorded = json.loads((DATA / "metering_lp_order.json").read_text())
+    solve, solved = _ClassificationLP.solve, []
+
+    def listed(lp, sizes):
+        solved.append([list(lp.station_types), list(sizes)])
+        return solve(lp, sizes)
+
+    monkeypatch.setattr(_ClassificationLP, "solve", listed)
+    runs = []
+    for (S, M), cases in itertools.groupby(recorded["lines"], key=lambda c: (c["S"], c["M"])):
+        rng = random.Random(recorded["seed"])
+        for case in cases:
+            solved.clear()
+            solve_outer(metering_workload_problem(rng, S, M))
+            assert solved == case["solved"]
+            runs.append((S, M, len(solved)))
+    assert [n for *_, n in runs] == [8, 8, 8, 25, 22, 25, 46, 54, 47]
+    assert [(S, M) for S, M, _ in runs] == [(4, 8)] * 3 + [(5, 12)] * 3 + [(6, 12)] * 3
 
 
 @pytest.mark.parametrize("t", [Fraction(3), Fraction(2, 7)])

@@ -196,6 +196,13 @@ def test_multichart_requires_shared_geometry():
         MultiTrainChart(charts=(("1", a), ("1", a)), rotation=("1",))
 
 
+def test_multichart_refuses_a_string_rotation():
+    a, b = generate_s(3, 2, 4), generate_s(3, 2, 4)
+    with pytest.raises(DimensionMismatch, match="not the string '12'"):
+        MultiTrainChart(charts=(("1", a), ("2", b)), rotation="12")
+    assert MultiTrainChart(charts=(("1", a), ("2", b)), rotation=["2", "1"]).rotation == ("2", "1")
+
+
 # ---------------------------------------------------------------------------
 # Skip-stop composition
 # ---------------------------------------------------------------------------
