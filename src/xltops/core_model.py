@@ -195,6 +195,10 @@ class TrainTypeSpec:
             raise DimensionMismatch("a train needs at least one unit")
         if not (1 <= self.N <= self.M):
             raise DimensionMismatch("section count must satisfy 1 <= N <= M")
+        try:
+            object.__setattr__(self, "capacities", _listed(self.capacities))
+        except TypeError as exc:
+            raise DimensionMismatch(str(exc)) from None
         if len(self.lengths) != self.M or len(self.capacities) != self.M:
             raise DimensionMismatch("per-unit lengths/capacities must have M entries")
         if any(not (_real(l) and math.isfinite(l) and l > 0) for l in self.lengths):

@@ -5,10 +5,10 @@ formula can be compared bit-for-bit against a per-flow microsimulation;
 floating point appears only at output.  They are summed as integers:
 a flow or rider is an unreduced pair (p, q) meaning p/q passengers per
 train, each row of loads is accumulated over one scale k (the lcm of its
-riders' q), and each reported load is formed as ``Fraction(v, k)`` once,
-so a whole row of sums costs one gcd per link rather than one per addition.
-The overcrowding test and the thinning of entry rates work on the same
-integer numerators and denominators.
+riders' q), and a load is formed as ``Fraction(v, k)`` only where one is
+reported, so a whole row of sums costs one gcd per link rather than one
+per addition.  The overcrowding test and the thinning of entry rates
+work on the same integer numerators and denominators.
 
 Conventions: stations are 0-based indices along the travel direction;
 link ``s`` is the stretch departing station ``s`` (0 .. S-2).  Loads are
@@ -20,10 +20,11 @@ carries H·E_z·A[z][sp]/A_z passengers per train (A_z is the demand rate
 from z), and section n takes share(n, z, sp) of them over links
 z .. sp-1.  ``link_sums`` puts riders on links for every caller: each adds
 its integer p·(k/q) at z and takes it off at sp in a difference row, and
-one prefix sum per row gives k times the loads; ``link_loads`` divides
-by k.  Loads are linear in E, and ``load_coefficients``
-divides the flows at full demand by A_z for the rows of the metering LP,
-one kernel call per origin over the links from that origin on.
+one prefix sum per row gives k times the loads.  Loads are linear in E,
+and ``load_coefficients`` gives the metering LP its rows on integers:
+the flows at full demand, divided by A_z, go through one ``link_sums``
+call with a row per (section, origin), and each section's rows are put
+over one scale.
 """
 
 from __future__ import annotations
@@ -256,11 +257,6 @@ def link_sums(rows: int, S: int, riders: Iterable[tuple]) -> list[tuple[int, lis
     return sums
 
 
-def link_loads(rows: int, S: int, riders: Iterable[tuple]) -> list[list[Fraction]]:
-    """Loads of each row on links 0 .. S-2 (riders as in ``link_sums``), one ``Fraction`` each."""
-    return [[Fraction(v, k) for v in row] for k, row in link_sums(rows, S, riders)]
-
-
 def _thinned(line: LineInstance, entry_rates: Sequence[Fraction]) -> list[tuple]:
     """(z, sp, p, q) of each flow with riders: p/q = H·E_z·A[z][sp]/A_z passengers per train.
 
@@ -300,35 +296,25 @@ def _riders(assignment: AssignmentTensor, flows: list[tuple]) -> Iterator[tuple]
             yield n, z, sp, p * a, q * b
 
 
-def section_loads(
-    assignment: AssignmentTensor, line: LineInstance, entry_rates: Sequence[Fraction]
-) -> list[list[Fraction]]:
-    """Passengers per train on each section and link; each E_z must lie in [0, A_z]."""
-    return link_loads(assignment.N, line.S, _riders(assignment, _thinned(line, entry_rates)))
-
-
 def load_coefficients(
     assignment: AssignmentTensor, line: LineInstance
-) -> list[list[list[Fraction]]]:
-    """coef[n][s][z]: passengers per train on section n over link s per unit of E_z.
+) -> list[list[tuple[int, list[int]]]]:
+    """coef[n][s] = (k, row): row[z]/k passengers per train on section n over link s per unit of E_z.
 
-    Riders from z ride no link before z.  Each origin's riders go to
-    ``link_loads`` in one row per section over stations S-1 down to z, so
-    they all alight at the row's end and the sum runs over links z .. S-2 only.
+    The flows at full demand, divided by A_z, ride in one ``link_sums`` row per
+    (section n, origin z); each section's rows are then put over the lcm k of their scales.
     """
     S, N = line.S, assignment.N
-    coef = [[[Fraction(0)] * S for _ in range(S - 1)] for _ in range(N)]
-    full = _thinned(line, [line.demand_rate(z) for z in range(S)])
-    for z, flows in itertools.groupby(full, key=lambda flow: flow[0]):
-        A_z = line.demand_rate(z)
-        riders = []
-        for _, sp, p, q in flows:  # p/q divided by A_z, times each share
-            p, q = p * A_z.denominator, q * A_z.numerator
-            riders += ((n, S - 1 - sp, S - 1 - z, p * share.numerator, q * share.denominator)
-                       for n, share in assignment.flows[z][sp])
-        for table, loads in zip(coef, link_loads(N, S - z, riders)):
-            for s, x in zip(range(S - 2, z - 1, -1), loads):  # reversed row: link S-2 first
-                table[s][z] = x
+    demand = [line.demand_rate(z) for z in range(S)]
+    riders = [(n * S + z, z, sp, p * demand[z].denominator, q * demand[z].numerator)
+              for n, z, sp, p, q in _riders(assignment, _thinned(line, demand))]
+    sums = link_sums(N * S, S, riders)
+    coef = []
+    for n in range(N):
+        part = sums[n * S:(n + 1) * S]  # one column per origin z
+        k = math.lcm(*(kz for kz, _ in part))
+        columns = [[v * (k // kz) for v in column] for kz, column in part]
+        coef.append([(k, list(row)) for row in zip(*columns)])
     return coef
 
 

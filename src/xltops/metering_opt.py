@@ -19,11 +19,15 @@ minimum rates fit it only if each section has at least the least size
 m with c*m at or above that section's heaviest minimum-rate load.
 
 The search runs on Python integers from each classification's setup to
-the winner.  Each LP row i is scaled once per classification by its own
-k_i, the lcm of the row's denominators, of its right-hand side at zero
-sizes and, on a load row, of c; a sizing's right-hand side is then the
-integer B0_i + ck_i*m_n.  Scaling a row by k_i > 0 changes no sign and no
-ratio order, so the scaled LP makes the same pivots as the rational one.
+the winner.  ``flow_sim.load_coefficients`` gives each load row as
+integers over a scale k; loads are linear in E, so the minimum rates'
+load is that row times M_min, put over the lcm k_lo of its denominators.
+A load row is scaled by k*k_lo*den(c) and divided by the gcd of its
+entries, B0_i and ck_i, an upper bound by the denominator of A_z - M_min_z,
+so a sizing's right-hand side is the integer B0_i + ck_i*m_n.  Each scaled
+row is the rational row times a positive number, which changes no sign
+and no ratio order: the scaled LP makes the rational one's pivots, and
+its duals give the same bounds.
 
 The inner solver is an exact primal simplex on an integer tableau
 (Edmonds 1967; Bareiss 1968) with per-row denominators, and Bland's
@@ -50,7 +54,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import flow_sim
-from .core_model import LineInstance, _whole, fr_i
+from .core_model import LineInstance, _integer, _real, _whole, fr_i, over_lcm
 from .errors import BadSectionCount, DimensionMismatch, InfeasibleMinRates, SearchSpaceTooLarge
 
 _SPEC = fr_i()  # the type labels, end-of-line rule and presentation of every candidate
@@ -72,8 +76,13 @@ class MeteringProblem:
     fixed_sizes: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.unit_capacity > 0:
-            raise DimensionMismatch(f"unit capacity must be positive, not {self.unit_capacity}")
+        if not _integer(self.M):
+            raise DimensionMismatch(f"the unit count M must be a whole number, not {self.M!r}")
+        c = self.unit_capacity
+        if not (_real(c) and -math.inf < c < math.inf):
+            raise DimensionMismatch(f"unit capacity must be a finite number, not {c!r}")
+        if not c > 0:
+            raise DimensionMismatch(f"unit capacity must be positive, not {c}")
 
 
 @dataclass(frozen=True)
@@ -159,12 +168,12 @@ def _check_sizes(problem: MeteringProblem, section_sizes: Sequence[int]) -> tupl
 
 class _ClassificationLP:
     """The LP in x = E - M_min of one classification: its rows (upper bounds,
-    then loads per section and link) and the load ``base`` the minimum rates
-    put on each section and link are fixed; a sizing sets C_n - base.
+    then loads per section and link) are fixed, and a sizing sets only the
+    right-hand sides, C_n less the minimum rates' loads on load rows.
 
-    Row i is kept scaled by its own k_i (see the module docstring): the
-    integer row with its slack column, B0_i = k_i*b_i at zero sizes, and
-    ck_i = k_i*c on a load row (0 on an upper bound)."""
+    Row i is kept scaled (see the module docstring): the integer row with its
+    slack column, B0_i, its right-hand side at zero sizes, and ck_i, its
+    coefficient of m_n (0 on an upper bound)."""
 
     def __init__(self, problem: MeteringProblem, station_types: Sequence[str]) -> None:
         self.line = line = problem.line
@@ -173,10 +182,6 @@ class _ClassificationLP:
         self.c = c = Fraction(problem.unit_capacity)
         self.lo = line.M_min
         S = line.S
-        coef = flow_sim.load_coefficients(self.assignment, line)
-        self.base = flow_sim.section_loads(self.assignment, line, self.lo)
-        # Per section, the least size m with c*m >= its heaviest minimum-rate load.
-        self.least = [math.ceil(max(row, default=0) / c) for row in self.base]
         m = S + _N * (S - 1)
         slack = [(0,) * i + (1,) + (0,) * (m - 1 - i) for i in range(m)]
         self.rows, self.B0, self.ck = [], [], [0] * S
@@ -184,13 +189,20 @@ class _ClassificationLP:
             b = line.demand_rate(z) - lo
             self.rows.append((0,) * z + (b.denominator,) + (0,) * (S - 1 - z) + slack[z])
             self.B0.append(b.numerator)
-        for table, base in zip(coef, self.base):  # c*m_n - base over each link
-            for row, load in zip(table, base):
-                k = math.lcm(*(a.denominator for a in row), load.denominator, c.denominator)
-                self.rows.append(tuple(a.numerator * (k // a.denominator) for a in row)
-                                 + slack[len(self.rows)])
-                self.B0.append(-load.numerator * (k // load.denominator))
-                self.ck.append(c.numerator * (k // c.denominator))
+        k_lo, lo_k = over_lcm(self.lo)  # M_min times the lcm of its denominators
+        self.least = []  # per section, the least m with c*m at or above its heaviest base load
+        for table in flow_sim.load_coefficients(self.assignment, line):  # c*m_n - row.M_min/k
+            least = 0
+            for k, row in table:
+                B0 = -c.denominator * sum(a * x for a, x in zip(row, lo_k))
+                ck = c.numerator * k * k_lo
+                row = [a * k_lo * c.denominator for a in row]
+                g = math.gcd(B0, ck, *row)
+                self.rows.append(tuple(a // g for a in row) + slack[len(self.rows)])
+                self.B0.append(B0 // g)
+                self.ck.append(ck // g)
+                least = max(least, -(B0 // ck))
+            self.least.append(least)
         # Each row's section; an upper bound's ck is 0, so its section is never read.
         self.section = [0] * S + [n for n in range(_N) for _ in range(S - 1)]
 
@@ -199,12 +211,14 @@ class _ClassificationLP:
         return all(m >= least for m, least in zip(sizes, self.least))
 
     def rhs(self, sizes: tuple[int, ...]) -> list[int]:
-        """Scaled right-hand sides for one sizing: k_i times the demand slack, then C_n - base."""
+        """Scaled right-hand sides for one sizing: the demand slacks, then C_n less the loads."""
+        b = [B0 + ck * sizes[n] for B0, ck, n in zip(self.B0, self.ck, self.section)]
+        S = len(self.lo)
         for n, (m, least) in enumerate(zip(sizes, self.least)):
             if m < least:
-                s = next(s for s, load in enumerate(self.base[n]) if load > self.c * m)
+                s = next(s for s, x in enumerate(b[S + n * (S - 1):]) if x < 0)
                 raise InfeasibleMinRates(f"minimum rates overload section {n + 1} on link {s + 1}")
-        return [B0 + ck * sizes[n] for B0, ck, n in zip(self.B0, self.ck, self.section)]
+        return b
 
     def solve(self, sizes: tuple[int, ...]) -> tuple:
         """The optimal tableau of ``_simplex_max`` for one sizing."""

@@ -242,6 +242,16 @@ def test_train_types_read_capacities_given_as_strings():
         TrainTypeSpec("t", M=2, lengths=(1.0, 1.0), capacities=("-3/10", 0), N=1)
 
 
+def test_train_types_refuse_a_string_of_capacities_and_keep_a_list_as_a_tuple():
+    with pytest.raises(DimensionMismatch, match="not the string '12'"):
+        TrainTypeSpec("t", M=2, lengths=(1.0, 1.0), capacities="12", N=1)
+    capacities = [1.0, "3/10"]
+    train = TrainTypeSpec("t", M=2, lengths=(1.0, 1.0), capacities=capacities, N=1)
+    capacities[0] = 5.0
+    assert train.capacities == (1.0, "3/10")
+    assert hash(train) == hash(replace(train))
+
+
 @pytest.mark.parametrize("capacity", ["x", "1/0", ""])
 def test_train_types_refuse_capacity_strings_that_are_no_number(capacity):
     with pytest.raises(DimensionMismatch, match="unit capacities must be numbers"):

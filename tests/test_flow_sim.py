@@ -30,7 +30,6 @@ from xltops.errors import (
 )
 from xltops.flow_sim import (
     capacity_shares,
-    link_loads,
     link_sums,
     load_coefficients,
     max_load_point,
@@ -167,6 +166,11 @@ def test_entry_rates_must_cover_every_station(fr_line_full):
     assignment = build_assignment(spec, fr_line_full)
     with pytest.raises(DimensionMismatch):
         simulate_loads(assignment, [1, 1, 0], fr_line_full, section_capacities(spec))
+
+
+def link_loads(rows, S, riders):
+    """Each row of ``link_sums`` as loads, one ``Fraction(v, k)`` each."""
+    return [[Fraction(v, k) for v in row] for k, row in link_sums(rows, S, riders)]
 
 
 def test_link_loads_puts_each_rider_on_the_links_it_rides():
@@ -349,8 +353,9 @@ def test_load_coefficients_reproduce_per_flow_microsimulation():
     rng = random.Random(f"{seed_from_env()}/coefficients")
     for assignment, line, rates in coefficient_cases(rng):
         coef = load_coefficients(assignment, line)
-        loads = [[sum((c * e for c, e in zip(row, rates)), Fraction(0)) for row in table]
-                 for table in coef]
+        assert all(type(a) is int for table in coef for k, row in table for a in (k, *row))
+        loads = [[sum((Fraction(a, k) * e for a, e in zip(row, rates)), Fraction(0))
+                  for k, row in table] for table in coef]
         assert loads == oracle_loads(assignment, rates, line)
 
 

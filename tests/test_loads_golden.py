@@ -99,7 +99,8 @@ def digests(case: dict, tmp: Path) -> dict:
         out[f"loads {name} metered"] = _exact(profile.load)
     for name in ("fr_i", "fr_h balanced"):
         coef = load_coefficients(assignments[name], line)
-        out[f"coefficients {name}"] = [_exact(table) for table in coef]
+        out[f"coefficients {name}"] = [
+            _exact([[Fraction(v, k) for v in row] for k, row in table]) for table in coef]
     for name, spec in specs.items():
         out[f"refined {name}"] = spec_to_json(greedy_presentation_refine(spec, line))
     return {key: _sha(value) for key, value in out.items()}

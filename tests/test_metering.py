@@ -92,6 +92,32 @@ def test_nonpositive_unit_capacity_is_rejected(c):
         fr_problem(pairwise_demand(3, 3, 3, 3), unit_capacity=c)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("unit_capacity", True, "unit capacity must be a finite number, not True"),
+     ("unit_capacity", math.inf, "unit capacity must be a finite number, not inf"),
+     ("unit_capacity", math.nan, "unit capacity must be a finite number, not nan"),
+     ("unit_capacity", "10", "unit capacity must be a finite number, not '10'"),
+     ("M", 8.0, "the unit count M must be a whole number, not 8.0"),
+     ("M", True, "the unit count M must be a whole number, not True")],
+    ids=["c-true", "c-inf", "c-nan", "c-string", "M-float", "M-true"],
+)
+def test_a_problem_refuses_a_capacity_or_unit_count_of_the_wrong_kind(field, value, message):
+    fields = {"line": make_line(FR_TYPES, pairwise_demand(3, 3, 3, 3)), "M": 12,
+              "unit_capacity": 1, field: value}
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        MeteringProblem(**fields)
+
+
+def test_a_problem_reads_int_fraction_and_float_capacities_exactly():
+    line = make_line(FR_TYPES, pairwise_demand(3, 3, 3, 3))
+    expected = solve_inner_lp(MeteringProblem(line, 12, Fraction(1, 2)), FR_TYPES, (3, 3, 3, 3))
+    assert solve_inner_lp(MeteringProblem(line, np.int64(12), 0.5), FR_TYPES,
+                          (3, 3, 3, 3)) == expected
+    assert solve_inner_lp(MeteringProblem(line, 12, 1), FR_TYPES, (3, 3, 3, 3)) == \
+        solve_inner_lp(MeteringProblem(line, 12, Fraction(1)), FR_TYPES, (3, 3, 3, 3))
+
+
 def test_infeasible_min_rates_raise():
     problem = fr_problem(pairwise_demand(9, 0, 0, 0), M_min=(9, 0, 0, 0), unit_capacity=1)
     with pytest.raises(InfeasibleMinRates):
@@ -419,9 +445,14 @@ def test_outer_matches_exhaustive_oracle_on_random_lines():
 
 def test_skipped_sizings_are_exactly_those_without_feasible_rates():
     rng = random.Random(seed_from_env() + 23)
+    problems = [replace(random_metering_problem(rng, S, free_types=False), M=6)
+                for S in (2, 3, 3, 3)]
+    # Station 1's minimum rate of 1.5 c rides section 3 alone, so one unit of it is overloaded
+    # whatever the draw, and two units carry it.
+    heavy = metering_workload_problem(rng, 4, 6)
+    problems.append(replace(heavy, line=replace(heavy.line, station_types=("R", "F", "F", "F"))))
     outcomes = set()
-    for S in (2, 3, 3, 3):
-        problem = replace(random_metering_problem(rng, S, free_types=False), M=6)
+    for problem in problems:
         types = problem.line.station_types
         for sizes in (s for s in itertools.product(range(1, 4), repeat=4) if sum(s) == 6):
             expected = lp_oracle(problem, types, sizes)
