@@ -21,10 +21,10 @@ from z), and section n takes share(n, z, sp) of them over links
 z .. sp-1.  ``link_sums`` puts riders on links for every caller: each adds
 its integer p·(k/q) at z and takes it off at sp in a difference row, and
 one prefix sum per row gives k times the loads.  Loads are linear in E,
-and ``load_coefficients`` gives the metering LP its rows on integers:
-the flows at full demand, divided by A_z, go through one ``link_sums``
-call with a row per (section, origin), and each section's rows are put
-over one scale.
+and ``unit_flows`` gives the metering LP each demanded flow per unit of
+its origin's entry rate: the flows at full demand, divided by A_z, as
+integers over one scale, once per line.  Each classification puts them
+through one ``link_sums`` call with a row per (section, origin).
 """
 
 from __future__ import annotations
@@ -296,26 +296,18 @@ def _riders(assignment: AssignmentTensor, flows: list[tuple]) -> Iterator[tuple]
             yield n, z, sp, p * a, q * b
 
 
-def load_coefficients(
-    assignment: AssignmentTensor, line: LineInstance
-) -> list[list[tuple[int, list[int]]]]:
-    """coef[n][s] = (k, row): row[z]/k passengers per train on section n over link s per unit of E_z.
+def unit_flows(line: LineInstance) -> tuple[int, list[tuple[int, int, int]]]:
+    """(D, [(z, sp, v)]): each demanded flow carries v/D passengers per train per unit of E_z.
 
-    The flows at full demand, divided by A_z, ride in one ``link_sums`` row per
-    (section n, origin z); each section's rows are then put over the lcm k of their scales.
+    The flows at full demand, H·A[z][sp], are divided by A_z = a_z/b_z and put over one
+    scale D: the lcm of their denominators times the lcm L of the a_z.
     """
-    S, N = line.S, assignment.N
-    demand = [line.demand_rate(z) for z in range(S)]
-    riders = [(n * S + z, z, sp, p * demand[z].denominator, q * demand[z].numerator)
-              for n, z, sp, p, q in _riders(assignment, _thinned(line, demand))]
-    sums = link_sums(N * S, S, riders)
-    coef = []
-    for n in range(N):
-        part = sums[n * S:(n + 1) * S]  # one column per origin z
-        k = math.lcm(*(kz for kz, _ in part))
-        columns = [[v * (k // kz) for v in column] for kz, column in part]
-        coef.append([(k, list(row)) for row in zip(*columns)])
-    return coef
+    demand = [line.demand_rate(z) for z in range(line.S)]
+    flows = _thinned(line, demand)
+    Q = math.lcm(*{q for *_, q in flows})
+    L = math.lcm(*{demand[z].numerator for z, *_ in flows})
+    return Q * L, [(z, sp, p * (Q // q) * demand[z].denominator * (L // demand[z].numerator))
+                   for z, sp, p, q in flows]
 
 
 def simulate_loads(

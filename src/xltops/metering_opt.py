@@ -18,16 +18,19 @@ LP, a sizing is screened by one integer comparison per section: the
 minimum rates fit it only if each section has at least the least size
 m with c*m at or above that section's heaviest minimum-rate load.
 
-The search runs on Python integers from each classification's setup to
-the winner.  ``flow_sim.load_coefficients`` gives each load row as
-integers over a scale k; loads are linear in E, so the minimum rates'
-load is that row times M_min, put over the lcm k_lo of its denominators.
-A load row is scaled by k*k_lo*den(c) and divided by the gcd of its
-entries, B0_i and ck_i, an upper bound by the denominator of A_z - M_min_z,
-so a sizing's right-hand side is the integer B0_i + ck_i*m_n.  Each scaled
-row is the rational row times a positive number, which changes no sign
-and no ratio order: the scaled LP makes the rational one's pivots, and
-its duals give the same bounds.
+The search runs on Python integers from the line's setup to the winner.
+What no classification changes is set up once per search: each demanded
+flow per unit of its origin's entry rate, as integers over one scale D
+(``flow_sim.unit_flows``), the upper bounds, M_min over the lcm k_lo of
+its denominators, and c.  A classification picks only the section each
+flow rides, so its load rows come from one ``flow_sim.link_sums`` call,
+and the minimum rates' load is a row times M_min.  A load row is scaled
+by k_lo*den(c), with ck_i = num(c)*D*k_lo, an upper bound by the
+denominator of A_z - M_min_z, and each is divided by the gcd of its
+entries, B0_i and ck_i, which makes it the one primitive integer form of
+its constraint.  So a sizing's right-hand side is the integer B0_i +
+ck_i*m_n, and the scaled LP, the rational one times positive numbers
+row by row, makes the rational one's pivots and gives the same bounds.
 
 The inner solver is an exact primal simplex on an integer tableau
 (Edmonds 1967; Bareiss 1968) with per-row denominators, and Bland's
@@ -166,6 +169,28 @@ def _check_sizes(problem: MeteringProblem, section_sizes: Sequence[int]) -> tupl
     return sizes
 
 
+class _LineLP:
+    """What the LPs of one line's classifications share (see the module docstring)."""
+
+    def __init__(self, problem: MeteringProblem) -> None:
+        self.line = line = problem.line
+        self.c = c = Fraction(problem.unit_capacity)
+        self.lo = line.M_min
+        S = line.S
+        m = S + _N * (S - 1)
+        self.slack = [(0,) * i + (1,) + (0,) * (m - 1 - i) for i in range(m)]
+        self.rows, self.B0 = [], []
+        for z, lo in enumerate(self.lo):  # x_z <= A_z - M_min_z, times its denominator
+            b = line.demand_rate(z) - lo
+            self.rows.append((0,) * z + (b.denominator,) + (0,) * (S - 1 - z) + self.slack[z])
+            self.B0.append(b.numerator)
+        k_lo, self.lo_k = over_lcm(self.lo)  # M_min times the lcm of its denominators
+        self.D, self.flows = flow_sim.unit_flows(line)
+        self.scale, self.ck = k_lo * c.denominator, c.numerator * self.D * k_lo
+        # Each row's section; an upper bound's ck is 0, so its section is never read.
+        self.section = [0] * S + [n for n in range(_N) for _ in range(S - 1)]
+
+
 class _ClassificationLP:
     """The LP in x = E - M_min of one classification: its rows (upper bounds,
     then loads per section and link) are fixed, and a sizing sets only the
@@ -175,36 +200,28 @@ class _ClassificationLP:
     slack column, B0_i, its right-hand side at zero sizes, and ck_i, its
     coefficient of m_n (0 on an upper bound)."""
 
-    def __init__(self, problem: MeteringProblem, station_types: Sequence[str]) -> None:
-        self.line = line = problem.line
-        self.assignment = flow_sim.build_assignment(_SPEC, line, station_types)
+    def __init__(self, line_lp: _LineLP, station_types: Sequence[str]) -> None:
+        self.line, self.c, self.lo, self.section = (
+            line_lp.line, line_lp.c, line_lp.lo, line_lp.section)
+        ti, presenting = flow_sim.type_pair_sections(_SPEC, self.line, station_types)
         self.station_types = tuple(station_types)
-        self.c = c = Fraction(problem.unit_capacity)
-        self.lo = line.M_min
-        S = line.S
-        m = S + _N * (S - 1)
-        slack = [(0,) * i + (1,) + (0,) * (m - 1 - i) for i in range(m)]
-        self.rows, self.B0, self.ck = [], [], [0] * S
-        for z, lo in enumerate(self.lo):  # x_z <= A_z - M_min_z, times its denominator
-            b = line.demand_rate(z) - lo
-            self.rows.append((0,) * z + (b.denominator,) + (0,) * (S - 1 - z) + slack[z])
-            self.B0.append(b.numerator)
-        k_lo, lo_k = over_lcm(self.lo)  # M_min times the lcm of its denominators
+        S, d, ck = self.line.S, self.c.denominator, line_lp.ck
+        # fr_i presents each type pair with one section: a flow rides row section*S + z.
+        sums = flow_sim.link_sums(_N * S, S, [(presenting[ti[z]][ti[sp]][0] * S + z, z, sp, v, 1)
+                                               for z, sp, v in line_lp.flows])
+        self.rows, self.B0, self.ck = list(line_lp.rows), list(line_lp.B0), [0] * S
         self.least = []  # per section, the least m with c*m at or above its heaviest base load
-        for table in flow_sim.load_coefficients(self.assignment, line):  # c*m_n - row.M_min/k
+        for n in range(_N):  # row[z]/D: section n's load on a link per unit of E_z
             least = 0
-            for k, row in table:
-                B0 = -c.denominator * sum(a * x for a, x in zip(row, lo_k))
-                ck = c.numerator * k * k_lo
-                row = [a * k_lo * c.denominator for a in row]
+            for row in zip(*(column for _, column in sums[n * S:(n + 1) * S])):
+                B0 = -d * sum(a * x for a, x in zip(row, line_lp.lo_k))
+                row = [a * line_lp.scale for a in row]
                 g = math.gcd(B0, ck, *row)
-                self.rows.append(tuple(a // g for a in row) + slack[len(self.rows)])
+                self.rows.append(tuple(a // g for a in row) + line_lp.slack[len(self.rows)])
                 self.B0.append(B0 // g)
                 self.ck.append(ck // g)
                 least = max(least, -(B0 // ck))
             self.least.append(least)
-        # Each row's section; an upper bound's ck is 0, so its section is never read.
-        self.section = [0] * S + [n for n in range(_N) for _ in range(S - 1)]
 
     def admits(self, sizes: tuple[int, ...]) -> bool:
         """Whether the minimum rates fit the sizing: no section below its least size."""
@@ -252,6 +269,7 @@ class _ClassificationLP:
         value = {var: Fraction(row[-1], d) for row, d, var in zip(rows, den, basis) if row[-1]}
         E = tuple(lo + value.get(z, 0) for z, lo in enumerate(self.lo))
         C_n = tuple(self.c * m for m in sizes)
+        assignment = flow_sim.build_assignment(_SPEC, self.line, self.station_types)
         tags = [BindingConstraint("upper", (z + 1,)) for z in range(S)] + [
             BindingConstraint("load", (n + 1, s + 1)) for n in range(_N) for s in range(S - 1)
         ]
@@ -262,7 +280,7 @@ class _ClassificationLP:
             station_types=self.station_types,
             section_sizes=sizes,
             objective=sum(E, Fraction(0)),
-            profile=flow_sim.simulate_loads(self.assignment, E, self.line, C_n),
+            profile=flow_sim.simulate_loads(assignment, E, self.line, C_n),
             binding=tuple(binding),
         )
 
@@ -274,7 +292,7 @@ def solve_inner_lp(
 ) -> MeteringSolution:
     """Optimal entry rates for a fixed classification and sizing."""
     sizes = _check_sizes(problem, section_sizes)
-    lp = _ClassificationLP(problem, station_types)
+    lp = _ClassificationLP(_LineLP(problem), station_types)
     return lp.solution(sizes, lp.solve(sizes))
 
 
@@ -299,13 +317,13 @@ def solve_outer(problem: MeteringProblem, cap: int = 10**6) -> MeteringSolution:
 
     Candidates are visited in lexicographic order of the
     (classification, sizes) encoding; the first optimum found wins, so
-    ties resolve to the lexicographically smallest candidate.  Each
-    classification's LP is built once, and the solution is assembled
-    for the winner only.  A sizing whose minimum rates overload a
-    section is skipped, and so is one that a dual cut of an earlier
-    sizing of the same classification bounds at or below the incumbent:
-    it can at best tie an earlier candidate, so the answer is the one
-    that solving every candidate's LP gives.
+    ties resolve to the lexicographically smallest candidate.  The line
+    part of the LP is set up once per search, each classification's rows
+    once, and the assignment and solution for the winner only.  A sizing
+    whose minimum rates overload a section is skipped, and so is one that
+    a dual cut of an earlier sizing of the same classification bounds at
+    or below the incumbent: it can at best tie an earlier candidate, so
+    the answer is the one that solving every candidate's LP gives.
     """
     if problem.fixed_station_types is not None:
         deltas = [problem.fixed_station_types]
@@ -322,9 +340,9 @@ def solve_outer(problem: MeteringProblem, cap: int = 10**6) -> MeteringSolution:
     sizings = [_check_sizes(problem, sizes) for sizes in sizings]
 
     # (num, den, lp, sizes, tableau): sum(x) = num/den; sum(E) exceeds it by sum(M_min)
-    best = None
+    best, line_lp = None, _LineLP(problem)
     for delta in deltas:
-        lp = _ClassificationLP(problem, delta)
+        lp = _ClassificationLP(line_lp, delta)
         cuts = []  # (K, W, D) from each solved sizing's duals
         for sizes in sizings:
             if not lp.admits(sizes):

@@ -12,6 +12,7 @@ candidate for the metering search, and sampling for the access penalty.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 from fractions import Fraction
@@ -33,7 +34,7 @@ from xltops import (
     solve_inner_lp,
 )
 from xltops.errors import AmbiguousAssignment, InfeasibleMinRates
-from xltops.flow_sim import type_pair_sections
+from xltops.flow_sim import _riders, _thinned, link_sums, type_pair_sections
 
 
 def seed_from_env(default: int = 12345) -> int:
@@ -185,6 +186,28 @@ def oracle_loads(assignment, entry_rates, line: LineInstance):
             for n in range(N):
                 loads[n][s] = sum(onboard[n].values(), Fraction(0))
     return loads
+
+
+def load_coefficients(
+    assignment: AssignmentTensor, line: LineInstance
+) -> list[list[tuple[int, list[int]]]]:
+    """coef[n][s] = (k, row): row[z]/k passengers per train on section n over link s per unit of E_z.
+
+    The flows at full demand, divided by A_z, ride in one ``link_sums`` row per
+    (section n, origin z); each section's rows are then put over the lcm k of their scales.
+    """
+    S, N = line.S, assignment.N
+    demand = [line.demand_rate(z) for z in range(S)]
+    riders = [(n * S + z, z, sp, p * demand[z].denominator, q * demand[z].numerator)
+              for n, z, sp, p, q in _riders(assignment, _thinned(line, demand))]
+    sums = link_sums(N * S, S, riders)
+    coef = []
+    for n in range(N):
+        part = sums[n * S:(n + 1) * S]  # one column per origin z
+        k = math.lcm(*(kz for kz, _ in part))
+        columns = [[v * (k // kz) for v in column] for kz, column in part]
+        coef.append([(k, list(row)) for row in zip(*columns)])
+    return coef
 
 
 def oracle_end_preference(spec: ProtocolSpec, line: LineInstance) -> AssignmentTensor:

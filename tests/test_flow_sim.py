@@ -31,7 +31,6 @@ from xltops.errors import (
 from xltops.flow_sim import (
     capacity_shares,
     link_sums,
-    load_coefficients,
     max_load_point,
     max_unit_density,
 )
@@ -39,6 +38,7 @@ from xltops.flow_sim import (
 from conftest import (
     access_penalty_ftr_mc,
     exactly_one_ftr,
+    load_coefficients,
     make_line,
     oracle_end_preference,
     oracle_loads,

@@ -42,7 +42,8 @@ from xltops import (
     spec_from_json,
     spec_to_json,
 )
-from xltops.flow_sim import load_coefficients
+
+from conftest import load_coefficients
 
 GOLDEN = Path(__file__).parent / "data" / "loads_golden.json"
 DEMAND = ("7/3", "1/7", "2/5", "9/10", "3", "5/6", "1", "0", "0", "11/9")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xltops import LineInstance, build_assignment, fr_i, metering_opt
+from xltops import LineInstance, build_assignment, flow_sim, fr_i, metering_opt
 from xltops.errors import (
     BadSectionCount,
     DimensionMismatch,
@@ -22,6 +22,7 @@ from xltops.errors import (
 from xltops.metering_opt import (
     MeteringProblem,
     _ClassificationLP,
+    _LineLP,
     _classifications,
     _compositions,
     even_density_check,
@@ -30,6 +31,7 @@ from xltops.metering_opt import (
 )
 
 from conftest import (
+    load_coefficients,
     make_line,
     oracle_loads,
     oracle_lp_max,
@@ -505,7 +507,7 @@ def test_dual_cut_bounds_every_sizing_and_is_tight_at_its_own():
                 value = lp_oracle(problem, delta, sizes)
                 if value is not None:
                     optimum[sizes] = value - floor
-            lp = _ClassificationLP(problem, delta)
+            lp = _ClassificationLP(_LineLP(problem), delta)
             for m in optimum:
                 cut = lp.cut(lp.solve(m))
                 assert cut_value(cut, m) == optimum[m]
@@ -664,7 +666,7 @@ def test_sizing_screen_skips_exactly_the_sizings_rhs_rejects(c):
         S = rng.randint(2, 5)
         problem = replace(random_metering_problem(rng, S, free_types=True), M=7, unit_capacity=c)
         delta = rng.choice(list(_classifications(S)))
-        lp = _ClassificationLP(problem, delta)
+        lp = _ClassificationLP(_LineLP(problem), delta)
         line = replace(problem.line, station_types=delta)
         for sizes in _compositions(problem.M, 4):
             base = oracle_loads(build_assignment(fr_i(sizes), line), line.M_min, line)
@@ -681,13 +683,90 @@ def test_sizing_screen_skips_exactly_the_sizings_rhs_rejects(c):
     # A minimum-rate load of exactly c*m fits: station 1 puts 3c on section 1.
     tight = fr_problem(pairwise_demand(3 * c, 0, 0, 0), M_min=(3 * c, 0, 0, 0),
                        unit_capacity=c, M=7)
-    lp = _ClassificationLP(tight, FR_TYPES)
+    lp = _ClassificationLP(_LineLP(tight), FR_TYPES)
     assert lp.admits((3, 2, 1, 1)) and not lp.admits((2, 3, 1, 1))
     # The message names the first link loaded beyond c*m, past one loaded to exactly c*m.
     line = make_line(("F",) * 3, [[Z, 2 * c, Z], [Z, Z, 3 * c], [Z] * 3], M_min=(2 * c, 3 * c, Z))
-    lp = _ClassificationLP(MeteringProblem(line=line, M=7, unit_capacity=c), ("F",) * 3)
+    lp = _ClassificationLP(_LineLP(MeteringProblem(line=line, M=7, unit_capacity=c)), ("F",) * 3)
     with pytest.raises(InfeasibleMinRates, match="overload section 1 on link 2$"):
         lp.rhs((2, 3, 1, 1))
+
+
+# ---------------------------------------------------------------------------
+# Setup once per line against the setup once per classification
+# ---------------------------------------------------------------------------
+
+
+def per_classification_setup(problem, delta):
+    """rows, B0, ck and least of one classification's LP, formed from
+    ``build_assignment`` and the reference ``load_coefficients``: each load row
+    (k, r) scaled by k_lo * den(c) and divided by the gcd of its entries, B0
+    (the minimum rates' load, negated) and ck = num(c) * k * k_lo."""
+    line, c = problem.line, Fraction(problem.unit_capacity)
+    S = line.S
+    m = S + 4 * (S - 1)
+    slack = [(0,) * i + (1,) + (0,) * (m - 1 - i) for i in range(m)]
+    rows, B0s, cks = [], [], [0] * S
+    for z, lo in enumerate(line.M_min):
+        b = line.demand_rate(z) - lo
+        rows.append((0,) * z + (b.denominator,) + (0,) * (S - 1 - z) + slack[z])
+        B0s.append(b.numerator)
+    k_lo = math.lcm(*(x.denominator for x in line.M_min))
+    lo_k = [x.numerator * (k_lo // x.denominator) for x in line.M_min]
+    least = []
+    for table in load_coefficients(build_assignment(fr_i(), line, delta), line):
+        most = 0
+        for k, row in table:
+            B0 = -c.denominator * sum(a * x for a, x in zip(row, lo_k))
+            ck = c.numerator * k * k_lo
+            row = [a * k_lo * c.denominator for a in row]
+            g = math.gcd(B0, ck, *row)
+            rows.append(tuple(a // g for a in row) + slack[len(rows)])
+            B0s.append(B0 // g)
+            cks.append(ck // g)
+            most = max(most, -(B0 // ck))
+        least.append(most)
+    return rows, B0s, cks, least
+
+
+def test_line_setup_gives_each_classification_the_rows_of_its_own_setup():
+    """Entry for entry, on fractional A, H, c and M_min with an origin that
+    demands nothing: the primitive integer form of a row is unique, so the
+    setup shared by a line's classifications changes no pivot of any LP."""
+    rng = random.Random(seed_from_env() + 30)
+    checked = 0
+    for S in (1, 2, 3, 4, 5, 6, 7):
+        for _ in range(2):
+            A = [[Fraction(rng.randint(0, 6), rng.randint(1, 4)) if sp > z else Z
+                  for sp in range(S)] for z in range(S)]
+            if S > 2:
+                A[rng.randrange(S - 1)] = [Z] * S  # an origin with no demand
+            M_min = [sum(row, Z) * Fraction(rng.randint(0, 3), rng.randint(4, 6)) for row in A]
+            line = LineInstance(
+                stations=tuple(f"s{z + 1}" for z in range(S)), platform_lengths=(9,) * S,
+                H=Fraction(rng.randint(1, 5), rng.randint(1, 4)), A=A, M_min=M_min,
+            )
+            problem = MeteringProblem(line=line, M=8,
+                                      unit_capacity=Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+            line_lp = _LineLP(problem)
+            for delta in _classifications(S):
+                lp = _ClassificationLP(line_lp, delta)
+                assert (lp.rows, lp.B0, lp.ck, lp.least) == per_classification_setup(problem, delta)
+                checked += 1
+    assert checked == 2 * (1 + 1 + 2 + 4 + 8 + 16 + 32)
+
+
+def test_the_search_builds_one_assignment_and_thins_the_line_at_most_twice(monkeypatch):
+    """Once for the rows of every classification, once for the winner's loads."""
+    calls = {"build_assignment": 0, "_thinned": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(flow_sim, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(flow_sim, name, counted)
+    solve_outer(metering_workload_problem(random.Random(seed_from_env() + 31), 5, 8))
+    assert calls["build_assignment"] == 1
+    assert calls["_thinned"] <= 2
 
 
 # ---------------------------------------------------------------------------
