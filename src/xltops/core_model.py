@@ -456,7 +456,11 @@ _FR_RULE = EolRule(name="fr", first_types=frozenset({"R"}), last_types=frozenset
 
 
 def _four_sections(types, sizes, a, p=None) -> ProtocolSpec:
-    """Four consecutive sections, the F/R end-of-line rule, platforms spanning aligned sections."""
+    """Four consecutive sections of whole positive sizes, the F/R end-of-line rule, and
+    platforms spanning aligned sections."""
+    sizes = _whole_sizes(sizes)
+    if len(sizes) != 4 or min(sizes) < 1:
+        raise BadSectionCount(f"need 4 positive section sizes, not {sizes}")
     train = TrainTypeSpec.uniform("xlt", M=sum(sizes), N=4)
     u, a, v, p, stops = train_tables(sizes, a, p)
     d = {t: sum(size for size, row in zip(sizes, a) if row[i]) for i, t in enumerate(types)}
@@ -472,8 +476,6 @@ def fr_h(section_size: int = 3) -> ProtocolSpec:
     The front three sections align at F-stations, the rear three at
     R-stations; every aligned section opens and presents fully.
     """
-    if section_size < 1:
-        raise BadSectionCount("section size must be positive")
     return _four_sections(("F", "R"), (section_size,) * 4, _FR_ALIGNMENT)
 
 
@@ -484,20 +486,15 @@ def fr_i(section_sizes: Sequence[int] = (3, 3, 3, 3)) -> ProtocolSpec:
     F-stations), section 3 R-to-F (presented only at R-stations) and
     section 4 R-to-R, giving a 1:1 pair-to-section correspondence.
     """
-    sizes = tuple(int(x) for x in section_sizes)
-    if len(sizes) != 4 or any(x < 1 for x in sizes):
-        raise BadSectionCount("fr_i needs exactly 4 positive section sizes")
     F, R = one_hot((0, 1), 2)  # a row of p: presents F, presents R
     zero = (0, 0)
     # p[n][origin type]: section n presents one (origin, destination) pair.
     p = ((F, zero), (R, zero), (zero, F), (zero, R))
-    return _four_sections(("F", "R"), sizes, _FR_ALIGNMENT, p)
+    return _four_sections(("F", "R"), section_sizes, _FR_ALIGNMENT, p)
 
 
 def ftr(section_size: int = 2) -> ProtocolSpec:
     """Static F/T/R protocol: platforms span two of the four sections."""
-    if section_size < 1:
-        raise BadSectionCount("section size must be positive")
     a = ((1, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 1))
     return _four_sections(("F", "T", "R"), (section_size,) * 4, a)
 
@@ -540,17 +537,6 @@ def _listed(x) -> tuple:
     if isinstance(x, str):
         raise TypeError(f"expected a list, not the string {x!r}")
     return tuple(x)
-
-
-def _station_types(station_types, S: int) -> tuple[str, ...]:
-    """A station classification as a tuple of S labels; a string or another length is refused."""
-    try:
-        station_types = _listed(station_types)
-    except TypeError as exc:
-        raise DimensionMismatch(str(exc)) from exc
-    if len(station_types) != S:
-        raise DimensionMismatch("station_types must have one label per station")
-    return station_types
 
 
 def _read_numbers(xs: Sequence, memo: dict) -> tuple[Fraction, ...]:
@@ -618,7 +604,12 @@ class LineInstance:
             raise DimensionMismatch("platform lengths must be whole numbers >= 1")
         object.__setattr__(self, "platform_lengths", tuple(map(int, self.platform_lengths)))
         if self.station_types is not None:
-            object.__setattr__(self, "station_types", _station_types(self.station_types, S))
+            try:
+                object.__setattr__(self, "station_types", _listed(self.station_types))
+            except TypeError as exc:
+                raise DimensionMismatch(str(exc)) from exc
+            if len(self.station_types) != S:
+                raise DimensionMismatch("station_types must have one label per station")
         if self.H <= 0:
             raise DimensionMismatch("headway must be positive")
         k, scaled = over_lcm(values)
@@ -708,6 +699,14 @@ def _whole(x) -> int:
     if n != x or isinstance(x, bool):
         raise ValueError(f"{x!r} is not a whole number")
     return n
+
+
+def _whole_sizes(sizes: Iterable) -> tuple[int, ...]:
+    """Section sizes read by ``_whole``: DimensionMismatch for one that is not a whole number."""
+    try:
+        return tuple(_whole(m) for m in sizes)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"section sizes must be whole numbers: {exc}") from None
 
 
 def _check_schema(doc: dict, kind: str) -> None:

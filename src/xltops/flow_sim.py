@@ -39,7 +39,6 @@ from .core_model import (
     LineInstance,
     ProtocolSpec,
     _read_numbers,
-    _station_types,
     fraction_sum,
     over_lcm,
 )
@@ -99,26 +98,16 @@ class CapacityReport:
     gain: Fraction  # full XLT units at the MLP / reference units
 
 
-def type_pair_sections(
-    spec: ProtocolSpec, line: LineInstance, station_types: Sequence[str] | None = None
-) -> tuple[tuple[int, ...], list]:
-    """Each station's type index, and the sections presenting each type pair, ascending.
-
-    The stations are classified by ``station_types`` if given, else by
-    ``line.station_types``.
-    """
+def type_pair_sections(spec: ProtocolSpec, line: LineInstance) -> tuple[tuple[int, ...], list]:
+    """Each station's type index, and the sections presenting each type pair, ascending."""
     if spec.K != 1:
         raise DimensionMismatch("assignment is defined for a single train type")
-    if station_types is not None:
-        station_types = _station_types(station_types, line.S)
-    elif line.station_types is not None:
-        station_types = line.station_types
-    else:
+    if line.station_types is None:
         raise DimensionMismatch("line must carry a station classification")
     pk, C = spec.p[0], spec.C
     presenting = [[[n for n, rows in enumerate(pk) if rows[i][j]] for j in range(C)]
                   for i in range(C)]
-    return spec.stations.indices(station_types), presenting
+    return spec.stations.indices(line.station_types), presenting
 
 
 def capacity_shares(sections: Sequence[int], caps: Sequence[Fraction]) -> Shares:
@@ -148,18 +137,15 @@ def _balanced(spec: ProtocolSpec, ti: Sequence[int], presenting: list) -> Assign
     )
 
 
-def build_assignment(
-    spec: ProtocolSpec, line: LineInstance, station_types: Sequence[str] | None = None
-) -> AssignmentTensor:
+def build_assignment(spec: ProtocolSpec, line: LineInstance) -> AssignmentTensor:
     """All-or-nothing assignment from the presentation table.
 
     Requires a single train type and an exactly-one presentation over
     the demanded pairs; raises AmbiguousAssignment otherwise.  A pair
     nobody demands may be presented by several sections: it gets the
-    balanced split's shares and carries nothing.  ``station_types``, if
-    given, classifies the stations in place of ``line.station_types``.
+    balanced split's shares and carries nothing.
     """
-    ti, presenting = type_pair_sections(spec, line, station_types)
+    ti, presenting = type_pair_sections(spec, line)
     for z, sp, _ in line.flows:
         sections = presenting[ti[z]][ti[sp]]
         if len(sections) > 1:
@@ -320,6 +306,8 @@ def simulate_loads(
 
     Overcrowding and demand that no section presents are reported, not fatal.
     """
+    if len(C_n) != assignment.N:
+        raise DimensionMismatch(f"{len(C_n)} section capacities for {assignment.N} sections")
     flows = _thinned(line, entry_rates)
     sums = link_sums(assignment.N, line.S, _riders(assignment, flows))
     load = tuple(tuple(Fraction(v, k) for v in row) for k, row in sums)
@@ -365,8 +353,8 @@ def size_sections_proportional(
     from its exact proportional value by less than one unit.
     """
     fractions = [Fraction(f) for f in od_type_fractions]
-    if sum(fractions) != 1:
-        raise DimensionMismatch("fractions must sum to 1")
+    if sum(fractions) != 1 or min(fractions) < 0:
+        raise DimensionMismatch("fractions must be nonnegative and sum to 1")
     exact = [f * M for f in fractions]
     base = [int(x) for x in exact]  # floor: exact values are nonnegative
     remainder = M - sum(base)
@@ -395,6 +383,8 @@ def capacity_report(
     if reference_units is None:
         reference_units = min(spec.stations.lengths())
     reference_units = Fraction(reference_units)
+    if reference_units <= 0:
+        raise DimensionMismatch(f"reference units must be positive, not {reference_units}")
     sizes = spec.section_sizes(0)
     full_units = sum(
         (Fraction(sizes[n]) * min(occupancy[n], Fraction(1)) for n in range(profile.N)),

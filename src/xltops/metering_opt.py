@@ -23,12 +23,12 @@ What no classification changes is set up once per search: each demanded
 flow per unit of its origin's entry rate, as integers over one scale D
 (``flow_sim.unit_flows``), the upper bounds, M_min over the lcm k_lo of
 its denominators, and c.  A classification picks only the section each
-flow rides, so its load rows come from one ``flow_sim.link_sums`` call,
-and the minimum rates' load is a row times M_min.  A load row is scaled
-by k_lo*den(c), with ck_i = num(c)*D*k_lo, an upper bound by the
-denominator of A_z - M_min_z, and each is divided by the gcd of its
-entries, B0_i and ck_i, which makes it the one primitive integer form of
-its constraint.  So a sizing's right-hand side is the integer B0_i +
+flow rides, from fr_i's fixed map of type pair to section (``_SECTION``),
+so its load rows come from one ``flow_sim.link_sums`` call, and the
+minimum rates' load is a row times M_min.  A load row is scaled by
+k_lo*den(c), with ck_i = num(c)*D*k_lo, an upper bound by the denominator
+of A_z - M_min_z, and each is divided by the gcd of its entries, B0_i and
+ck_i, which makes it the one primitive integer form of its constraint.  So a sizing's right-hand side is the integer B0_i +
 ck_i*m_n, and the scaled LP, the rational one times positive numbers
 row by row, makes the rational one's pivots and gives the same bounds.
 
@@ -52,16 +52,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 from . import flow_sim
-from .core_model import LineInstance, _integer, _real, _whole, fr_i, over_lcm
+from .core_model import LineInstance, _integer, _real, _whole_sizes, fr_i, over_lcm
 from .errors import BadSectionCount, DimensionMismatch, InfeasibleMinRates, SearchSpaceTooLarge
 
 _SPEC = fr_i()  # the type labels, end-of-line rule and presentation of every candidate
 _N = _SPEC.trains[0].N
+_SECTION = {  # (origin type, destination type): the one section of fr_i that presents it
+    (i, j): n for n, rows in enumerate(_SPEC.p[0]) for x, i in enumerate(_SPEC.stations.types)
+    for y, j in enumerate(_SPEC.stations.types) if rows[x][y]}
 
 
 @dataclass(frozen=True)
@@ -158,10 +161,7 @@ def _eliminate(row: Sequence[int], d: int, pivot: Sequence[int], p: int, f: int)
 
 
 def _check_sizes(problem: MeteringProblem, section_sizes: Sequence[int]) -> tuple[int, ...]:
-    try:
-        sizes = tuple(_whole(m) for m in section_sizes)
-    except (ArithmeticError, TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"section sizes must be whole numbers: {exc}") from None
+    sizes = _whole_sizes(section_sizes)
     if sum(sizes) != problem.M or len(sizes) != _N:
         raise DimensionMismatch("section sizes must partition the train")
     if min(sizes) < 1:
@@ -169,11 +169,18 @@ def _check_sizes(problem: MeteringProblem, section_sizes: Sequence[int]) -> tupl
     return sizes
 
 
+def _classified(line: LineInstance, station_types: Sequence[str]) -> LineInstance:
+    """The line under a caller's classification, checked by the line and by fr_i's labels."""
+    line = replace(line, station_types=station_types)
+    _SPEC.stations.indices(line.station_types)
+    return line
+
+
 class _LineLP:
     """What the LPs of one line's classifications share (see the module docstring)."""
 
     def __init__(self, problem: MeteringProblem) -> None:
-        self.line = line = problem.line
+        line = problem.line
         self.c = c = Fraction(problem.unit_capacity)
         self.lo = line.M_min
         S = line.S
@@ -200,14 +207,12 @@ class _ClassificationLP:
     slack column, B0_i, its right-hand side at zero sizes, and ck_i, its
     coefficient of m_n (0 on an upper bound)."""
 
-    def __init__(self, line_lp: _LineLP, station_types: Sequence[str]) -> None:
-        self.line, self.c, self.lo, self.section = (
-            line_lp.line, line_lp.c, line_lp.lo, line_lp.section)
-        ti, presenting = flow_sim.type_pair_sections(_SPEC, self.line, station_types)
-        self.station_types = tuple(station_types)
-        S, d, ck = self.line.S, self.c.denominator, line_lp.ck
+    def __init__(self, line_lp: _LineLP, station_types: tuple[str, ...]) -> None:
+        self.c, self.lo, self.section = line_lp.c, line_lp.lo, line_lp.section
+        self.station_types = types = station_types
+        S, d, ck = len(self.lo), self.c.denominator, line_lp.ck
         # fr_i presents each type pair with one section: a flow rides row section*S + z.
-        sums = flow_sim.link_sums(_N * S, S, [(presenting[ti[z]][ti[sp]][0] * S + z, z, sp, v, 1)
+        sums = flow_sim.link_sums(_N * S, S, [(_SECTION[types[z], types[sp]] * S + z, z, sp, v, 1)
                                                for z, sp, v in line_lp.flows])
         self.rows, self.B0, self.ck = list(line_lp.rows), list(line_lp.B0), [0] * S
         self.least = []  # per section, the least m with c*m at or above its heaviest base load
@@ -258,18 +263,19 @@ class _ClassificationLP:
             W[n] += yi * ck
         return K, W, od
 
-    def solution(self, sizes: tuple[int, ...], tableau: tuple) -> MeteringSolution:
+    def solution(self, line: LineInstance, sizes: tuple, tableau: tuple) -> MeteringSolution:
         """The rates, binding constraints and load profile of a solved sizing.
 
-        A basic column's value is its row's rhs over the row's den, and every
-        other column is 0; a bound or a load binds where its slack is 0.
+        ``line`` is the line under this LP's classification.  A basic column's
+        value is its row's rhs over the row's den, and every other column is 0;
+        a bound or a load binds where its slack is 0.
         """
         S = len(self.lo)
         _, _, rows, den, basis = tableau
         value = {var: Fraction(row[-1], d) for row, d, var in zip(rows, den, basis) if row[-1]}
         E = tuple(lo + value.get(z, 0) for z, lo in enumerate(self.lo))
         C_n = tuple(self.c * m for m in sizes)
-        assignment = flow_sim.build_assignment(_SPEC, self.line, self.station_types)
+        assignment = flow_sim.build_assignment(_SPEC, line)
         tags = [BindingConstraint("upper", (z + 1,)) for z in range(S)] + [
             BindingConstraint("load", (n + 1, s + 1)) for n in range(_N) for s in range(S - 1)
         ]
@@ -277,10 +283,10 @@ class _ClassificationLP:
         binding += [tag for i, tag in enumerate(tags, start=S) if i not in value]
         return MeteringSolution(
             E=E,
-            station_types=self.station_types,
+            station_types=line.station_types,
             section_sizes=sizes,
             objective=sum(E, Fraction(0)),
-            profile=flow_sim.simulate_loads(assignment, E, self.line, C_n),
+            profile=flow_sim.simulate_loads(assignment, E, line, C_n),
             binding=tuple(binding),
         )
 
@@ -292,8 +298,9 @@ def solve_inner_lp(
 ) -> MeteringSolution:
     """Optimal entry rates for a fixed classification and sizing."""
     sizes = _check_sizes(problem, section_sizes)
-    lp = _ClassificationLP(_LineLP(problem), station_types)
-    return lp.solution(sizes, lp.solve(sizes))
+    line = _classified(problem.line, station_types)
+    lp = _ClassificationLP(_LineLP(problem), line.station_types)
+    return lp.solution(line, sizes, lp.solve(sizes))
 
 
 def _compositions(total: int, parts: int):
@@ -317,27 +324,27 @@ def solve_outer(problem: MeteringProblem, cap: int = 10**6) -> MeteringSolution:
 
     Candidates are visited in lexicographic order of the
     (classification, sizes) encoding; the first optimum found wins, so
-    ties resolve to the lexicographically smallest candidate.  The line
-    part of the LP is set up once per search, each classification's rows
-    once, and the assignment and solution for the winner only.  A sizing
-    whose minimum rates overload a section is skipped, and so is one that
+    ties resolve to the lexicographically smallest candidate.  Only a fixed
+    classification or sizing is checked, after the cap.  The line part of
+    the LP is set up once per search, each classification's rows once, and
+    the classified line and solution for the winner only.  A sizing whose
+    minimum rates overload a section is skipped, and so is one that
     a dual cut of an earlier sizing of the same classification bounds at
     or below the incumbent: it can at best tie an earlier candidate, so
     the answer is the one that solving every candidate's LP gives.
     """
-    if problem.fixed_station_types is not None:
-        deltas = [problem.fixed_station_types]
-    else:
-        deltas = list(_classifications(problem.line.S))
-    if problem.fixed_sizes is not None:
-        sizings = [tuple(problem.fixed_sizes)]
-    else:
-        sizings = list(_compositions(problem.M, _N))
-
+    fixed_types, fixed_sizes = problem.fixed_station_types, problem.fixed_sizes
+    deltas = [fixed_types] if fixed_types is not None else list(_classifications(problem.line.S))
+    sizings = [fixed_sizes] if fixed_sizes is not None else list(_compositions(problem.M, _N))
     count = len(deltas) * len(sizings)
     if count > cap:
         raise SearchSpaceTooLarge(f"{count} candidates exceed the cap of {cap}")
-    sizings = [_check_sizes(problem, sizes) for sizes in sizings]
+    if fixed_sizes is not None:
+        sizings = [_check_sizes(problem, fixed_sizes)]
+    classified = None  # the line under a fixed classification, whose labels the LP then reads
+    if fixed_types is not None:
+        classified = _classified(problem.line, fixed_types)
+        deltas = [classified.station_types]
 
     # (num, den, lp, sizes, tableau): sum(x) = num/den; sum(E) exceeds it by sum(M_min)
     best, line_lp = None, _LineLP(problem)
@@ -360,7 +367,8 @@ def solve_outer(problem: MeteringProblem, cap: int = 10**6) -> MeteringSolution:
                 best = (value, od, lp, sizes, tableau)
     if best is None:
         raise InfeasibleMinRates("no enumerated candidate admits feasible rates")
-    return best[2].solution(*best[3:])
+    line = classified or replace(problem.line, station_types=best[2].station_types)
+    return best[2].solution(line, *best[3:])
 
 
 @dataclass(frozen=True)

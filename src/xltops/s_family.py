@@ -40,6 +40,7 @@ from .core_model import (
     StationTypeCatalog,
     TrainTypeSpec,
     _check_schema,
+    _integer,
     _listed,
     _whole,
     build_protocol,
@@ -90,6 +91,8 @@ class BarChart:
         if len(set(labels)) != len(labels):
             raise DimensionMismatch("bar labels must be unique within a chart")
         for bar in self.bars:
+            if not all(map(_integer, (self.M, bar.b, bar.d))):
+                raise DimensionMismatch(f"bar {bar.label}: M, b and d must be whole numbers")
             if bar.d < 1:
                 raise DimensionMismatch(f"bar {bar.label}: platform length must be >= 1")
             if not bar.skipped and not (1 <= bar.b <= self.M + bar.d - 1):
@@ -208,8 +211,8 @@ class SFamilySpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "D", Fraction(self.D))
-        if self.C < 1 or self.d < 1 or self.D <= 0:
-            raise DimensionMismatch("need C >= 1, d >= 1 and D > 0")
+        if not (_integer(self.C) and _integer(self.d)) or self.C < 1 or self.d < 1 or self.D <= 0:
+            raise DimensionMismatch("need whole numbers C >= 1 and d >= 1, and D > 0")
         if self.C > 1 and (self.d / self.D).denominator != 1:
             D = self.D if self.D.denominator == 1 else f"({self.D})"
             raise NonIntegralStep(f"step h = d/D = {self.d}/{D} is not a whole number of units")
@@ -247,8 +250,8 @@ def train_length_ratio(C: int, D: Fraction | int | str) -> Fraction:
 
 def max_connected_classes(T: int, D: Fraction | int | str) -> int:
     """Most station types reachable with at most T transfers."""
-    if T < 0:
-        raise DimensionMismatch("transfer count must be >= 0")
+    if not _integer(T) or T < 0 or Fraction(D) <= 0:
+        raise DimensionMismatch("need a whole transfer count T >= 0 and D > 0")
     return 1 + (T + 1) * strict_floor(Fraction(D))
 
 def worst_case_transfers(C: int, D: Fraction | int | str) -> int:
@@ -264,9 +267,8 @@ def worst_case_transfers(C: int, D: Fraction | int | str) -> int:
 
 
 def max_length_with_transfers(T: int, D: Fraction | int | str) -> Fraction:
-    """Longest train (in platform lengths) keeping worst trips at T transfers."""
-    D = Fraction(D)
-    ratio = 1 + Fraction((T + 1) * strict_floor(D), 1) / D
+    """Longest train (in platform lengths) keeping worst trips at T transfers: 1 + (C_T - 1)/D."""
+    ratio = 1 + (max_connected_classes(T, D) - 1) / Fraction(D)
     assert ratio < 2 + T, "length cap must stay strictly below (2+T) platforms"
     return ratio
 

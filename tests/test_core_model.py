@@ -297,6 +297,33 @@ def test_fr_i_rejects_wrong_section_count():
         fr_h(0)
 
 
+@pytest.mark.parametrize(
+    "ctor, sizes, error",
+    [
+        (fr_i, (3.9, 3, 3, 3), DimensionMismatch),
+        (fr_i, (3, "3", 3, 3), DimensionMismatch),
+        (fr_i, (3, 3, True, 3), DimensionMismatch),
+        (fr_i, (3, 3, 3, math.inf), DimensionMismatch),
+        (fr_i, 12, DimensionMismatch),
+        (fr_i, (3, 3, 3, -3), BadSectionCount),
+        (fr_h, 2.5, DimensionMismatch),
+        (fr_h, None, DimensionMismatch),
+        (fr_h, -1, BadSectionCount),
+        (ftr, 1.5, DimensionMismatch),
+        (ftr, 0, BadSectionCount),
+    ],
+)
+def test_constructors_read_section_sizes_as_whole_numbers(ctor, sizes, error):
+    """As the metering search reads a caller's sizing: nothing is truncated."""
+    with pytest.raises(error, match=None if error is BadSectionCount else "whole numbers"):
+        ctor(sizes)
+
+
+def test_constructors_take_whole_floats_as_integers():
+    assert fr_i((3.0, 3, 3, np.int64(3))) == fr_i()
+    assert fr_h(3.0) == fr_h() and ftr(2.0) == ftr()
+
+
 def test_fr_i_default_platforms_cover_aligned_sections():
     spec = fr_i((4, 4, 1, 3))
     # aligned length at F = sizes of sections 1..3, at R = 2..4

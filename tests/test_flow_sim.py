@@ -77,20 +77,12 @@ def test_full_presentation_is_ambiguous(fr_line_full):
         build_assignment(fr_h(), fr_line_full)
 
 
-def test_a_classification_passed_apart_assigns_as_the_line_would(fr_line_full):
-    """``station_types`` stands in for the line's own and is checked as the line checks it."""
-    spec = fr_i()
-    types = tuple(reversed(fr_line_full.station_types))
-    assert build_assignment(spec, fr_line_full, types) == build_assignment(
-        spec, replace(fr_line_full, station_types=types))
-    bare = replace(fr_line_full, station_types=None)
-    assert build_assignment(spec, bare, fr_line_full.station_types) == build_assignment(
-        spec, fr_line_full)
-    for bad, message in ((types[:3], "one label per station"), ("".join(types), "not the string")):
-        with pytest.raises(DimensionMismatch, match=message):
-            build_assignment(spec, fr_line_full, bad)
-        with pytest.raises(DimensionMismatch, match=message):
-            replace(fr_line_full, station_types=bad)
+def test_simulate_loads_needs_one_capacity_per_section(fr_line_full):
+    """Three capacities for fr_i's four sections would leave section 4 untested."""
+    assignment = build_assignment(fr_i(), fr_line_full)
+    for caps in ((1, 2, 3), (1, 2, 3, 4, 5)):
+        with pytest.raises(DimensionMismatch, match=f"{len(caps)} section capacities for 4"):
+            simulate_loads(assignment, full_rates(fr_line_full), fr_line_full, caps)
 
 
 def test_balanced_split_shares_by_capacity(fr_line_full):
@@ -432,6 +424,11 @@ def test_single_fraction_takes_whole_train():
 def test_sizing_rejects_non_unit_sum():
     with pytest.raises(DimensionMismatch):
         size_sections_proportional([Fraction(1, 2)], 4)
+
+
+def test_sizing_rejects_a_negative_fraction():
+    with pytest.raises(DimensionMismatch, match="nonnegative"):
+        size_sections_proportional([Fraction(-1, 2), Fraction(3, 2)], 4)
 
 
 @given(

@@ -699,7 +699,8 @@ def test_sizing_screen_skips_exactly_the_sizings_rhs_rejects(c):
 
 def per_classification_setup(problem, delta):
     """rows, B0, ck and least of one classification's LP, formed from
-    ``build_assignment`` and the reference ``load_coefficients``: each load row
+    ``build_assignment`` on the line classified by ``delta`` and the
+    reference ``load_coefficients``: each load row
     (k, r) scaled by k_lo * den(c) and divided by the gcd of its entries, B0
     (the minimum rates' load, negated) and ck = num(c) * k * k_lo."""
     line, c = problem.line, Fraction(problem.unit_capacity)
@@ -714,7 +715,8 @@ def per_classification_setup(problem, delta):
     k_lo = math.lcm(*(x.denominator for x in line.M_min))
     lo_k = [x.numerator * (k_lo // x.denominator) for x in line.M_min]
     least = []
-    for table in load_coefficients(build_assignment(fr_i(), line, delta), line):
+    classified = replace(line, station_types=delta)
+    for table in load_coefficients(build_assignment(fr_i(), classified), line):
         most = 0
         for k, row in table:
             B0 = -c.denominator * sum(a * x for a, x in zip(row, lo_k))
@@ -757,16 +759,39 @@ def test_line_setup_gives_each_classification_the_rows_of_its_own_setup():
 
 
 def test_the_search_builds_one_assignment_and_thins_the_line_at_most_twice(monkeypatch):
-    """Once for the rows of every classification, once for the winner's loads."""
-    calls = {"build_assignment": 0, "_thinned": 0}
-    for name in calls:
-        def counted(*args, name=name, original=getattr(flow_sim, name)):
+    """Once for the rows of every classification, once for the winner's loads.
+    The winner's classified line is the one line a search builds, and the one
+    that reads fr_i's presentation, with a free classification and a fixed one."""
+    problem = metering_workload_problem(random.Random(seed_from_env() + 31), 5, 8)
+    owners = {"build_assignment": flow_sim, "type_pair_sections": flow_sim, "_thinned": flow_sim,
+              "__post_init__": LineInstance}
+    calls = dict.fromkeys(owners, 0)
+    for name, owner in owners.items():
+        def counted(*args, name=name, original=getattr(owner, name)):
             calls[name] += 1
             return original(*args)
-        monkeypatch.setattr(flow_sim, name, counted)
-    solve_outer(metering_workload_problem(random.Random(seed_from_env() + 31), 5, 8))
-    assert calls["build_assignment"] == 1
-    assert calls["_thinned"] <= 2
+        monkeypatch.setattr(owner, name, counted)
+    free = solve_outer(problem)
+    counts = {"free": dict(calls)}
+    calls.update(dict.fromkeys(owners, 0))
+    fixed = solve_outer(replace(problem, fixed_station_types=free.station_types))
+    counts["fixed"] = calls
+    assert fixed == free
+    for search, count in counts.items():
+        assert count["build_assignment"] == count["type_pair_sections"] == 1, search
+        assert count["__post_init__"] <= 1 and count["_thinned"] <= 2, search
+
+
+def test_each_fr_i_type_pair_rides_the_one_section_that_presents_it():
+    """``_SECTION`` is fr_i's presentation table read once: F->F rides section 1,
+    F->R section 2, R->F section 3 and R->R section 4."""
+    spec = fr_i()
+    types = spec.stations.types
+    ti, presenting = flow_sim.type_pair_sections(spec, make_line(types, [[Z] * 2] * 2))
+    assert ti == (0, 1)
+    assert {(i, j): presenting[x][y] for x, i in enumerate(types) for y, j in enumerate(types)} == {
+        pair: [n] for pair, n in metering_opt._SECTION.items()}
+    assert metering_opt._SECTION == {("F", "F"): 0, ("F", "R"): 1, ("R", "F"): 2, ("R", "R"): 3}
 
 
 # ---------------------------------------------------------------------------

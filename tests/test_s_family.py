@@ -25,6 +25,7 @@ from xltops import (
     chart_to_protocol,
     check,
     compose_skip_stop,
+    fr_i,
     generate_s,
     greedy_presentation_refine,
     max_connected_classes,
@@ -134,6 +135,37 @@ def test_worst_case_transfers_unreachable_without_overlap():
 def test_max_length_with_transfers_values():
     assert max_length_with_transfers(1, Fraction(2)) == 2
     assert max_length_with_transfers(0, Fraction(2)) == Fraction(3, 2)
+
+
+def capacity_report_against(reference_units):
+    spec, line = fr_i(), make_line(("R", "F"), [[0, 1], [0, 0]])
+    profile = flow_sim.simulate_loads(flow_sim.build_assignment(spec, line), [1, 0], line,
+                                      flow_sim.section_capacities(spec))
+    return flow_sim.capacity_report(profile, spec, line, reference_units=reference_units)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: generate_s(3.0, 2, 4),
+        lambda: generate_s(3, 2, 4.0),
+        lambda: BarChart(M=8, bars=(Bar("A", 2.5, 4),)),
+        lambda: BarChart(M=8, bars=(Bar("A", 4, "4"),)),
+        lambda: BarChart(M=8.0, bars=(Bar("A", 4, 4),)),
+        lambda: max_length_with_transfers(-3, 2),
+        lambda: max_length_with_transfers(1, 0),
+        lambda: max_connected_classes(1, 0),
+        lambda: max_connected_classes(-1, 2),
+        lambda: max_connected_classes(0.5, 2),
+        lambda: capacity_report_against(0),
+        lambda: capacity_report_against(-8),
+    ],
+    ids=["generate_s-C", "generate_s-d", "bar-b", "bar-d", "chart-M", "length-T", "length-D",
+         "classes-D", "classes-T", "classes-fractional-T", "report-zero", "report-negative"],
+)
+def test_geometry_and_closed_forms_refuse_bad_input(call):
+    with pytest.raises(DimensionMismatch):
+        call()
 
 
 @pytest.mark.parametrize("D", SWEEP_D)
