@@ -38,6 +38,7 @@ from typing import Iterable, Iterator, Sequence
 from .core_model import (
     LineInstance,
     ProtocolSpec,
+    _integer,
     _read_numbers,
     fraction_sum,
     over_lcm,
@@ -352,6 +353,8 @@ def size_sections_proportional(
     Largest-remainder rounding; sizes sum to M exactly and each differs
     from its exact proportional value by less than one unit.
     """
+    if not _integer(M) or M < 0:
+        raise DimensionMismatch(f"the unit count M must be a whole number >= 0, not {M!r}")
     fractions = [Fraction(f) for f in od_type_fractions]
     if sum(fractions) != 1 or min(fractions) < 0:
         raise DimensionMismatch("fractions must be nonnegative and sum to 1")
@@ -430,7 +433,7 @@ def access_penalty_ftr(spacing_pattern: Sequence[str] = ("F", "R", "T")) -> Frac
 
 def headway_correction(extra_length_m: float, cruise_speed_mps: float) -> float:
     """Extra minimum headway in seconds for a train lengthened by ΔL meters."""
-    if cruise_speed_mps <= 0:
+    if not cruise_speed_mps > 0:  # NaN too
         raise NonpositiveSpeed("cruise speed must be positive")
     return extra_length_m / cruise_speed_mps
 

@@ -32,20 +32,20 @@ ck_i, which makes it the one primitive integer form of its constraint.  So a siz
 ck_i*m_n, and the scaled LP, the rational one times positive numbers
 row by row, makes the rational one's pivots and gives the same bounds.
 
-The inner solver is an exact primal simplex on an integer tableau
-(Edmonds 1967; Bareiss 1968) with per-row denominators, and Bland's
-rule, so it terminates without cycling.  Row i holds integers over its
-own den_i > 0, the objective row over od > 0.  A pivot on p = T[r][e]
-keeps row r as it is and sets den_r = p; a row with f = T[i][e] != 0
-becomes p*T[i] - f*T[r] over den_i*p, reduced by the gcd of its entries
-and denominator; a row with f = 0 is not touched.  So every row is its
-row of the rational tableau over a positive denominator, each sign test
-and each ratio comparison (cross-multiplied; den_i cancels within a row)
-agrees with the rational tableau's, and both make the same pivots and
-give the same x and duals y.  The duals, the cuts and the incumbent stay
-integers over od; ``Fraction``s are formed for the winner alone.  Rates
-are shifted by their lower bounds so the all-minimum solution is the
-starting vertex.
+The inner solver is an exact primal simplex with Bland's rule on an
+integer dictionary (Chvatal 1983, ch. 2-3), rows over their own den_i > 0
+(Edmonds 1967; Bareiss 1968): row i holds only the n nonbasic columns and
+its rhs, basis[i] and nonbasic[j] name the variables of row i and column j,
+and the objective row is over od > 0.  A pivot on p = T[r][e] keeps row r,
+but entry e, now the leaving variable's column, becomes den_r, and den_r = p;
+a row with f = T[i][e] != 0 becomes p*T[i] - f*T[r] over den_i*p, entry
+e = -f*den_r, reduced by the gcd of its entries and denominator.  Each row
+is the full tableau's row less columns that hold den_i or 0, so every gcd,
+sign test and ratio comparison (cross-multiplied) agrees with the rational
+tableau's: same pivots, same x and duals y.  The duals, the cuts and the
+incumbent stay integers over od; ``Fraction``s are formed for the winner
+alone.  Rates are shifted by their lower bounds so the all-minimum
+solution is the starting vertex.
 """
 
 from __future__ import annotations
@@ -107,25 +107,25 @@ class MeteringSolution:
     binding: tuple[BindingConstraint, ...]
 
 
-def _simplex_max(obj: list[int], rows: list[Sequence[int]]) -> tuple:
+def _simplex_max(obj: list[int], rows: list[list[int]]) -> tuple:
     """Optimal tableau of max c.x subject to A x <= b, x >= 0 (all b >= 0), on integers.
 
-    ``rows`` holds each row [A_i | e_i | b_i] as integers, the slack
-    columns the identity, and ``obj`` is [-c | 0 | 0] on integers.
-    Returns (obj, od, rows, den, basis): the rational tableau's objective
-    row is obj / od and its row i is rows[i] / den[i], with basic column
-    basis[i] (see the module docstring).  So x_j is rows[i][-1] / den[i]
-    in its basic row, obj[-1] / od is c.x, and the duals y_i = obj[n + i] / od
-    give y >= 0, y.A >= c and y.b = c.x.
+    ``rows`` holds each row [A_i | b_i] as integers and ``obj`` is [-c | 0];
+    slack i is variable n + i, and Bland's rule compares variables, not
+    columns.  Returns (obj, od, rows, den, basis, nonbasic): row i is basic
+    variable basis[i] and column j holds nonbasic[j], the objective row is
+    obj / od and row i is rows[i] / den[i] (see the module docstring).  So
+    x_j is rows[i][-1] / den[i] in its basic row, obj[-1] / od is c.x, and
+    the duals y_i, obj[j] / od where slack i is nonbasic[j] and 0 where it
+    is basic, give y >= 0, y.A >= c and y.b = c.x.
     """
-    m = len(rows)
-    n = len(obj) - m - 1
+    m, n = len(rows), len(obj) - 1
     den, od = [1] * m, 1
-    basis = list(range(n, n + m))
+    basis, nonbasic = list(range(n, n + m)), list(range(n))
     while True:
-        enter = next((j for j in range(n + m) if obj[j] < 0), None)
+        enter = min((j for j in range(n) if obj[j] < 0), key=nonbasic.__getitem__, default=None)
         if enter is None:
-            return obj, od, rows, den, basis
+            return obj, od, rows, den, basis, nonbasic
         leave = None
         for i in range(m):
             if rows[i][enter] > 0:
@@ -139,20 +139,21 @@ def _simplex_max(obj: list[int], rows: list[Sequence[int]]) -> tuple:
                     leave = i
         if leave is None:
             raise ArithmeticError("objective unbounded (missing upper bounds)")
-        pivot = rows[leave]
-        p = pivot[enter]
+        pivot = rows[leave]  # keeps its integers; column enter now holds the leaving variable
+        p, pivot[enter] = pivot[enter], den[leave]
         for i in range(m):
             f = rows[i][enter]
             if f and i != leave:
-                rows[i], den[i] = _eliminate(rows[i], den[i], pivot, p, f)
-        obj, od = _eliminate(obj, od, pivot, p, obj[enter])
+                rows[i], den[i] = _eliminate(rows[i], den[i], pivot, p, f, enter)
+        obj, od = _eliminate(obj, od, pivot, p, obj[enter], enter)
         den[leave] = p
-        basis[leave] = enter
+        basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
 
 
-def _eliminate(row: Sequence[int], d: int, pivot: Sequence[int], p: int, f: int) -> tuple:
-    """(p*row - f*pivot, d*p), divided by the gcd of its entries and denominator."""
+def _eliminate(row: Sequence[int], d: int, pivot: Sequence[int], p: int, f: int, e: int) -> tuple:
+    """(p*row - f*pivot, d*p), with row's entry e read as 0, divided by their gcd."""
     row = [p * a - f * b for a, b in zip(row, pivot)]
+    row[e] -= p * f
     d *= p
     g = math.gcd(d, *row)
     if g > 1:
@@ -184,12 +185,10 @@ class _LineLP:
         self.c = c = Fraction(problem.unit_capacity)
         self.lo = line.M_min
         S = line.S
-        m = S + _N * (S - 1)
-        self.slack = [(0,) * i + (1,) + (0,) * (m - 1 - i) for i in range(m)]
         self.rows, self.B0 = [], []
         for z, lo in enumerate(self.lo):  # x_z <= A_z - M_min_z, times its denominator
             b = line.demand_rate(z) - lo
-            self.rows.append((0,) * z + (b.denominator,) + (0,) * (S - 1 - z) + self.slack[z])
+            self.rows.append((0,) * z + (b.denominator,) + (0,) * (S - 1 - z))
             self.B0.append(b.numerator)
         k_lo, self.lo_k = over_lcm(self.lo)  # M_min times the lcm of its denominators
         self.D, self.flows = flow_sim.unit_flows(line)
@@ -203,9 +202,8 @@ class _ClassificationLP:
     then loads per section and link) are fixed, and a sizing sets only the
     right-hand sides, C_n less the minimum rates' loads on load rows.
 
-    Row i is kept scaled (see the module docstring): the integer row with its
-    slack column, B0_i, its right-hand side at zero sizes, and ck_i, its
-    coefficient of m_n (0 on an upper bound)."""
+    Row i is kept scaled (see the module docstring): the integer row, B0_i,
+    its rhs at zero sizes, and ck_i, its coefficient of m_n (0 on an upper bound)."""
 
     def __init__(self, line_lp: _LineLP, station_types: tuple[str, ...]) -> None:
         self.c, self.lo, self.section = line_lp.c, line_lp.lo, line_lp.section
@@ -222,7 +220,7 @@ class _ClassificationLP:
                 B0 = -d * sum(a * x for a, x in zip(row, line_lp.lo_k))
                 row = [a * line_lp.scale for a in row]
                 g = math.gcd(B0, ck, *row)
-                self.rows.append(tuple(a // g for a in row) + line_lp.slack[len(self.rows)])
+                self.rows.append(tuple(a // g for a in row))
                 self.B0.append(B0 // g)
                 self.ck.append(ck // g)
                 least = max(least, -(B0 // ck))
@@ -244,34 +242,35 @@ class _ClassificationLP:
 
     def solve(self, sizes: tuple[int, ...]) -> tuple:
         """The optimal tableau of ``_simplex_max`` for one sizing."""
-        obj = [-1] * len(self.lo) + [0] * (len(self.rows) + 1)
-        return _simplex_max(obj, [row + (b,) for row, b in zip(self.rows, self.rhs(sizes))])
+        obj = [-1] * len(self.lo) + [0]
+        return _simplex_max(obj, [[*row, b] for row, b in zip(self.rows, self.rhs(sizes))])
 
     def cut(self, tableau: tuple) -> tuple[int, list[int], int]:
         """(K, W, D) with sum x*(m) <= (K + sum_n W_n m_n) / D for every feasible sizing m.
 
-        The duals y_i = obj_i / od of the scaled rows are dual feasible for
+        The duals y_i = Y_i / od of the scaled rows are dual feasible for
         every sizing, since only b depends on it, so weak duality bounds each
-        optimum by y.b(m) = sum_i y_i (B0_i + ck_i m_n): K = sum obj_i B0_i,
-        W_n = the sum of obj_i ck_i over section n's rows, and D = od.
+        optimum by y.b(m) = sum_i y_i (B0_i + ck_i m_n): K = sum Y_i B0_i,
+        W_n = the sum of Y_i ck_i over section n's rows, and D = od.  Y_i is
+        the objective entry of slack i's column while it is nonbasic, else 0.
         """
-        obj, od = tableau[0], tableau[1]
-        y = obj[len(self.lo):-1]
-        K = sum(yi * B0 for yi, B0 in zip(y, self.B0))
+        obj, od, S = tableau[0], tableau[1], len(self.lo)
+        y = {var - S: obj[j] for j, var in enumerate(tableau[5]) if var >= S}
+        K = sum(yi * self.B0[i] for i, yi in y.items())
         W = [0] * _N
-        for yi, ck, n in zip(y, self.ck, self.section):
-            W[n] += yi * ck
+        for i, yi in y.items():
+            W[self.section[i]] += yi * self.ck[i]
         return K, W, od
 
     def solution(self, line: LineInstance, sizes: tuple, tableau: tuple) -> MeteringSolution:
         """The rates, binding constraints and load profile of a solved sizing.
 
-        ``line`` is the line under this LP's classification.  A basic column's
-        value is its row's rhs over the row's den, and every other column is 0;
+        ``line`` is the line under this LP's classification.  A basic variable's
+        value is its row's rhs over the row's den, and every nonbasic one is 0;
         a bound or a load binds where its slack is 0.
         """
         S = len(self.lo)
-        _, _, rows, den, basis = tableau
+        rows, den, basis = tableau[2:5]
         value = {var: Fraction(row[-1], d) for row, d, var in zip(rows, den, basis) if row[-1]}
         E = tuple(lo + value.get(z, 0) for z, lo in enumerate(self.lo))
         C_n = tuple(self.c * m for m in sizes)

@@ -243,8 +243,8 @@ def generate_s(C: int, D: Fraction | int | str, d: int) -> BarChart:
 def train_length_ratio(C: int, D: Fraction | int | str) -> Fraction:
     """Exact train length in platform lengths: 1 + (C-1)/D."""
     D = Fraction(D)
-    if C < 1 or D <= 0:
-        raise DimensionMismatch("need C >= 1 and D > 0")
+    if not _integer(C) or C < 1 or D <= 0:
+        raise DimensionMismatch("need a whole class count C >= 1 and D > 0")
     return 1 + Fraction(C - 1, 1) / D
 
 
@@ -256,8 +256,8 @@ def max_connected_classes(T: int, D: Fraction | int | str) -> int:
 
 def worst_case_transfers(C: int, D: Fraction | int | str) -> int:
     """Minimal T such that max_connected_classes(T, D) >= C."""
-    if C < 1:
-        raise DimensionMismatch("need C >= 1")
+    if not _integer(C) or C < 1 or Fraction(D) <= 0:
+        raise DimensionMismatch("need a whole class count C >= 1 and D > 0")
     if C == 1:
         return 0
     sf = strict_floor(Fraction(D))

@@ -431,6 +431,12 @@ def test_sizing_rejects_a_negative_fraction():
         size_sections_proportional([Fraction(-1, 2), Fraction(3, 2)], 4)
 
 
+@pytest.mark.parametrize("M", [5.5, -4, True], ids=["fractional", "negative", "boolean"])
+def test_sizing_rejects_a_unit_count_that_is_not_a_whole_number(M):
+    with pytest.raises(DimensionMismatch, match="unit count M"):
+        size_sections_proportional([Fraction(1, 2), Fraction(1, 2)], M)
+
+
 @given(
     st.lists(st.fractions(min_value=0, max_value=1), min_size=1, max_size=6),
     st.integers(min_value=1, max_value=40),
@@ -547,6 +553,10 @@ def test_headway_correction_values():
     assert abs(headway_correction(200, 30) - 6.67) < 0.01
     with pytest.raises(NonpositiveSpeed):
         headway_correction(70, 0)
+    with pytest.raises(NonpositiveSpeed):
+        headway_correction(10, float("nan"))
+    with pytest.raises(NonpositiveSpeed):
+        headway_capacity_reduction(10, float("nan"), 120)
 
 
 def test_capacity_reduction_is_about_one_and_a_half_percent():

@@ -563,24 +563,28 @@ DENOMINATORS = (1, 2, 3, 5, 7, 12)
 
 
 def integer_lp(c, A, b):
-    """The integer kernel's input for max c.x, A x <= b: each row [A_i | e_i | b_i]
+    """The integer kernel's input for max c.x, A x <= b: each row [A_i | b_i]
     scaled by the lcm k_i of its denominators, and -c by the lcm k_c of its own."""
-    m = len(A)
     scales = [math.lcm(*(a.denominator for a in row), bi.denominator) for row, bi in zip(A, b)]
-    rows = [[int(a * k) for a in row] + [int(i == j) for j in range(m)] + [int(bi * k)]
-            for i, (row, bi, k) in enumerate(zip(A, b, scales))]
+    rows = [[int(a * k) for a in row] + [int(bi * k)] for row, bi, k in zip(A, b, scales)]
     k_c = math.lcm(*(x.denominator for x in c))
-    return [-int(x * k_c) for x in c] + [0] * (m + 1), rows, scales, k_c
+    return [-int(x * k_c) for x in c] + [0], rows, scales, k_c
 
 
 def tableau_answer(n, tableau):
-    """x and the duals y of a final tableau of the integer kernel, as ``Fraction``s."""
-    obj, od, rows, den, basis = tableau
-    x = [Z] * n
+    """x and the duals y of a final tableau of the integer kernel, as ``Fraction``s:
+    x through the basic rows, y through the columns of nonbasic slacks (0 if basic)."""
+    obj, od, rows, den, basis, nonbasic = tableau
+    m = len(rows)
+    assert sorted(basis + nonbasic) == list(range(n + m))
+    x, y = [Z] * n, [Z] * m
     for row, d, var in zip(rows, den, basis):
         if var < n:
             x[var] = Fraction(row[-1], d)
-    return x, [Fraction(y, od) for y in obj[n:-1]]
+    for j, var in enumerate(nonbasic):
+        if var >= n:
+            y[var - n] = Fraction(obj[j], od)
+    return x, y
 
 
 def integer_simplex(c, A, b):
@@ -636,11 +640,9 @@ def test_integer_tableau_matches_the_rational_one_on_every_search_lp(monkeypatch
     simplex, solved = metering_opt._simplex_max, []
 
     def checked(obj, rows):
-        m = len(rows)
-        n = len(obj) - m - 1
-        assert obj[n:] == [0] * (m + 1)
-        assert [list(row[n:-1]) for row in rows] == [[int(i == j) for j in range(m)]
-                                                      for i in range(m)]
+        n = len(obj) - 1
+        assert obj[n:] == [0]
+        assert all(len(row) == n + 1 for row in rows)
         c = [-Fraction(v) for v in obj[:n]]
         A = [[Fraction(a) for a in row[:n]] for row in rows]
         b = [Fraction(row[-1]) for row in rows]
@@ -705,12 +707,10 @@ def per_classification_setup(problem, delta):
     (the minimum rates' load, negated) and ck = num(c) * k * k_lo."""
     line, c = problem.line, Fraction(problem.unit_capacity)
     S = line.S
-    m = S + 4 * (S - 1)
-    slack = [(0,) * i + (1,) + (0,) * (m - 1 - i) for i in range(m)]
     rows, B0s, cks = [], [], [0] * S
     for z, lo in enumerate(line.M_min):
         b = line.demand_rate(z) - lo
-        rows.append((0,) * z + (b.denominator,) + (0,) * (S - 1 - z) + slack[z])
+        rows.append((0,) * z + (b.denominator,) + (0,) * (S - 1 - z))
         B0s.append(b.numerator)
     k_lo = math.lcm(*(x.denominator for x in line.M_min))
     lo_k = [x.numerator * (k_lo // x.denominator) for x in line.M_min]
@@ -723,7 +723,7 @@ def per_classification_setup(problem, delta):
             ck = c.numerator * k * k_lo
             row = [a * k_lo * c.denominator for a in row]
             g = math.gcd(B0, ck, *row)
-            rows.append(tuple(a // g for a in row) + slack[len(rows)])
+            rows.append(tuple(a // g for a in row))
             B0s.append(B0 // g)
             cks.append(ck // g)
             most = max(most, -(B0 // ck))

@@ -159,9 +159,17 @@ def capacity_report_against(reference_units):
         lambda: max_connected_classes(0.5, 2),
         lambda: capacity_report_against(0),
         lambda: capacity_report_against(-8),
+        lambda: train_length_ratio(2.5, 2),
+        lambda: train_length_ratio(True, 2),
+        lambda: worst_case_transfers(2.5, 2),
+        lambda: worst_case_transfers(True, 2),
+        lambda: worst_case_transfers(3, 0),
+        lambda: worst_case_transfers(1, -1),
     ],
     ids=["generate_s-C", "generate_s-d", "bar-b", "bar-d", "chart-M", "length-T", "length-D",
-         "classes-D", "classes-T", "classes-fractional-T", "report-zero", "report-negative"],
+         "classes-D", "classes-T", "classes-fractional-T", "report-zero", "report-negative",
+         "ratio-fractional-C", "ratio-boolean-C", "transfers-fractional-C", "transfers-boolean-C",
+         "transfers-zero-D", "transfers-one-class-negative-D"],
 )
 def test_geometry_and_closed_forms_refuse_bad_input(call):
     with pytest.raises(DimensionMismatch):
