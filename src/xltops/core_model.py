@@ -25,6 +25,7 @@ sections, for the built-in constructors and for
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -57,7 +58,7 @@ _ROWS = {list, tuple}
 
 def _integer(x) -> bool:
     """Whether x is an integer other than a boolean (numpy integers count)."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    return type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _real(x) -> bool:
@@ -539,24 +540,35 @@ def _listed(x) -> tuple:
     return tuple(x)
 
 
-def _read_numbers(xs: Sequence, memo: dict) -> tuple[Fraction, ...]:
-    """Entries through ``_as_fraction``, each distinct one once: ``memo`` maps (type, value) to it.
+def _keyed_numbers(xs: Sequence, memo: dict) -> tuple[Sequence, dict]:
+    """(keys, read): each entry's key, and each distinct key's entry through ``_as_fraction``.
 
-    Keying by type keeps 1, 1.0, "1" and True apart, and equal entries share one
-    ``Fraction``.  New entries are converted in the order they first occur, so the first
-    entry that is no number raises; an unhashable entry is no number, and the entries are
-    then converted one by one to find the first that is none.
+    ``memo`` maps (type, value) to an entry already read, so each distinct entry is
+    converted once and equal entries share one ``Fraction``; keying by type keeps 1, 1.0,
+    "1" and True apart.  When all entries share one type, an entry is its own key.  New
+    entries are converted in the order they first occur, so the first entry that is no
+    number raises; an unhashable entry is no number, and the entries are then converted
+    one by one to find the first that is none.
     """
-    keys = list(zip(map(type, xs), xs))
+    types = set(map(type, xs))
+    keys = xs if len(types) == 1 else list(zip(map(type, xs), xs))
     try:
-        new = [key for key in dict.fromkeys(keys) if key not in memo]
+        read = dict.fromkeys(keys)
     except TypeError:
         for x in xs:
             _as_fraction(x)
         raise
-    for key in new:
-        memo[key] = _as_fraction(key[1])
-    return tuple(map(memo.__getitem__, keys))
+    for key in read:
+        typed = (*types, key) if len(types) == 1 else key
+        x = memo.get(typed)
+        read[key] = memo[typed] = _as_fraction(typed[1]) if x is None else x
+    return keys, read
+
+
+def _read_numbers(xs: Sequence, memo: dict) -> tuple[Fraction, ...]:
+    """Entries through ``_as_fraction``, each distinct one once (see ``_keyed_numbers``)."""
+    keys, read = _keyed_numbers(xs, memo)
+    return tuple(map(read.__getitem__, keys))
 
 
 @dataclass(frozen=True)
@@ -568,11 +580,16 @@ class LineInstance:
     metered entry rate of each station.  ``flows`` lists each demanded
     flow ``(s, s', A[s][s'])``, a positive entry of A, in (s, s') order.
 
-    Each distinct number of A and ``M_min`` is read once, and equal
-    entries share one ``Fraction``.  The rows of A are summed, and the
-    signs and ``M_min`` checked, as integers over one scale: the lcm of
-    the denominators of A's distinct entries.  A number that cannot be
-    read, or a string given for a list, raises DimensionMismatch.
+    A is read in one flat pass, each distinct number of A and ``M_min``
+    once, and equal entries share one ``Fraction``.  The entries are then
+    put over one scale k, the lcm of the denominators of A's distinct
+    entries, and that one list of integers gives the row sums, the sign
+    and diagonal checks, ``M_min``'s check and the flows.  The line keeps
+    the demand as those integers for the loads path: ``_k``, ``_sums``
+    (k times each row sum) and ``_flows`` (each demanded flow as
+    ``(s, s', k·A[s][s'])``); ``flows`` and ``demand_rate`` form their
+    ``Fraction``s when read.  A number that cannot be read, or a string
+    given for a list, raises DimensionMismatch.
     """
 
     stations: tuple[str, ...]
@@ -590,16 +607,26 @@ class LineInstance:
             if not S:
                 raise DimensionMismatch("a line needs at least one station")
             object.__setattr__(self, "H", _as_fraction(self.H))
-            A = tuple(_read_numbers(row, memo) for row in map(_listed, _listed(self.A)))
-            values = list(memo.values())  # the distinct entries of A
+            entries, widths = [], []
+            for row in _listed(self.A):
+                try:
+                    row = _listed(row)
+                except TypeError:  # an entry of an earlier row at fault is the first fault
+                    _read_numbers(entries, memo)
+                    raise
+                entries += row
+                widths.append(len(row))
+            keys, read = _keyed_numbers(entries, memo)  # read: A's distinct entries
             M_min = () if self.M_min is None else _listed(self.M_min)
             M_min = _read_numbers(M_min, memo) if M_min else (Fraction(0),) * S
         except (ArithmeticError, TypeError, ValueError) as exc:
             raise DimensionMismatch(str(exc)) from exc
+        if any(len(x) != S for x in (self.platform_lengths, widths, M_min)) or set(widths) != {S}:
+            raise DimensionMismatch("line tables must all be S-sized")
+        entries = tuple(map(read.__getitem__, keys))
+        A = tuple(entries[i:i + S] for i in range(0, S * S, S))
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "M_min", M_min)
-        if any(len(x) != S for x in (self.platform_lengths, A, M_min, *A)):
-            raise DimensionMismatch("line tables must all be S-sized")
         if any(not _integer(x) or x < 1 for x in self.platform_lengths):
             raise DimensionMismatch("platform lengths must be whole numbers >= 1")
         object.__setattr__(self, "platform_lengths", tuple(map(int, self.platform_lengths)))
@@ -612,15 +639,10 @@ class LineInstance:
                 raise DimensionMismatch("station_types must have one label per station")
         if self.H <= 0:
             raise DimensionMismatch("headway must be positive")
-        k, scaled = over_lcm(values)
-        times_k = dict(zip(map(id, values), scaled))
-        flows, sums, misplaced = [], [], False
-        for z, row in enumerate(A):
-            row_k = list(map(times_k.__getitem__, map(id, row)))
-            misplaced = misplaced or any(row_k[:z + 1])
-            sums.append(sum(row_k))
-            flows += [(z, sp, x) for sp, x, n in zip(range(z + 1, S), row[z + 1:], row_k[z + 1:])
-                      if n]
+        k, scaled = over_lcm(read.values())
+        times_k = dict(zip(read, scaled))
+        n = list(map(times_k.__getitem__, keys))  # k times each entry, row by row
+        misplaced = any(any(n[z * S:z * S + z + 1]) for z in range(S))  # on or below the diagonal
         if misplaced or min(scaled, default=0) < 0:
             for z, row in enumerate(A):  # the first demanded flow at fault, in (s, s') order
                 for sp, x in enumerate(row):
@@ -628,21 +650,33 @@ class LineInstance:
                         raise DimensionMismatch("demand must be nonnegative")
                     if x and sp <= z:
                         raise DimensionMismatch("demand must vanish for s' <= s")
-        object.__setattr__(self, "flows", tuple(flows))
-        object.__setattr__(self, "_row_sums", tuple(Fraction(n, k) for n in sums))
-        for z, (m, n) in enumerate(zip(M_min, sums)):
-            if not 0 <= m.numerator * k <= n * m.denominator:
+        sums, flows = [], []
+        for z in range(S):
+            i = z * S
+            sums.append(sum(n[i:i + S]))
+            for sp in range(z + 1, S):
+                if n[i + sp]:
+                    flows.append((z, sp, n[i + sp]))
+        for z, (m, total) in enumerate(zip(M_min, sums)):
+            if not 0 <= m.numerator * k <= total * m.denominator:
                 raise DimensionMismatch(
                     f"minimum entry rate at station {z + 1} lies outside [0, its demand]"
                 )
+        object.__setattr__(self, "_k", k)
+        object.__setattr__(self, "_sums", tuple(sums))
+        object.__setattr__(self, "_flows", tuple(flows))
 
     @property
     def S(self) -> int:
         return len(self.stations)
 
+    @functools.cached_property
+    def flows(self) -> tuple[tuple[int, int, Fraction], ...]:
+        return tuple((z, sp, self.A[z][sp]) for z, sp, _ in self._flows)
+
     def demand_rate(self, z: int) -> Fraction:
         """Total demand rate A_s originating at 0-based station z (each row is summed once)."""
-        return self._row_sums[z]
+        return Fraction(self._sums[z], self._k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Steady-state passenger assignment and load accounting.
 
-Loads are exact rationals (``fractions.Fraction``), so the aggregated
-formula can be compared bit-for-bit against a per-flow microsimulation;
-floating point appears only at output.  They are summed as integers:
+Loads are exact rationals, so the aggregated formula can be compared
+bit-for-bit against a per-flow microsimulation; floating point appears
+only at output.  From the line to the printed number they stay Python
+integers: ``LineInstance`` keeps its demand as integers over one scale,
 a flow or rider is an unreduced pair (p, q) meaning p/q passengers per
-train, each row of loads is accumulated over one scale k (the lcm of its
-riders' q), and a load is formed as ``Fraction(v, k)`` only where one is
-reported, so a whole row of sums costs one gcd per link rather than one
-per addition.  The overcrowding test and the thinning of entry rates
-work on the same integer numerators and denominators.
+train, and each section's loads are one integer row over one scale k.
+A ``fractions.Fraction`` is formed only where a caller reads one, so a
+whole row of sums costs one gcd per row rather than one per addition.
+The overcrowding test, the maximum load point and the thinning of
+entry rates work on the same integers.
 
 Conventions: stations are 0-based indices along the travel direction;
 link ``s`` is the stretch departing station ``s`` (0 .. S-2).  Loads are
@@ -18,28 +19,34 @@ Entry rates E are thinned proportionally over destinations, in one
 place (``_thinned``): the flow from z to sp in ``LineInstance.flows``
 carries H·E_z·A[z][sp]/A_z passengers per train (A_z is the demand rate
 from z), and section n takes share(n, z, sp) of them over links
-z .. sp-1.  ``link_sums`` puts riders on links for every caller: each adds
-its integer p·(k/q) at z and takes it off at sp in a difference row, and
-one prefix sum per row gives k times the loads.  Loads are linear in E,
-and ``unit_flows`` gives the metering LP each demanded flow per unit of
-its origin's entry rate: the flows at full demand, divided by A_z, as
-integers over one scale, once per line.  Each classification puts them
-through one ``link_sums`` call with a row per (section, origin).
+z .. sp-1.  ``link_sums`` puts riders on links for every caller, each
+of which builds its rows of riders directly: a rider adds its integer
+p·(k/q) at z and takes it off at sp in a difference row, and one prefix
+sum per row gives k times the loads.  A ``LoadProfile`` keeps each
+section's row reduced, (k, row) with gcd(k, *row) = 1, so equal loads
+compare equal, and forms ``load`` as ``Fraction``s on first read.  Loads
+are linear in E, and ``unit_flows`` gives the metering LP each demanded
+flow per unit of its origin's entry rate: the flows at full demand,
+divided by A_z, as integers over one scale, once per line.  Each
+classification puts them through one ``link_sums`` call with a row per
+(section, origin).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .core_model import (
     LineInstance,
     ProtocolSpec,
     _integer,
     _read_numbers,
+    _real,
     fraction_sum,
     over_lcm,
 )
@@ -72,20 +79,33 @@ class AssignmentTensor:
 
 @dataclass(frozen=True)
 class LoadProfile:
-    """Per-section loads on every link, section capacities, and demand left behind."""
+    """Per-section loads on every link, section capacities, and demand left behind.
 
-    load: tuple[tuple[Fraction, ...], ...]  # N x (S-1)
+    ``rows[n]`` is section n's loads as integers: (k, row) with row[s]/k
+    passengers per train on link s and gcd(k, *row) = 1, so equal loads
+    give equal rows.  ``load`` forms them as ``Fraction``s when first read.
+    """
+
+    rows: tuple[tuple[int, tuple[int, ...]], ...]  # N x (k, S-1 integers)
     C_n: tuple[Fraction, ...]
     overcrowded: tuple[tuple[int, int], ...]  # (section n, link s), 0-based
     unserved: tuple[tuple[int, int, Fraction], ...]  # (z, sp, pax per train) no section presents
 
+    @functools.cached_property
+    def load(self) -> tuple[tuple[Fraction, ...], ...]:  # N x (S-1)
+        return tuple(tuple(Fraction(v, k) for v in row) for k, row in self.rows)
+
     @property
     def N(self) -> int:
-        return len(self.load)
+        return len(self.rows)
 
     @property
     def links(self) -> int:
-        return len(self.load[0]) if self.load else 0
+        return len(self.rows[0][1]) if self.rows else 0
+
+    def loads_at(self, s: int) -> tuple[Fraction, ...]:
+        """Each section's load on link s."""
+        return tuple(Fraction(row[s], k) for k, row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -147,7 +167,7 @@ def build_assignment(spec: ProtocolSpec, line: LineInstance) -> AssignmentTensor
     balanced split's shares and carries nothing.
     """
     ti, presenting = type_pair_sections(spec, line)
-    for z, sp, _ in line.flows:
+    for z, sp, _ in line._flows:
         sections = presenting[ti[z]][ti[sp]]
         if len(sections) > 1:
             i, j = spec.stations.types[ti[z]], spec.stations.types[ti[sp]]
@@ -170,7 +190,8 @@ def build_assignment_split(
     z is placed, each section's load never rises over links z, z+1, ...:
     its heaviest link is z, and an on-board tally per section (boarded so
     far less alighted) is all the capacity test and the fallback read.
-    The tally, the flows and the capacities are integers over one scale D.
+    The tally, the flows and the capacities are integers over one scale D,
+    a multiple of the line's demand scale times H's denominator.
     """
     if rule not in ("balanced", "end_preference"):
         raise ValueError(f"unknown split rule {rule!r}")
@@ -183,12 +204,13 @@ def build_assignment_split(
     busyness = [sum(map(sum, rows)) for rows in spec.p[0]]
     # Quietest presenting section first; the sort is stable, so ties keep section order.
     preference = [[sorted(sec, key=busyness.__getitem__) for sec in row] for row in presenting]
-    h, g = line.H.numerator, line.H.denominator
-    D = math.lcm(*{g * x.denominator for _, _, x in line.flows}, *(c.denominator for c in caps))
+    # A flow of k·A[z][sp] = v carries H·v/k = h·v/(g·k) passengers per train.
+    h, gk = line.H.numerator, line.H.denominator * line._k
+    D = math.lcm(gk, *(c.denominator for c in caps))
     room = [c.numerator * (D // c.denominator) for c in caps]  # D times each capacity
     pax_of = [[0] * S for _ in range(S)]  # D times passengers per train of each flow
-    for z, sp, x in line.flows:
-        pax_of[z][sp] = h * x.numerator * (D // (g * x.denominator))
+    for z, sp, v in line._flows:
+        pax_of[z][sp] = h * (D // gk) * v
     aboard = [0] * N  # per section, as the train leaves station z
     alighting = [[0] * N for _ in range(S)]  # per station, per section
     flows = [[()] * S for _ in range(S)]
@@ -221,22 +243,19 @@ def section_capacities(spec: ProtocolSpec) -> tuple[Fraction, ...]:
                  for column in zip(*spec.u[0]))
 
 
-def link_sums(rows: int, S: int, riders: Iterable[tuple]) -> list[tuple[int, list[int]]]:
+def link_sums(S: int, rows: Iterable[Sequence[tuple]]) -> list[tuple[int, list[int]]]:
     """Each row's scale k and k times its loads on links 0 .. S-2.
 
-    A rider (row, z, sp, p, q) puts p/q passengers (q > 0; p and q need
-    not be coprime) on links z .. sp-1 of its row.  A row's k is the lcm
+    A row lists its riders: a rider (z, sp, p, q) puts p/q passengers (q > 0;
+    p and q need not be coprime) on links z .. sp-1.  A row's k is the lcm
     of its riders' q, 1 if it has none; each rider adds p·(k/q) at z and
     takes it off at sp in an integer difference row, prefix-summed once.
     """
-    by_row = [[] for _ in range(rows)]
-    for rider in riders:
-        by_row[rider[0]].append(rider)
     sums = []
-    for row in by_row:
-        k = math.lcm(*{q for *_, q in row})
+    for row in rows:
+        k = math.lcm(*{q for _, _, _, q in row})
         diff = [0] * S  # entry S-1 takes the off-entries of riders to the last station
-        for _, z, sp, p, q in row:
+        for z, sp, p, q in row:
             v = p * (k // q)
             diff[z] += v
             diff[sp] -= v
@@ -247,54 +266,37 @@ def link_sums(rows: int, S: int, riders: Iterable[tuple]) -> list[tuple[int, lis
 def _thinned(line: LineInstance, entry_rates: Sequence[Fraction]) -> list[tuple]:
     """(z, sp, p, q) of each flow with riders: p/q = H·E_z·A[z][sp]/A_z passengers per train.
 
-    Each station's H·E_z/A_z and the test 0 <= E_z <= A_z are worked on integer
-    numerators and denominators; p/q need not be in lowest terms.
+    The line's scale k cancels: with H = h/g, A[z][sp] = v/k and A_z = n_z/k,
+    p/q = h·E_z·v/(g·n_z).  Each station's h·E_z/(g·n_z) and the test
+    0 <= E_z <= A_z are worked on integers; p/q need not be in lowest terms.
     """
     if len(entry_rates) != line.S:
         raise DimensionMismatch(f"{len(entry_rates)} entry rates for {line.S} stations")
-    h, g = line.H.numerator, line.H.denominator
-    scale = []  # H·E_z/A_z per station, as (numerator, denominator) in lowest terms
-    for z, e in enumerate(map(Fraction, entry_rates)):
-        A_z = line.demand_rate(z)
+    h, g, k = line.H.numerator, line.H.denominator, line._k
+    scale = []  # h·E_z/(g·n_z) per station, as (numerator, denominator) in lowest terms
+    for z, (e, n) in enumerate(zip(entry_rates, line._sums)):
+        e = e if isinstance(e, Fraction) else Fraction(e)
         p, q = e.numerator, e.denominator
-        a, b = A_z.numerator, A_z.denominator
-        if p < 0 or p * b > a * q:
-            raise DimensionMismatch(f"entry rate {e} at station {z + 1} lies outside [0, {A_z}]")
-        p, q = h * p * b, g * q * a
+        if p < 0 or p * k > n * q:
+            raise DimensionMismatch(
+                f"entry rate {e} at station {z + 1} lies outside [0, {line.demand_rate(z)}]")
+        p, q = h * p, g * q * n
         d = math.gcd(p, q)
         scale.append((p // d, q // d) if p else (0, 1))
-    return [(z, sp, x.numerator * scale[z][0], x.denominator * scale[z][1])
-            for z, sp, x in line.flows if scale[z][0]]
-
-
-def _riders(assignment: AssignmentTensor, flows: list[tuple]) -> Iterator[tuple]:
-    """Each section's share of each thinned flow, as riders of ``link_sums``.
-
-    The assignment shares one tuple of shares between the flows of a type pair, so
-    each tuple is split into (section, numerator, denominator) once.
-    """
-    split: dict[int, list[tuple]] = {}  # by id of a tuple of shares
-    for z, sp, p, q in flows:
-        shares = assignment.flows[z][sp]
-        parts = split.get(id(shares))
-        if parts is None:
-            parts = split[id(shares)] = [(n, x.numerator, x.denominator) for n, x in shares]
-        for n, a, b in parts:
-            yield n, z, sp, p * a, q * b
+    return [(z, sp, v * scale[z][0], scale[z][1]) for z, sp, v in line._flows if scale[z][0]]
 
 
 def unit_flows(line: LineInstance) -> tuple[int, list[tuple[int, int, int]]]:
     """(D, [(z, sp, v)]): each demanded flow carries v/D passengers per train per unit of E_z.
 
-    The flows at full demand, H·A[z][sp], are divided by A_z = a_z/b_z and put over one
-    scale D: the lcm of their denominators times the lcm L of the a_z.
+    The flows at full demand, H·A[z][sp], are divided by A_z = n_z/k and put over
+    one scale D: the lcm Q of their denominators times the lcm L of the n_z.
     """
-    demand = [line.demand_rate(z) for z in range(line.S)]
-    flows = _thinned(line, demand)
-    Q = math.lcm(*{q for *_, q in flows})
-    L = math.lcm(*{demand[z].numerator for z, *_ in flows})
-    return Q * L, [(z, sp, p * (Q // q) * demand[z].denominator * (L // demand[z].numerator))
-                   for z, sp, p, q in flows]
+    flows = _thinned(line, [line.demand_rate(z) for z in range(line.S)])
+    k, n = line._k, line._sums
+    Q = math.lcm(*{q for _, _, _, q in flows})
+    L = math.lcm(*{n[z] for z, _, _, _ in flows})
+    return Q * L, [(z, sp, p * (Q // q) * k * (L // n[z])) for z, sp, p, q in flows]
 
 
 def simulate_loads(
@@ -309,18 +311,25 @@ def simulate_loads(
     """
     if len(C_n) != assignment.N:
         raise DimensionMismatch(f"{len(C_n)} section capacities for {assignment.N} sections")
-    flows = _thinned(line, entry_rates)
-    sums = link_sums(assignment.N, line.S, _riders(assignment, flows))
-    load = tuple(tuple(Fraction(v, k) for v in row) for k, row in sums)
+    riders = [[] for _ in range(assignment.N)]  # per section
+    unserved = []
+    for z, sp, p, q in _thinned(line, entry_rates):
+        shares = assignment.flows[z][sp]
+        if not shares:
+            unserved.append((z, sp, Fraction(p, q)))
+        for n, x in shares:
+            riders[n].append((z, sp, p * x.numerator, q * x.denominator))
+    rows, over = [], []
     caps = tuple(Fraction(c) for c in C_n)
-    over = []
-    for n, ((k, row), C) in enumerate(zip(sums, caps)):
+    for n, ((k, row), C) in enumerate(zip(link_sums(line.S, riders), caps)):
+        g = math.gcd(k, *row)
+        if g > 1:
+            k, row = k // g, [v // g for v in row]
+        rows.append((k, tuple(row)))
         c, d = C.numerator * k, C.denominator  # a load v/k exceeds C when v·d > c
         over += [(n, s) for s, v in enumerate(row) if v * d > c]
-    unserved = tuple(
-        (z, sp, Fraction(p, q)) for z, sp, p, q in flows if not assignment.flows[z][sp]
-    )
-    return LoadProfile(load=load, C_n=caps, overcrowded=tuple(over), unserved=unserved)
+    return LoadProfile(rows=tuple(rows), C_n=caps, overcrowded=tuple(over),
+                       unserved=tuple(unserved))
 
 
 def max_unit_density(rows: Sequence[Sequence[Fraction]], section_sizes: Sequence[int]) -> Fraction:
@@ -338,10 +347,17 @@ def max_unit_density(rows: Sequence[Sequence[Fraction]], section_sizes: Sequence
 
 
 def max_load_point(profile: LoadProfile) -> int:
-    """The first link (0-based) of maximum total load: ties go to the left."""
+    """The first link (0-based) of maximum total load: ties go to the left.
+
+    Each link's total is summed as integers over the lcm K of the rows' scales.
+    """
     if not profile.links:
         raise DimensionMismatch("a load profile with no links has no maximum load point")
-    totals = [fraction_sum(column) for column in zip(*profile.load)]
+    K = math.lcm(*(k for k, _ in profile.rows))
+    totals = [0] * profile.links
+    for k, row in profile.rows:
+        m = K // k
+        totals = [t + m * v for t, v in zip(totals, row)]
     return totals.index(max(totals))
 
 
@@ -379,10 +395,8 @@ def capacity_report(
     shortest platform (overridable, e.g. for effective platform lengths).
     """
     mlp = max_load_point(profile)
-    occupancy = tuple(
-        (profile.load[n][mlp] / profile.C_n[n]) if profile.C_n[n] > 0 else Fraction(0)
-        for n in range(profile.N)
-    )
+    occupancy = tuple(x / C if C > 0 else Fraction(0)
+                      for x, C in zip(profile.loads_at(mlp), profile.C_n))
     if reference_units is None:
         reference_units = min(spec.stations.lengths())
     reference_units = Fraction(reference_units)
@@ -432,15 +446,21 @@ def access_penalty_ftr(spacing_pattern: Sequence[str] = ("F", "R", "T")) -> Frac
 
 
 def headway_correction(extra_length_m: float, cruise_speed_mps: float) -> float:
-    """Extra minimum headway in seconds for a train lengthened by ΔL meters."""
+    """Extra minimum headway in seconds for a train lengthened by ΔL >= 0 meters."""
     if not cruise_speed_mps > 0:  # NaN too
         raise NonpositiveSpeed("cruise speed must be positive")
+    if not (_real(extra_length_m) and 0 <= extra_length_m < math.inf):  # NaN fails too
+        raise DimensionMismatch(
+            f"the extra length must be a finite number >= 0, not {extra_length_m!r}")
     return extra_length_m / cruise_speed_mps
 
 
 def headway_capacity_reduction(
     extra_length_m: float, cruise_speed_mps: float, base_headway_s: float
 ) -> float:
-    """Relative throughput loss when the base headway grows by ΔL/v."""
+    """Relative throughput loss when a base headway > 0 grows by ΔL/v."""
     dh = headway_correction(extra_length_m, cruise_speed_mps)
+    if not (_real(base_headway_s) and 0 < base_headway_s < math.inf):
+        raise DimensionMismatch(
+            f"the base headway must be a finite number > 0, not {base_headway_s!r}")
     return dh / (base_headway_s + dh)

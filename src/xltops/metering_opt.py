@@ -210,8 +210,10 @@ class _ClassificationLP:
         self.station_types = types = station_types
         S, d, ck = len(self.lo), self.c.denominator, line_lp.ck
         # fr_i presents each type pair with one section: a flow rides row section*S + z.
-        sums = flow_sim.link_sums(_N * S, S, [(_SECTION[types[z], types[sp]] * S + z, z, sp, v, 1)
-                                               for z, sp, v in line_lp.flows])
+        riders = [[] for _ in range(_N * S)]
+        for z, sp, v in line_lp.flows:
+            riders[_SECTION[types[z], types[sp]] * S + z].append((z, sp, v, 1))
+        sums = flow_sim.link_sums(S, riders)
         self.rows, self.B0, self.ck = list(line_lp.rows), list(line_lp.B0), [0] * S
         self.least = []  # per section, the least m with c*m at or above its heaviest base load
         for n in range(_N):  # row[z]/D: section n's load on a link per unit of E_z
@@ -381,12 +383,8 @@ def even_density_check(solution: MeteringSolution) -> EvenDensityReport:
     """Per-section passenger density at the maximum load point."""
     profile = solution.profile
     mlp = flow_sim.max_load_point(profile)
-    densities = tuple(
-        profile.load[n][mlp] / solution.section_sizes[n]
-        if solution.section_sizes[n]
-        else Fraction(0)
-        for n in range(profile.N)
-    )
+    densities = tuple(x / m if m else Fraction(0)
+                      for x, m in zip(profile.loads_at(mlp), solution.section_sizes))
     unused = tuple(n + 1 for n, x in enumerate(densities) if x == 0)
     ratio = None
     if densities and min(densities) > 0:

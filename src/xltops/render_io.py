@@ -15,6 +15,7 @@ import csv
 import functools
 import io
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -331,8 +332,10 @@ def _cmd_simulate(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["link", *(f"section_{n + 1}" for n in range(profile.N))])
-    for s in range(profile.links):
-        writer.writerow([s + 1, *(float(profile.load[n][s]) for n in range(profile.N))])
+    scales = [k for k, _ in profile.rows]
+    for s, column in enumerate(zip(*(row for _, row in profile.rows)), start=1):
+        # v / k, int over int, is correctly rounded: float(Fraction(v, k)) to the bit.
+        writer.writerow([s, *map(operator.truediv, column, scales)])
     buf.write(
         json.dumps(
             {

@@ -45,7 +45,6 @@ from .core_model import (
     _whole,
     build_protocol,
     derive_parts,
-    fraction_sum,
     one_hot,
     train_tables,
 )
@@ -240,27 +239,39 @@ def generate_s(C: int, D: Fraction | int | str, d: int) -> BarChart:
     return BarChart(M=params.M, bars=bars)
 
 
+def _positive(D) -> Fraction | None:
+    """D as a ``Fraction`` if it is a finite number > 0, else None."""
+    try:
+        D = Fraction(D)
+    except (ArithmeticError, TypeError, ValueError):  # NaN, infinities, non-numbers
+        return None
+    return D if D > 0 else None
+
+
 def train_length_ratio(C: int, D: Fraction | int | str) -> Fraction:
     """Exact train length in platform lengths: 1 + (C-1)/D."""
-    D = Fraction(D)
-    if not _integer(C) or C < 1 or D <= 0:
+    D = _positive(D)
+    if not _integer(C) or C < 1 or D is None:
         raise DimensionMismatch("need a whole class count C >= 1 and D > 0")
     return 1 + Fraction(C - 1, 1) / D
 
 
 def max_connected_classes(T: int, D: Fraction | int | str) -> int:
     """Most station types reachable with at most T transfers."""
-    if not _integer(T) or T < 0 or Fraction(D) <= 0:
+    D = _positive(D)
+    if not _integer(T) or T < 0 or D is None:
         raise DimensionMismatch("need a whole transfer count T >= 0 and D > 0")
-    return 1 + (T + 1) * strict_floor(Fraction(D))
+    return 1 + (T + 1) * strict_floor(D)
+
 
 def worst_case_transfers(C: int, D: Fraction | int | str) -> int:
     """Minimal T such that max_connected_classes(T, D) >= C."""
-    if not _integer(C) or C < 1 or Fraction(D) <= 0:
+    ratio = _positive(D)
+    if not _integer(C) or C < 1 or ratio is None:
         raise DimensionMismatch("need a whole class count C >= 1 and D > 0")
     if C == 1:
         return 0
-    sf = strict_floor(Fraction(D))
+    sf = strict_floor(ratio)
     if sf == 0:
         raise UnreachableError(f"D = {D}: bars do not overlap, no transfer count connects {C} types")
     return math.ceil(Fraction(C - 1, sf)) - 1
@@ -459,21 +470,18 @@ def greedy_presentation_refine(spec: ProtocolSpec, line: LineInstance) -> Protoc
     sizes = spec.section_sizes(0)
     caps = flow_sim.section_capacities(spec)
     vk = spec.v[0]
-    H, S = line.H, line.S
+    S = line.S
 
     parts = derive_parts(spec)
 
-    # Demand per origin-destination type pair (as type indices), and its
-    # passengers per train on each link before any split.
-    demand: dict[tuple[int, int], list[Fraction]] = {}
-    rows: dict[tuple[int, int], int] = {}  # each pair's row of link loads
-    riders = []
-    for z, sp, x in line.flows:
+    # Demand per origin-destination type pair (as type indices), as the
+    # line's integers: k times the demand rates, each flow a rider of its pair.
+    totals: dict[tuple[int, int], int] = {}
+    riders: dict[tuple[int, int], list[tuple]] = {}  # each pair's row of link loads
+    for z, sp, v in line._flows:
         pair = (ti[z], ti[sp])
-        demand.setdefault(pair, []).append(x)
-        riders.append((rows.setdefault(pair, len(rows)), z, sp,
-                       H.numerator * x.numerator, H.denominator * x.denominator))
-    totals = {pair: fraction_sum(xs) for pair, xs in demand.items()}
+        totals[pair] = totals.get(pair, 0) + v
+        riders.setdefault(pair, []).append((z, sp, v, 1))
     order = sorted(totals, key=lambda pair: (-totals[pair], types[pair[0]], types[pair[1]]))
 
     def feasible_spans(i: int, j: int) -> list[range]:
@@ -491,11 +499,10 @@ def greedy_presentation_refine(spec: ProtocolSpec, line: LineInstance) -> Protoc
         shares[pair] = [flow_sim.capacity_shares(sections, caps)
                         for sections in (presenting[pair[0]][pair[1]], *spans[pair])]
 
-    # Every load below is an integer over one denominator: the lcm of the
-    # pair rows' scales times the lcm of the shares' denominators.
-    sums = flow_sim.link_sums(len(rows), S, riders)
-    k_pax = math.lcm(*(k for k, _ in sums))
-    pax = {pair: [v * (k_pax // k) for v in row] for pair, (k, row) in zip(rows, sums)}
+    # Every load below is an integer: passengers per train times k/H (k the
+    # line's scale) times the lcm of the shares' denominators.  A positive
+    # factor common to all loads, it changes no comparison of densities.
+    pax = dict(zip(riders, (row for _, row in flow_sim.link_sums(S, riders.values()))))
     k_share = math.lcm(*{x.denominator for options in shares.values()
                          for option in options for _, x in option})
     weights = {pair: [[(n, x.numerator * (k_share // x.denominator)) for n, x in option]

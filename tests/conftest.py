@@ -34,7 +34,7 @@ from xltops import (
     solve_inner_lp,
 )
 from xltops.errors import AmbiguousAssignment, InfeasibleMinRates
-from xltops.flow_sim import _riders, _thinned, link_sums, type_pair_sections
+from xltops.flow_sim import type_pair_sections
 
 
 def seed_from_env(default: int = 12345) -> int:
@@ -193,20 +193,24 @@ def load_coefficients(
 ) -> list[list[tuple[int, list[int]]]]:
     """coef[n][s] = (k, row): row[z]/k passengers per train on section n over link s per unit of E_z.
 
-    The flows at full demand, divided by A_z, ride in one ``link_sums`` row per
-    (section n, origin z); each section's rows are then put over the lcm k of their scales.
+    Per unit of E_z, the flow from z to sp carries H·A[z][sp]/A_z passengers per train,
+    and section n takes ``assignment.share(n, z, sp)`` of them over links z .. sp-1.  Each
+    load is a ``Fraction`` sum over those flows, and each section's rows are put over the
+    lcm k of their denominators.
     """
-    S, N = line.S, assignment.N
-    demand = [line.demand_rate(z) for z in range(S)]
-    riders = [(n * S + z, z, sp, p * demand[z].denominator, q * demand[z].numerator)
-              for n, z, sp, p, q in _riders(assignment, _thinned(line, demand))]
-    sums = link_sums(N * S, S, riders)
+    S = line.S
     coef = []
-    for n in range(N):
-        part = sums[n * S:(n + 1) * S]  # one column per origin z
-        k = math.lcm(*(kz for kz, _ in part))
-        columns = [[v * (k // kz) for v in column] for kz, column in part]
-        coef.append([(k, list(row)) for row in zip(*columns)])
+    for n in range(assignment.N):
+        unit = [[Fraction(0)] * S for _ in range(S)]  # unit[z][sp]: section n's flow per unit of E_z
+        for z, row in enumerate(line.A):
+            A_z = sum(row, Fraction(0))
+            for sp in range(z + 1, S):
+                if row[sp]:
+                    unit[z][sp] = line.H * row[sp] / A_z * assignment.share(n, z, sp)
+        table = [[sum(unit[z][s + 1:], Fraction(0)) if z <= s else Fraction(0) for z in range(S)]
+                 for s in range(S - 1)]
+        k = math.lcm(*(x.denominator for row in table for x in row))
+        coef.append([(k, [int(x * k) for x in row]) for row in table])
     return coef
 
 

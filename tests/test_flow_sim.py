@@ -1,5 +1,6 @@
 """Assignment, load simulation, capacity metrics and the access penalty."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -28,7 +29,10 @@ from xltops.errors import (
     DimensionMismatch,
     NonpositiveSpeed,
 )
+import xltops.flow_sim as flow_sim
+from xltops.core_model import fraction_sum
 from xltops.flow_sim import (
+    LoadProfile,
     capacity_shares,
     link_sums,
     max_load_point,
@@ -160,9 +164,17 @@ def test_entry_rates_must_cover_every_station(fr_line_full):
         simulate_loads(assignment, [1, 1, 0], fr_line_full, section_capacities(spec))
 
 
+def by_row(rows, riders):
+    """Riders (row, z, sp, p, q) grouped as ``link_sums`` takes them: (z, sp, p, q) per row."""
+    grouped = [[] for _ in range(rows)]
+    for row, *rider in riders:
+        grouped[row].append(tuple(rider))
+    return grouped
+
+
 def link_loads(rows, S, riders):
     """Each row of ``link_sums`` as loads, one ``Fraction(v, k)`` each."""
-    return [[Fraction(v, k) for v in row] for k, row in link_sums(rows, S, riders)]
+    return [[Fraction(v, k) for v in row] for k, row in link_sums(S, by_row(rows, riders))]
 
 
 def test_link_loads_puts_each_rider_on_the_links_it_rides():
@@ -197,7 +209,7 @@ def test_link_loads_match_a_per_link_fraction_sum(S):
         assert all(type(x) is Fraction for row in loads for x in row)
         if rows > 1:
             assert loads[-1] == [0] * (S - 1)  # the last row gets no riders
-        sums = link_sums(rows, S, riders)
+        sums = link_sums(S, by_row(rows, riders))
         assert [[Fraction(v, k) for v in row] for k, row in sums] == loads
         assert sums[-1][0] == 1 or rows == 1
 
@@ -245,6 +257,60 @@ def test_metered_entries_are_thinned_proportionally():
     )
     assert profile.load[0][0] == Fraction(3)  # F-F flow 6 -> 3
     assert profile.load[1][0] == Fraction(1)  # F-R flow 2 -> 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**40, 10**40), st.integers(1, 10**30), st.integers(2, 10**6))
+def test_int_over_int_is_the_float_of_the_fraction_to_the_bit(v, k, t):
+    """``xlt simulate`` prints a load v/k as v / k.  True division of ints is correctly
+    rounded, so it is ``float(Fraction(v, k))`` bit for bit, also when v and k share a factor."""
+    for a, b in ((v, k), (v * t, k * t)):
+        assert (a / b).hex() == float(Fraction(a, b)).hex()
+
+
+def test_equal_loads_through_different_scales_give_equal_profiles():
+    """A profile keeps each row reduced, so equal loads compare and hash equal whatever
+    scale they were summed over: an entry rate of Fraction(2, 4), 1/2 or 0.5, and A as
+    ints, as whole floats, or with one row divided by 3, which puts the line on scale 3
+    and thins the same flows over other denominators.  ``load`` reads as the oracle."""
+    spec = fr_i()
+    types = ("R", "F", "R", "F", "F")
+    A = [[0, 3, 1, 2, 6], [0, 0, 4, 0, 2], [0, 0, 0, 5, 1], [0, 0, 0, 0, 7], [0] * 5]
+    thirds = [row if z != 1 else [Fraction(x, 3) for x in row] for z, row in enumerate(A)]
+    lines = [make_line(types, A, H=Fraction(1, 2)),
+             make_line(types, [[float(x) for x in row] for row in A], H=0.5),
+             make_line(types, thirds, H="1/2")]
+    assert [line._k for line in lines] == [1, 1, 3]
+    runs, profiles = [], []
+    for line in lines:
+        for half in (Fraction(2, 4), Fraction(1, 2), 0.5):
+            rates = [4, half, 3, 2, 0]
+            runs.append((line, rates))
+            profiles.append(simulate_loads(build_assignment(spec, line), rates, line,
+                                           section_capacities(spec)))
+    assert flow_sim._thinned(lines[0], runs[0][1]) != flow_sim._thinned(lines[2], runs[0][1])
+    assert len(set(profiles)) == 1 and len({hash(p) for p in profiles}) == 1
+    for profile, (line, rates) in zip(profiles, runs):
+        assert all(math.gcd(k, *row) == 1 for k, row in profile.rows)
+        assert all(type(x) is Fraction for row in profile.load for x in row)
+        assert [list(row) for row in profile.load] == oracle_loads(
+            build_assignment(spec, line), rates, line)
+    assert any(x for row in profiles[0].load for x in row)
+
+
+@pytest.mark.parametrize("A0, k", [([0, 2, 4], 1), ([0, Fraction(1, 3), Fraction(1, 2)], 6)])
+def test_entry_rates_are_checked_against_each_stations_demand_on_the_lines_scale(A0, k):
+    """0 <= E_z <= A_z is tested on the line's integers: a rate at the demand passes, and
+    one just above it or below 0 is refused, also when A puts the line on a scale k > 1."""
+    line = make_line(("R", "F", "R"), [A0, [0, 0, 1], [0, 0, 0]])
+    assert line._k == k
+    spec = fr_i()
+    assignment, caps = build_assignment(spec, line), section_capacities(spec)
+    A_0 = sum(A0, Fraction(0))
+    assert simulate_loads(assignment, [A_0, 1, 0], line, caps).load[1] == (0, 1)
+    for bad in (A_0 + Fraction(1, 10**9), Fraction(-1, 10**9), A_0 + 1, math.ceil(A_0 + 1)):
+        with pytest.raises(DimensionMismatch, match="lies outside"):
+            simulate_loads(assignment, [bad, 1, 0], line, caps)
 
 
 def test_overcrowding_is_reported_not_fatal(fr_line_full):
@@ -509,6 +575,34 @@ def test_mlp_is_scale_invariant_and_ties_go_left():
         assert one.mlp_link == two.mlp_link
 
 
+def fraction_sum_max_load_point(profile):
+    """The first link of maximum total load, each column summed as ``Fraction``s."""
+    totals = [fraction_sum(column) for column in zip(*profile.load)]
+    return totals.index(max(totals))
+
+
+def test_max_load_point_breaks_ties_left_across_rows_of_different_scales():
+    # Links 0 and 1 both total 5/6, over rows of scale 2, 3 and 6.
+    profile = LoadProfile(rows=((2, (1, 0, 0)), (3, (1, 0, 1)), (6, (0, 5, 1))), C_n=(),
+                          overcrowded=(), unserved=())
+    assert max_load_point(profile) == fraction_sum_max_load_point(profile) == 0
+    rng = random.Random(seed_from_env() + 43)
+    ties = 0
+    for _ in range(300):
+        links = rng.randint(1, 6)
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            k = rng.choice((1, 2, 3, 6, 10**9 + 7))
+            row = [rng.randint(0, 3) * rng.choice((1, k)) for _ in range(links)]
+            g = math.gcd(k, *row)
+            rows.append((k // g, tuple(v // g for v in row)))
+        profile = LoadProfile(rows=tuple(rows), C_n=(), overcrowded=(), unserved=())
+        totals = [fraction_sum(column) for column in zip(*profile.load)]
+        ties += totals.count(max(totals)) > 1
+        assert max_load_point(profile) == fraction_sum_max_load_point(profile)
+    assert ties >= 10  # about 30 in 300 under any seed
+
+
 def test_one_station_line_has_no_maximum_load_point():
     spec = fr_i()
     line = make_line(("R",), [[0]])
@@ -545,6 +639,29 @@ def test_access_penalty_counts_both_directions_of_each_f_r_pair():
 def test_access_penalty_monte_carlo_oracle():
     estimate = access_penalty_ftr_mc(("F", "R", "T"), draws=10**6, seed=seed_from_env())
     assert abs(estimate - 1 / 27) < 0.001
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: headway_capacity_reduction(10, 30, float("nan")),
+        lambda: headway_capacity_reduction(10, 30, -1 / 3),
+        lambda: headway_capacity_reduction(10, 30, 0),
+        lambda: headway_capacity_reduction(10, 30, float("inf")),
+        lambda: headway_correction(-5, 30),
+        lambda: headway_correction(float("nan"), 30),
+        lambda: headway_correction(float("inf"), 30),
+        lambda: headway_correction("70", 30),
+    ],
+    ids=["base-nan", "base-negative", "base-zero", "base-infinite", "length-negative",
+         "length-nan", "length-infinite", "length-string"],
+)
+def test_headway_formulas_refuse_a_bad_length_or_base_headway(call):
+    """A non-finite or negative extra length, or a non-finite or nonpositive base
+    headway, is a DimensionMismatch: not a NaN, a negative headway or a bare
+    ZeroDivisionError."""
+    with pytest.raises(DimensionMismatch):
+        call()
 
 
 def test_headway_correction_values():

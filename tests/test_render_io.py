@@ -1,12 +1,14 @@
 """Gate signs, chart rendering and the command-line interface."""
 
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from xltops import (
+    build_assignment,
     build_graph,
     build_s52_2,
     chart_to_json,
@@ -19,13 +21,16 @@ from xltops import (
     line_to_json,
     optimal_plans,
     render_chart,
+    section_capacities,
+    simulate_loads,
     spec_to_json,
 )
 from xltops.core_model import StationTypeCatalog, TrainTypeSpec, build_protocol
+from xltops.flow_sim import LoadProfile
 from xltops.render_io import main
 from xltops.s_family import build_ftr3, chart_to_protocol
 
-from conftest import exactly_one_ftr, make_line
+from conftest import exactly_one_ftr, make_line, seed_from_env
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +186,37 @@ def test_cli_simulate_emits_profile_and_report(tmp_path, capsys, fr_line_full):
     assert out.startswith("link,section_1")
     report = json.loads(out[out.index("{") :])
     assert report["gain"] == pytest.approx(4 / 3)
+
+
+def test_cli_simulate_prints_loads_without_forming_a_fraction_per_load(
+        tmp_path, capsys, monkeypatch):
+    """On an S = 24 line, under fr_i and both fr_h splits, ``xlt simulate`` prints each
+    load from the profile's integer rows and never reads ``LoadProfile.load``; the
+    printed cells are the library's loads as floats."""
+    reads = []
+    form = LoadProfile.load.func
+    monkeypatch.setattr(LoadProfile, "load", property(lambda p: reads.append(p) or form(p)))
+    rng = random.Random(f"{seed_from_env()}/simulate-reads")
+    S = 24
+    types = ["R"] + [rng.choice("FR") for _ in range(S - 2)] + ["F"]
+    A = [[Fraction(rng.randint(1, 9), rng.choice((1, 2, 3))) if sp > z else 0 for sp in range(S)]
+         for z in range(S)]
+    line = make_line(types, A, H=Fraction(1, 2))
+    line_path = write_json(tmp_path / "line.json", line_to_json(line))
+    printed = {}
+    for name, spec, extra in (("fr_i", fr_i(), []), ("balanced", fr_h(3), ["--split", "balanced"]),
+                              ("end_preference", fr_h(3), ["--split", "end_preference"])):
+        spec_path = write_json(tmp_path / "spec.json", spec_to_json(spec))
+        assert main(["simulate", "--spec", spec_path, "--line", line_path, *extra]) == 0
+        printed[name] = capsys.readouterr().out.splitlines()[1:S]
+    assert reads == []
+    profile = simulate_loads(build_assignment(fr_i(), line),
+                             [line.demand_rate(z) for z in range(S)], line,
+                             section_capacities(fr_i()))
+    loads = profile.load
+    assert len(reads) == 1  # the counter counts
+    assert printed["fr_i"] == [",".join([str(s + 1), *(str(float(row[s])) for row in loads)])
+                               for s in range(S - 1)]
 
 
 def test_cli_simulate_ambiguous_spec_is_a_domain_error(tmp_path, capsys, fr_line_full):

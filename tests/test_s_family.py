@@ -176,6 +176,25 @@ def test_geometry_and_closed_forms_refuse_bad_input(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: train_length_ratio(3, float("nan")),
+        lambda: worst_case_transfers(3, "x"),
+        lambda: max_connected_classes(1, float("inf")),
+        lambda: max_length_with_transfers(1, float("-inf")),
+        lambda: train_length_ratio(3, None),
+    ],
+    ids=["ratio-nan", "transfers-string", "classes-infinite", "length-minus-infinity",
+         "ratio-none"],
+)
+def test_closed_forms_refuse_a_d_that_is_no_finite_number(call):
+    """D is read once; a NaN, an infinity or a non-number is a DimensionMismatch,
+    not the ValueError, OverflowError or TypeError of ``Fraction(D)``."""
+    with pytest.raises(DimensionMismatch, match="D > 0"):
+        call()
+
+
 @pytest.mark.parametrize("D", SWEEP_D)
 @pytest.mark.parametrize("C", range(1, 9))
 def test_formula_sweep_matches_chart_enumeration(C, D):
