@@ -204,12 +204,12 @@ class TrainTypeSpec:
             raise DimensionMismatch("per-unit lengths/capacities must have M entries")
         if any(not (_real(l) and math.isfinite(l) and l > 0) for l in self.lengths):
             raise DimensionMismatch("unit lengths must be positive and finite numbers")
-        try:
-            capacities = [_as_fraction(c) if isinstance(c, str) else c for c in self.capacities]
-        except (ArithmeticError, ValueError) as exc:
+        try:  # as section_capacities reads them: each distinct capacity once
+            capacities = _read_numbers(self.capacities, {})
+        except (ArithmeticError, TypeError, ValueError) as exc:
             raise DimensionMismatch(f"unit capacities must be numbers: {exc}") from None
-        if any(not (_real(c) and 0 <= c < math.inf) for c in capacities):
-            raise DimensionMismatch("unit capacities must be nonnegative and finite")
+        if min(capacities, default=0) < 0:
+            raise DimensionMismatch("unit capacities must be nonnegative")
         if any(not (_integer(m) and 1 <= m <= self.M) for m in self.never_aligned):
             raise DimensionMismatch("never_aligned indices must be unit indices 1..M")
         # Stored as ints and floats, so that a document writes them as numbers whatever came in:
@@ -507,6 +507,8 @@ def ftr(section_size: int = 2) -> ProtocolSpec:
 
 def _as_fraction(x) -> Fraction:
     """A number as read from a document or the library: floats to within 1e-9, no booleans."""
+    if type(x) is Fraction:  # as it is: a number read once costs nothing to read again
+        return x
     if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, float):
@@ -514,6 +516,14 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, bool):
         raise TypeError(f"{x!r} is not a number")
     return Fraction(x)
+
+
+def _number(x, what: str) -> Fraction:
+    """A number a caller passes, through ``_as_fraction``; DimensionMismatch if it is none."""
+    try:
+        return _as_fraction(x)
+    except (ArithmeticError, TypeError, ValueError):
+        raise DimensionMismatch(f"{what}, not {x!r}") from None
 
 
 def over_lcm(xs: Iterable[Fraction]) -> tuple[int, list[int]]:

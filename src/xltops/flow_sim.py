@@ -45,6 +45,7 @@ from .core_model import (
     LineInstance,
     ProtocolSpec,
     _integer,
+    _number,
     _read_numbers,
     _real,
     fraction_sum,
@@ -275,7 +276,7 @@ def _thinned(line: LineInstance, entry_rates: Sequence[Fraction]) -> list[tuple]
     h, g, k = line.H.numerator, line.H.denominator, line._k
     scale = []  # h·E_z/(g·n_z) per station, as (numerator, denominator) in lowest terms
     for z, (e, n) in enumerate(zip(entry_rates, line._sums)):
-        e = e if isinstance(e, Fraction) else Fraction(e)
+        e = _number(e, "entry rates must be finite numbers")
         p, q = e.numerator, e.denominator
         if p < 0 or p * k > n * q:
             raise DimensionMismatch(
@@ -311,6 +312,9 @@ def simulate_loads(
     """
     if len(C_n) != assignment.N:
         raise DimensionMismatch(f"{len(C_n)} section capacities for {assignment.N} sections")
+    caps = tuple(_number(c, "section capacities must be finite numbers") for c in C_n)
+    if min(caps, default=0) < 0:
+        raise DimensionMismatch("section capacities must be nonnegative")
     riders = [[] for _ in range(assignment.N)]  # per section
     unserved = []
     for z, sp, p, q in _thinned(line, entry_rates):
@@ -320,7 +324,6 @@ def simulate_loads(
         for n, x in shares:
             riders[n].append((z, sp, p * x.numerator, q * x.denominator))
     rows, over = [], []
-    caps = tuple(Fraction(c) for c in C_n)
     for n, ((k, row), C) in enumerate(zip(link_sums(line.S, riders), caps)):
         g = math.gcd(k, *row)
         if g > 1:
@@ -371,7 +374,7 @@ def size_sections_proportional(
     """
     if not _integer(M) or M < 0:
         raise DimensionMismatch(f"the unit count M must be a whole number >= 0, not {M!r}")
-    fractions = [Fraction(f) for f in od_type_fractions]
+    fractions = [_number(f, "fractions must be finite numbers") for f in od_type_fractions]
     if sum(fractions) != 1 or min(fractions) < 0:
         raise DimensionMismatch("fractions must be nonnegative and sum to 1")
     exact = [f * M for f in fractions]
@@ -399,14 +402,11 @@ def capacity_report(
                       for x, C in zip(profile.loads_at(mlp), profile.C_n))
     if reference_units is None:
         reference_units = min(spec.stations.lengths())
-    reference_units = Fraction(reference_units)
+    reference_units = _number(reference_units, "reference units must be a finite number")
     if reference_units <= 0:
         raise DimensionMismatch(f"reference units must be positive, not {reference_units}")
     sizes = spec.section_sizes(0)
-    full_units = sum(
-        (Fraction(sizes[n]) * min(occupancy[n], Fraction(1)) for n in range(profile.N)),
-        Fraction(0),
-    )
+    full_units = sum(m * min(x, 1) for m, x in zip(sizes, occupancy))
     gain = full_units / reference_units
     line_capacity = sum(profile.C_n, Fraction(0)) / line.H
     return CapacityReport(

@@ -57,7 +57,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import flow_sim
-from .core_model import LineInstance, _integer, _real, _whole_sizes, fr_i, over_lcm
+from .core_model import LineInstance, _integer, _number, _whole_sizes, fr_i, over_lcm
 from .errors import BadSectionCount, DimensionMismatch, InfeasibleMinRates, SearchSpaceTooLarge
 
 _SPEC = fr_i()  # the type labels, end-of-line rule and presentation of every candidate
@@ -71,8 +71,8 @@ _SECTION = {  # (origin type, destination type): the one section of fr_i that pr
 class MeteringProblem:
     """A line, the fr_i train's M units, and the classification and sizing if fixed.
 
-    ``unit_capacity`` is passengers per unit, so a section of size m
-    holds c*m passengers per train.
+    ``unit_capacity`` is passengers per unit, read as the line reads its
+    numbers and kept as a ``Fraction``: a section of size m holds c*m per train.
     """
 
     line: LineInstance
@@ -84,9 +84,8 @@ class MeteringProblem:
     def __post_init__(self) -> None:
         if not _integer(self.M):
             raise DimensionMismatch(f"the unit count M must be a whole number, not {self.M!r}")
-        c = self.unit_capacity
-        if not (_real(c) and -math.inf < c < math.inf):
-            raise DimensionMismatch(f"unit capacity must be a finite number, not {c!r}")
+        c = _number(self.unit_capacity, "unit capacity must be a finite number")
+        object.__setattr__(self, "unit_capacity", c)
         if not c > 0:
             raise DimensionMismatch(f"unit capacity must be positive, not {c}")
 
@@ -182,7 +181,7 @@ class _LineLP:
 
     def __init__(self, problem: MeteringProblem) -> None:
         line = problem.line
-        self.c = c = Fraction(problem.unit_capacity)
+        self.c = c = problem.unit_capacity
         self.lo = line.M_min
         S = line.S
         self.rows, self.B0 = [], []
@@ -311,13 +310,12 @@ def _compositions(total: int, parts: int):
         yield tuple(bounds[i + 1] - bounds[i] for i in range(parts))
 
 
-def _classifications(S: int):
-    """Every fr_i classification of S stations; a lone station is a first station."""
+def _station_choices(S: int) -> list[tuple[str, ...]]:
+    """The fr_i types each of S stations may take (a lone station is a first station)."""
     types, rule = _SPEC.stations.types, _SPEC.eol_rule
     first = tuple(t for t in types if t in rule.first_types)
     last = tuple(t for t in types if t in rule.last_types)
-    choices = (first if s == 0 else last if s == S - 1 else types for s in range(S))
-    return itertools.product(*choices)
+    return [first if s == 0 else last if s == S - 1 else types for s in range(S)]
 
 
 def solve_outer(problem: MeteringProblem, cap: int = 10**6) -> MeteringSolution:
@@ -326,8 +324,9 @@ def solve_outer(problem: MeteringProblem, cap: int = 10**6) -> MeteringSolution:
     Candidates are visited in lexicographic order of the
     (classification, sizes) encoding; the first optimum found wins, so
     ties resolve to the lexicographically smallest candidate.  Only a fixed
-    classification or sizing is checked, after the cap.  The line part of
-    the LP is set up once per search, each classification's rows once, and
+    classification or sizing is checked, after the cap, which counts the
+    candidates before any is listed.  The line part of the LP is set up
+    once per search, each classification's rows once, and
     the classified line and solution for the winner only.  A sizing whose
     minimum rates overload a section is skipped, and so is one that
     a dual cut of an earlier sizing of the same classification bounds at
@@ -335,13 +334,15 @@ def solve_outer(problem: MeteringProblem, cap: int = 10**6) -> MeteringSolution:
     the answer is the one that solving every candidate's LP gives.
     """
     fixed_types, fixed_sizes = problem.fixed_station_types, problem.fixed_sizes
-    deltas = [fixed_types] if fixed_types is not None else list(_classifications(problem.line.S))
-    sizings = [fixed_sizes] if fixed_sizes is not None else list(_compositions(problem.M, _N))
-    count = len(deltas) * len(sizings)
+    choices = _station_choices(problem.line.S)
+    count = 1 if fixed_types is not None else math.prod(map(len, choices))
+    if fixed_sizes is None:  # the compositions of M into _N parts
+        count *= math.comb(max(problem.M - 1, 0), _N - 1)
     if count > cap:
         raise SearchSpaceTooLarge(f"{count} candidates exceed the cap of {cap}")
-    if fixed_sizes is not None:
-        sizings = [_check_sizes(problem, fixed_sizes)]
+    fixed = fixed_sizes is not None
+    sizings = [_check_sizes(problem, fixed_sizes)] if fixed else list(_compositions(problem.M, _N))
+    deltas = itertools.product(*choices)  # listed lazily
     classified = None  # the line under a fixed classification, whose labels the LP then reads
     if fixed_types is not None:
         classified = _classified(problem.line, fixed_types)

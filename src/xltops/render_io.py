@@ -233,7 +233,7 @@ def _render_svg(charts, overlays) -> str:
 def _fraction(text: str) -> Fraction:
     """argparse type for an exact rational such as 3, 0.5 or 7/2."""
     try:
-        return Fraction(text)
+        return _as_fraction(text)  # as the line reads a string
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
@@ -268,13 +268,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    size = () if args.section_size is None else (args.section_size,)  # () takes the default
     if args.family == "fr_h":
-        doc = spec_to_json(fr_h(args.section_size or 3))
+        doc = spec_to_json(fr_h(*size))
     elif args.family == "fr_i":
-        sizes = args.sizes or [3, 3, 3, 3]
-        doc = spec_to_json(fr_i(sizes))
+        doc = spec_to_json(fr_i(args.sizes or (3, 3, 3, 3)))
     elif args.family == "ftr":
-        doc = spec_to_json(ftr(args.section_size or 2))
+        doc = spec_to_json(ftr(*size))
     elif args.family == "s":
         chart = s_family.generate_s(args.C, args.D, args.d)
         doc = s_family.chart_to_json(chart)

@@ -42,6 +42,7 @@ from .core_model import (
     _check_schema,
     _integer,
     _listed,
+    _number,
     _whole,
     build_protocol,
     derive_parts,
@@ -55,6 +56,8 @@ from .errors import (
     SubsetCoverage,
     UnreachableError,
 )
+
+_FINITE_D = "need a finite D > 0"  # what reading a D that is no number refuses
 
 
 @dataclass(frozen=True)
@@ -186,12 +189,7 @@ class MultiTrainChart:
 
 def strict_floor(D: Fraction | int) -> int:
     """Largest natural number strictly below D; 0 when D <= 1."""
-    D = Fraction(D)
-    if D <= 1:
-        return 0
-    if D.denominator == 1:
-        return int(D) - 1
-    return math.floor(D)
+    return max(0, math.ceil(_number(D, "D must be a finite number")) - 1)
 
 
 def _letters(C: int) -> tuple[str, ...]:
@@ -209,7 +207,7 @@ class SFamilySpec:
     d: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "D", Fraction(self.D))
+        object.__setattr__(self, "D", _number(self.D, _FINITE_D))
         if not (_integer(self.C) and _integer(self.d)) or self.C < 1 or self.d < 1 or self.D <= 0:
             raise DimensionMismatch("need whole numbers C >= 1 and d >= 1, and D > 0")
         if self.C > 1 and (self.d / self.D).denominator != 1:
@@ -233,41 +231,32 @@ def generate_s(C: int, D: Fraction | int | str, d: int) -> BarChart:
 
     Labels run A, B, C, ... from the bottom bar (b = d) upward.
     """
-    params = SFamilySpec(C=C, D=Fraction(D), d=d)
+    params = SFamilySpec(C=C, D=D, d=d)
     labels = _letters(C)
     bars = tuple(Bar(label=labels[i], b=d + i * params.h, d=d) for i in range(C))
     return BarChart(M=params.M, bars=bars)
 
 
-def _positive(D) -> Fraction | None:
-    """D as a ``Fraction`` if it is a finite number > 0, else None."""
-    try:
-        D = Fraction(D)
-    except (ArithmeticError, TypeError, ValueError):  # NaN, infinities, non-numbers
-        return None
-    return D if D > 0 else None
-
-
 def train_length_ratio(C: int, D: Fraction | int | str) -> Fraction:
     """Exact train length in platform lengths: 1 + (C-1)/D."""
-    D = _positive(D)
-    if not _integer(C) or C < 1 or D is None:
+    D = _number(D, _FINITE_D)
+    if not _integer(C) or C < 1 or D <= 0:
         raise DimensionMismatch("need a whole class count C >= 1 and D > 0")
     return 1 + Fraction(C - 1, 1) / D
 
 
 def max_connected_classes(T: int, D: Fraction | int | str) -> int:
     """Most station types reachable with at most T transfers."""
-    D = _positive(D)
-    if not _integer(T) or T < 0 or D is None:
+    D = _number(D, _FINITE_D)
+    if not _integer(T) or T < 0 or D <= 0:
         raise DimensionMismatch("need a whole transfer count T >= 0 and D > 0")
     return 1 + (T + 1) * strict_floor(D)
 
 
 def worst_case_transfers(C: int, D: Fraction | int | str) -> int:
     """Minimal T such that max_connected_classes(T, D) >= C."""
-    ratio = _positive(D)
-    if not _integer(C) or C < 1 or ratio is None:
+    ratio = _number(D, _FINITE_D)
+    if not _integer(C) or C < 1 or ratio <= 0:
         raise DimensionMismatch("need a whole class count C >= 1 and D > 0")
     if C == 1:
         return 0
@@ -279,7 +268,7 @@ def worst_case_transfers(C: int, D: Fraction | int | str) -> int:
 
 def max_length_with_transfers(T: int, D: Fraction | int | str) -> Fraction:
     """Longest train (in platform lengths) keeping worst trips at T transfers: 1 + (C_T - 1)/D."""
-    ratio = 1 + (max_connected_classes(T, D) - 1) / Fraction(D)
+    ratio = 1 + (max_connected_classes(T, D) - 1) / _number(D, _FINITE_D)
     assert ratio < 2 + T, "length cap must stay strictly below (2+T) platforms"
     return ratio
 

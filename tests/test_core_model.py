@@ -559,3 +559,15 @@ def test_schema_rejects_wrong_kind_and_version():
 def test_fr_i_sizes_round_trip_through_tables(sizes):
     spec = fr_i(sizes)
     assert list(spec.section_sizes(0)) == sizes
+
+
+@pytest.mark.parametrize("H", [0, -1, Fraction(-1, 2), -0.5])
+def test_a_headway_that_is_not_positive_is_refused(H):
+    with pytest.raises(DimensionMismatch, match="^headway must be positive$"):
+        LineInstance(stations=("a", "b"), platform_lengths=(9, 9), H=H, A=((0, 1), (0, 0)))
+
+
+def test_a_protocol_needs_a_train_type():
+    stations = StationTypeCatalog(types=("F", "R"), d={"F": 6, "R": 6})
+    with pytest.raises(DimensionMismatch, match="^at least one train type is required$"):
+        build_protocol(stations, [], u=[], s=[], a=[], v=[], p=[])

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from xltops import (
     access_penalty_ftr,
     build_assignment,
+    build_s52_2,
     build_assignment_split,
     capacity_report,
     chart_to_protocol,
@@ -679,3 +680,11 @@ def test_headway_correction_values():
 def test_capacity_reduction_is_about_one_and_a_half_percent():
     reduction = headway_capacity_reduction(70, 30, 157)
     assert abs(reduction - 0.015) < 0.001
+
+
+def test_assignment_needs_a_single_train_type():
+    spec = chart_to_protocol(build_s52_2())
+    assert spec.K == 2
+    line = make_line(("A", "C", "E"), [[0, 1, 1], [0, 0, 1], [0, 0, 0]])
+    with pytest.raises(DimensionMismatch, match="single train type"):
+        build_assignment(spec, line)

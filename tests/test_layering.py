@@ -6,7 +6,9 @@ only from a lower layer.  ``__init__`` re-exports everything and is not
 a layer.  No module keeps an import it does not read, or a private
 module-level name that nothing in the package references, and every
 top-level function and class is named outside its own definition: called
-or read somewhere in the package, or exported by ``__init__``.  The package
+or read somewhere in the package, or exported by ``__init__``.  Outside
+``core_model``, no module reads a number with ``Fraction(x)``: a number a
+caller passes goes through ``core_model``'s one reader.  The package
 depends on the standard library alone: every absolute import names a
 standard-library module, and importing the package loads no numpy.
 """
@@ -142,3 +144,22 @@ def test_importing_the_package_loads_no_numpy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             cwd=PACKAGE.parent, check=True, timeout=60)
     assert result.stdout == "[]\n"
+
+
+def test_only_core_model_reads_a_number_into_a_fraction():
+    """Outside ``core_model``, ``Fraction(...)`` with one argument takes a literal: a caller's
+    number goes through ``core_model._as_fraction``, which reads floats to within 1e-9 and
+    refuses booleans, and the other calls name a numerator and a denominator."""
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "core_model":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            arguments = [*node.args, *(k.value for k in node.keywords)]
+            literal = len(arguments) == 1 and isinstance(arguments[0], ast.Constant)
+            if name == "Fraction" and len(arguments) == 1 and not literal:
+                reads.append(f"{path.stem}:{node.lineno}: {ast.unparse(node)}")
+    assert reads == []

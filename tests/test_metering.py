@@ -23,8 +23,8 @@ from xltops.metering_opt import (
     MeteringProblem,
     _ClassificationLP,
     _LineLP,
-    _classifications,
     _compositions,
+    _station_choices,
     even_density_check,
     solve_inner_lp,
     solve_outer,
@@ -42,6 +42,11 @@ from conftest import (
 
 Z = Fraction(0)
 FR_TYPES = ("F", "R", "F", "R")
+
+
+def _classifications(S):
+    """Every fr_i classification of S stations, as the outer search visits them."""
+    return itertools.product(*_station_choices(S))
 
 
 def fr_problem(A, M_min=(), unit_capacity=1, M=12, fixed_delta=FR_TYPES, **kwargs):
@@ -99,7 +104,7 @@ def test_nonpositive_unit_capacity_is_rejected(c):
     [("unit_capacity", True, "unit capacity must be a finite number, not True"),
      ("unit_capacity", math.inf, "unit capacity must be a finite number, not inf"),
      ("unit_capacity", math.nan, "unit capacity must be a finite number, not nan"),
-     ("unit_capacity", "10", "unit capacity must be a finite number, not '10'"),
+     ("unit_capacity", "x", "unit capacity must be a finite number, not 'x'"),
      ("M", 8.0, "the unit count M must be a whole number, not 8.0"),
      ("M", True, "the unit count M must be a whole number, not True")],
     ids=["c-true", "c-inf", "c-nan", "c-string", "M-float", "M-true"],
@@ -309,6 +314,30 @@ def test_outer_cap_is_enforced():
     problem = fr_problem(pairwise_demand(3, 3, 3, 3))
     with pytest.raises(SearchSpaceTooLarge):
         solve_outer(problem, cap=5)
+
+
+@pytest.mark.parametrize("S", [1, 2, 3, 5])
+@pytest.mark.parametrize("M", [3, 4, 7])
+def test_the_cap_counts_the_candidates_the_search_lists(S, M):
+    free = MeteringProblem(make_line(("F",) * S, [[Z] * S for _ in range(S)]), M, 1)
+    count = len(list(_classifications(S))) * len(list(_compositions(M, 4)))
+    with pytest.raises(SearchSpaceTooLarge, match=f"^{count} candidates exceed the cap of -1$"):
+        solve_outer(free, cap=-1)
+    if count:
+        solve_outer(free, cap=count)  # at the cap the search runs
+
+
+def test_a_long_line_is_refused_before_any_classification_is_listed():
+    """2^38 classifications of 40 stations times C(11, 3) sizings: counted, never listed."""
+    S = 40
+    free = MeteringProblem(make_line(("F",) * S, [[Z] * S for _ in range(S)]), 12, 1)
+    with pytest.raises(SearchSpaceTooLarge, match=f"^{2**38 * 165} candidates"):
+        solve_outer(free)
+    with pytest.raises(SearchSpaceTooLarge, match=f"^{2**38} candidates"):
+        solve_outer(replace(free, fixed_sizes=(3, 3, 3, 3)))
+    wide = replace(free, line=make_line(("R", "F"), [[Z, Z], [Z, Z]]), M=150)
+    with pytest.raises(SearchSpaceTooLarge, match=f"^{math.comb(149, 3)} candidates"):
+        solve_outer(wide, cap=10**5)
 
 
 def outer_brute_force(problem):

@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +97,23 @@ def test_gate_door_closure_catches_unhonorable_signs():
     assert len(problems) == 1 and "cannot open at R" in problems[0]
 
 
+def test_gate_door_closure_catches_a_sign_without_an_open_gate():
+    spec = fr_i()
+    p = [[[list(row) for row in rows] for rows in pk] for pk in spec.p]
+    p[0][0][1][0] = 1  # section 1 advertises F at R stations, where it is not aligned
+    broken = build_protocol(
+        spec.stations, spec.trains, u=spec.u, s=spec.s, a=spec.a, v=spec.v, p=p
+    )
+    assert gate_door_consistency(broken) == [
+        "train xlt, section 1: advertises F at R without an open gate"]
+
+
+def test_gate_signs_of_an_unknown_train_are_a_key_error(fr_line_full):
+    table = derive_gate_signs(fr_i(), fr_line_full)
+    with pytest.raises(KeyError):
+        table.gates(0, "no such train")
+
+
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
@@ -157,6 +175,35 @@ def test_cli_validate_reports_violations(tmp_path, capsys):
     assert main(["validate", spec_path]) == 1
     out = json.loads(capsys.readouterr().out)
     assert any(v["constraint"] == "E2" for v in out["violations"])
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["fr_h"], spec_to_json(fr_h())),
+        (["fr_h", "--section-size", "2"], spec_to_json(fr_h(2))),
+        (["fr_i"], spec_to_json(fr_i())),
+        (["fr_i", "--sizes", "1", "2", "3", "4"], spec_to_json(fr_i((1, 2, 3, 4)))),
+        (["ftr"], spec_to_json(ftr())),
+        (["ftr", "--section-size", "3"], spec_to_json(ftr(3))),
+        (["ftr3"], chart_to_json(build_ftr3())),
+        (["s52_2"], chart_to_json(build_s52_2())),
+    ],
+    ids=["fr_h", "fr_h-2", "fr_i", "fr_i-1234", "ftr", "ftr-3", "ftr3", "s52_2"],
+)
+def test_cli_generate_writes_the_matching_constructor(capsys, argv, doc):
+    assert main(["generate", *argv]) == 0
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("family", ["fr_h", "ftr"])
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_cli_generate_refuses_a_section_size_below_one(capsys, family, size):
+    assert main(["generate", family, "--section-size", size]) == 1
+    captured = capsys.readouterr()
+    sizes = ", ".join([size] * 4)
+    assert captured.out == ""
+    assert captured.err == f"error: need 4 positive section sizes, not ({sizes})\n"
 
 
 def test_cli_generate_and_render_round_trip(tmp_path, capsys):
@@ -247,6 +294,15 @@ def test_cli_simulate_reads_float_capacities_exactly(tmp_path, capsys):
     report = json.loads(out[out.index("{") :])
     assert report["overcrowded"] == []  # load 9/10 on capacity 3 x 0.3
     assert report["occupancy"] == [1.0, 0.0, 0.0, 0.0]
+
+
+def test_cli_optimize_metering_needs_a_classification_or_free_delta(tmp_path, capsys, fr_line_full):
+    unclassified = replace(fr_line_full, station_types=None)
+    line_path = write_json(tmp_path / "line.json", line_to_json(unclassified))
+    assert main(["optimize", "metering", "--line", line_path]) == 1
+    message = "error: line needs station_types unless --free-delta is given\n"
+    assert capsys.readouterr().err == message
+    assert main(["optimize", "metering", "--line", line_path, "--free-delta"]) == 0
 
 
 def test_cli_optimize_metering(tmp_path, capsys, fr_line_full):

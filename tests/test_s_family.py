@@ -459,3 +459,20 @@ def test_refinement_requires_classified_line():
     line = replace(make_line(("F", "R"), [[0, 1], [0, 0]]), station_types=None)
     with pytest.raises(DimensionMismatch):
         greedy_presentation_refine(fr_h(), line)
+
+
+def test_a_multichart_needs_a_chart_and_one_type_universe():
+    with pytest.raises(DimensionMismatch, match="^at least one chart is required$"):
+        MultiTrainChart(charts=(), rotation=())
+    first = generate_s(3, 2, 4)
+    other = BarChart(M=8, bars=(Bar("A", b=4, d=4), Bar("B", b=6, d=4), Bar("Z", b=8, d=4)))
+    with pytest.raises(DimensionMismatch, match="share the station-type universe"):
+        MultiTrainChart(charts=(("1", first), ("2", other)), rotation=("1", "2"))
+
+
+def test_charts_that_give_one_type_two_platform_lengths_have_no_protocol():
+    first = generate_s(3, 2, 4)
+    longer = BarChart(M=8, bars=(Bar("A", b=4, d=4), Bar("B", b=6, d=4), Bar("C", b=8, d=5)))
+    mtc = MultiTrainChart(charts=(("1", first), ("2", longer)), rotation=("1", "2"))
+    with pytest.raises(DimensionMismatch, match="^bar C: platform length differs across charts$"):
+        chart_to_protocol(mtc)
