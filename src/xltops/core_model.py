@@ -179,7 +179,8 @@ class TrainTypeSpec:
 
     ``never_aligned`` holds 1-based unit indices that are permanently
     excluded from alignment (doorless end units appended for extra
-    holding capacity).
+    holding capacity).  Capacities are read once, into ``_units``: the lcm
+    k of their denominators and k times each, as integers.
     """
 
     label: str
@@ -204,7 +205,7 @@ class TrainTypeSpec:
             raise DimensionMismatch("per-unit lengths/capacities must have M entries")
         if any(not (_real(l) and math.isfinite(l) and l > 0) for l in self.lengths):
             raise DimensionMismatch("unit lengths must be positive and finite numbers")
-        try:  # as section_capacities reads them: each distinct capacity once
+        try:  # each distinct capacity once; kept below as integers over one scale
             capacities = _read_numbers(self.capacities, {})
         except (ArithmeticError, TypeError, ValueError) as exc:
             raise DimensionMismatch(f"unit capacities must be numbers: {exc}") from None
@@ -213,12 +214,16 @@ class TrainTypeSpec:
         if any(not (_integer(m) and 1 <= m <= self.M) for m in self.never_aligned):
             raise DimensionMismatch("never_aligned indices must be unit indices 1..M")
         # Stored as ints and floats, so that a document writes them as numbers whatever came in:
-        # a float length stays a float, another whole length becomes an int, the rest floats.
+        # a float length stays a float, another whole length becomes an int, the rest floats;
+        # an integer capacity becomes an int, and any other capacity stays as given.
         object.__setattr__(self, "lengths", tuple(
             float(l) if isinstance(l, float) or l != int(l) else int(l) for l in self.lengths))
+        object.__setattr__(self, "capacities",
+                           tuple(int(c) if _integer(c) else c for c in self.capacities))
         object.__setattr__(self, "M", int(self.M))
         object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "never_aligned", frozenset(map(int, self.never_aligned)))
+        object.__setattr__(self, "_units", over_lcm(capacities))
 
     @classmethod
     def uniform(
@@ -526,21 +531,11 @@ def _number(x, what: str) -> Fraction:
         raise DimensionMismatch(f"{what}, not {x!r}") from None
 
 
-def over_lcm(xs: Iterable[Fraction]) -> tuple[int, list[int]]:
+def over_lcm(xs: Iterable[Fraction]) -> tuple[int, tuple[int, ...]]:
     """The lcm k of the denominators of rationals (integers count as over 1), and each times k."""
     xs = tuple(xs)
     k = math.lcm(*{x.denominator for x in xs})
-    return k, [x.numerator * (k // x.denominator) for x in xs]
-
-
-def fraction_sum(xs: Iterable[Fraction]) -> Fraction:
-    """The exact sum of rationals: integer numerators over the lcm of the denominators.
-
-    Adding ``Fraction``s takes a gcd at every step; this takes one, when
-    the sum is formed.
-    """
-    k, numerators = over_lcm(xs)
-    return Fraction(sum(numerators), k)
+    return k, tuple([x.numerator * (k // x.denominator) for x in xs])
 
 
 def _listed(x) -> tuple:

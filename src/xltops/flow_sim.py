@@ -3,13 +3,14 @@
 Loads are exact rationals, so the aggregated formula can be compared
 bit-for-bit against a per-flow microsimulation; floating point appears
 only at output.  From the line to the printed number they stay Python
-integers: ``LineInstance`` keeps its demand as integers over one scale,
-a flow or rider is an unreduced pair (p, q) meaning p/q passengers per
-train, and each section's loads are one integer row over one scale k.
-A ``fractions.Fraction`` is formed only where a caller reads one, so a
-whole row of sums costs one gcd per row rather than one per addition.
-The overcrowding test, the maximum load point and the thinning of
-entry rates work on the same integers.
+integers: ``LineInstance`` keeps its demand as integers over one scale
+and a train its unit capacities, a flow or rider is an unreduced pair
+(p, q) meaning p/q passengers per train, a flow's share of a section is
+one too, (n, p, q), and each section's loads are one integer row over
+one scale k.  A ``fractions.Fraction`` is formed only where a caller
+reads one, so a whole row of sums costs one gcd per row rather than one
+per addition.  The overcrowding test, the maximum load point and the
+thinning of entry rates work on the same integers.
 
 Conventions: stations are 0-based indices along the travel direction;
 link ``s`` is the stretch departing station ``s`` (0 .. S-2).  Loads are
@@ -46,25 +47,22 @@ from .core_model import (
     ProtocolSpec,
     _integer,
     _number,
-    _read_numbers,
     _real,
-    fraction_sum,
-    over_lcm,
 )
 from .errors import AmbiguousAssignment, DimensionMismatch, NonpositiveSpeed
 
 
-Shares = tuple[tuple[int, Fraction], ...]  # (section n, share) pairs of one flow
+Shares = tuple[tuple[int, int, int], ...]  # (n, p, q): p/q of one flow rides section n
 
 
 @dataclass(frozen=True)
 class AssignmentTensor:
     """Fraction of each O-D flow boarding each section, stored sparsely.
 
-    ``flows[z][sp]`` lists the ``(n, share)`` pairs with a nonzero share
-    of the flow from station z to station sp riding section n; shares are
-    1 under an exactly-one presentation and may be fractional under a
-    split rule.  ``share`` reads 0 for a section that is not listed.
+    ``flows[z][sp]`` lists integer triples (n, p, q): p/q > 0 of the flow
+    from z to sp rides section n (p and q need not be coprime; ``()``: no
+    section presents it).  ``share`` forms the ``Fraction`` when read, 0
+    for a section that is not listed.
     """
 
     N: int
@@ -75,7 +73,7 @@ class AssignmentTensor:
         return len(self.flows)
 
     def share(self, n: int, z: int, sp: int) -> Fraction:
-        return next((x for m, x in self.flows[z][sp] if m == n), Fraction(0))
+        return next((Fraction(p, q) for m, p, q in self.flows[z][sp] if m == n), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -132,25 +130,25 @@ def type_pair_sections(spec: ProtocolSpec, line: LineInstance) -> tuple[tuple[in
     return spec.stations.indices(line.station_types), presenting
 
 
-def capacity_shares(sections: Sequence[int], caps: Sequence[Fraction]) -> Shares:
+def capacity_shares(sections: Sequence[int], caps: Sequence[int]) -> Shares:
     """The balanced split: a flow's shares of the sections presenting it.
 
-    Shares are proportional to section capacity, so a section of zero
-    capacity takes none; if every presenting section has zero capacity,
-    the flow splits evenly.  Shares sum to 1 unless no section presents,
-    and a lone presenting section takes all of the flow.
+    Shares are proportional to section capacity (``caps``, integers over
+    any one scale), (n, c_n, Σc), so a section of zero capacity takes none;
+    if every presenting section has zero capacity, the flow splits evenly,
+    (n, 1, len).  A lone presenting section takes it all, (n, 1, 1).
     """
     if len(sections) == 1:
-        return ((sections[0], Fraction(1)),)
-    total = fraction_sum(caps[n] for n in sections)
+        return ((sections[0], 1, 1),)
+    total = sum(caps[n] for n in sections)
     if total == 0:
-        return tuple((n, Fraction(1, len(sections))) for n in sections)
-    return tuple((n, caps[n] / total) for n in sections if caps[n])
+        return tuple((n, 1, len(sections)) for n in sections)
+    return tuple((n, caps[n], total) for n in sections if caps[n])
 
 
 def _balanced(spec: ProtocolSpec, ti: Sequence[int], presenting: list) -> AssignmentTensor:
     """Give every forward station pair the capacity shares of its type pair."""
-    caps = section_capacities(spec)
+    _, caps = _section_units(spec)
     table = [[capacity_shares(sec, caps) for sec in row] for row in presenting]
     S = len(ti)
     return AssignmentTensor(
@@ -201,21 +199,20 @@ def build_assignment_split(
         return _balanced(spec, ti, presenting)
     N = spec.trains[0].N
     S = line.S
-    caps = section_capacities(spec)
+    kc, caps = _section_units(spec)  # kc times each section capacity
     busyness = [sum(map(sum, rows)) for rows in spec.p[0]]
     # Quietest presenting section first; the sort is stable, so ties keep section order.
     preference = [[sorted(sec, key=busyness.__getitem__) for sec in row] for row in presenting]
     # A flow of k·A[z][sp] = v carries H·v/k = h·v/(g·k) passengers per train.
     h, gk = line.H.numerator, line.H.denominator * line._k
-    D = math.lcm(gk, *(c.denominator for c in caps))
-    room = [c.numerator * (D // c.denominator) for c in caps]  # D times each capacity
+    D = math.lcm(gk, kc)
+    room = [c * (D // kc) for c in caps]  # D times each capacity
     pax_of = [[0] * S for _ in range(S)]  # D times passengers per train of each flow
     for z, sp, v in line._flows:
         pax_of[z][sp] = h * (D // gk) * v
     aboard = [0] * N  # per section, as the train leaves station z
     alighting = [[0] * N for _ in range(S)]  # per station, per section
     flows = [[()] * S for _ in range(S)]
-    whole = [((n, Fraction(1)),) for n in range(N)]  # one shares tuple per section
     for z in range(S):
         aboard = [x - y for x, y in zip(aboard, alighting[z])]
         for sp in range(z + 1, S):
@@ -226,22 +223,27 @@ def build_assignment_split(
             chosen = next((n for n in candidates if aboard[n] + pax <= room[n]), None)
             if chosen is None:
                 chosen = min(candidates, key=aboard.__getitem__)
-            flows[z][sp] = whole[chosen]
+            flows[z][sp] = ((chosen, 1, 1),)
             aboard[chosen] += pax
             alighting[sp][chosen] += pax
     return AssignmentTensor(N, tuple(map(tuple, flows)))
 
 
+def _section_units(spec: ProtocolSpec) -> tuple[int, list[int]]:
+    """(k, [k·C_n]): the first train type's section capacities over its units' scale k."""
+    k, units = spec.trains[0]._units
+    return k, [sum(x for x, bit in zip(units, column) if bit) for column in zip(*spec.u[0])]
+
+
 def section_capacities(spec: ProtocolSpec) -> tuple[Fraction, ...]:
     """C_n = sum of unit capacities over each section of the first train type.
 
-    Float capacities convert as ``LineInstance`` converts its numbers, so
-    0.3 reads 3/10 rather than the nearest binary fraction, and each
-    distinct capacity is converted once.
+    The capacities are those the ``TrainTypeSpec`` read when it was built,
+    as ``LineInstance`` reads its numbers: 0.3 reads 3/10 rather than the
+    nearest binary fraction.
     """
-    k, units = over_lcm(_read_numbers(spec.trains[0].capacities, {}))
-    return tuple(Fraction(sum(x for x, bit in zip(units, column) if bit), k)
-                 for column in zip(*spec.u[0]))
+    k, caps = _section_units(spec)
+    return tuple(Fraction(c, k) for c in caps)
 
 
 def link_sums(S: int, rows: Iterable[Sequence[tuple]]) -> list[tuple[int, list[int]]]:
@@ -321,8 +323,8 @@ def simulate_loads(
         shares = assignment.flows[z][sp]
         if not shares:
             unserved.append((z, sp, Fraction(p, q)))
-        for n, x in shares:
-            riders[n].append((z, sp, p * x.numerator, q * x.denominator))
+        for n, a, b in shares:
+            riders[n].append((z, sp, p * a, q * b))
     rows, over = [], []
     for n, ((k, row), C) in enumerate(zip(link_sums(line.S, riders), caps)):
         g = math.gcd(k, *row)

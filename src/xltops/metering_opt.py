@@ -324,10 +324,10 @@ def solve_outer(problem: MeteringProblem, cap: int = 10**6) -> MeteringSolution:
     Candidates are visited in lexicographic order of the
     (classification, sizes) encoding; the first optimum found wins, so
     ties resolve to the lexicographically smallest candidate.  Only a fixed
-    classification or sizing is checked, after the cap, which counts the
-    candidates before any is listed.  The line part of the LP is set up
-    once per search, each classification's rows once, and
-    the classified line and solution for the winner only.  A sizing whose
+    classification or sizing, or else M, is checked, after the cap, which
+    counts the candidates before any is listed.  The line part of the LP is
+    set up once per search, each classification's rows once, and the
+    classified line and solution for the winner only.  A sizing whose
     minimum rates overload a section is skipped, and so is one that
     a dual cut of an earlier sizing of the same classification bounds at
     or below the incumbent: it can at best tie an earlier candidate, so
@@ -341,6 +341,8 @@ def solve_outer(problem: MeteringProblem, cap: int = 10**6) -> MeteringSolution:
     if count > cap:
         raise SearchSpaceTooLarge(f"{count} candidates exceed the cap of {cap}")
     fixed = fixed_sizes is not None
+    if not fixed and problem.M < _N:
+        raise BadSectionCount(f"fr_i needs at least {_N} units, not M = {problem.M}")
     sizings = [_check_sizes(problem, fixed_sizes)] if fixed else list(_compositions(problem.M, _N))
     deltas = itertools.product(*choices)  # listed lazily
     classified = None  # the line under a fixed classification, whose labels the LP then reads

@@ -457,7 +457,7 @@ def greedy_presentation_refine(spec: ProtocolSpec, line: LineInstance) -> Protoc
     ti, presenting = flow_sim.type_pair_sections(spec, line)
     types = spec.stations.types
     sizes = spec.section_sizes(0)
-    caps = flow_sim.section_capacities(spec)
+    _, caps = flow_sim._section_units(spec)
     vk = spec.v[0]
     S = line.S
 
@@ -489,13 +489,13 @@ def greedy_presentation_refine(spec: ProtocolSpec, line: LineInstance) -> Protoc
                         for sections in (presenting[pair[0]][pair[1]], *spans[pair])]
 
     # Every load below is an integer: passengers per train times k/H (k the
-    # line's scale) times the lcm of the shares' denominators.  A positive
+    # line's scale) times k_share, the lcm of the shares' q.  A positive
     # factor common to all loads, it changes no comparison of densities.
     pax = dict(zip(riders, (row for _, row in flow_sim.link_sums(S, riders.values()))))
-    k_share = math.lcm(*{x.denominator for options in shares.values()
-                         for option in options for _, x in option})
-    weights = {pair: [[(n, x.numerator * (k_share // x.denominator)) for n, x in option]
-                      for option in options] for pair, options in shares.items()}
+    k_share = math.lcm(*{q for options in shares.values() for option in options
+                         for _, _, q in option})
+    weights = {pair: [[(n, p * (k_share // q)) for n, p, q in option] for option in options]
+               for pair, options in shares.items()}
 
     def add_pair(target: list[list[int]], pair: tuple[int, int], option) -> None:
         for n, w in option:

@@ -240,7 +240,7 @@ def oracle_end_preference(spec: ProtocolSpec, line: LineInstance) -> AssignmentT
                 break
         else:
             chosen = min(candidates, key=lambda n: max(running[n][z:sp]))
-        flows[z][sp] = ((chosen, Fraction(1)),)
+        flows[z][sp] = ((chosen, 1, 1),)
         for link in range(z, sp):
             running[chosen][link] += pax
     return AssignmentTensor(N, tuple(map(tuple, flows)))

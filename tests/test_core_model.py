@@ -32,6 +32,7 @@ from xltops import (
     greedy_presentation_refine,
     line_from_json,
     line_to_json,
+    section_capacities,
     solve_outer,
     spec_from_json,
     spec_to_json,
@@ -278,6 +279,24 @@ def test_unit_lengths_of_any_real_type_are_written_and_read_back():
     text = json.dumps(spec_to_json(spec))
     assert spec_from_json(json.loads(text)) == spec
     assert spec_to_json(spec_from_json(json.loads(text))) == json.loads(text)
+
+
+def test_integer_unit_capacities_of_any_type_are_written_and_read_back():
+    """An integer capacity, numpy's too, is kept as an int; a float and a Fraction stay as
+    given, so every spec document serialises and reads back as the same spec."""
+    spec = fr_i()
+    M = spec.trains[0].M
+    mixed = (np.int32(0), 3, np.uint8(1), 1.5, Fraction(3, 4), 2.0) * 2
+    for caps, C_n in (((np.int64(2),) * M, (6,) * 4), (mixed, (4, Fraction(17, 4)) * 2)):
+        train = replace(spec.trains[0], capacities=caps)
+        assert train.capacities == caps
+        assert [type(c) for c in train.capacities] == [
+            int if isinstance(c, np.integer) else type(c) for c in caps]
+        written = replace(spec, trains=(train,))
+        text = json.dumps(spec_to_json(written))
+        assert spec_from_json(json.loads(text)) == written
+        assert spec_to_json(spec_from_json(json.loads(text))) == json.loads(text)
+        assert section_capacities(spec_from_json(json.loads(text))) == C_n
 
 
 @pytest.mark.parametrize("ctor", [fr_h, fr_i, ftr])

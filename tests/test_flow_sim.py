@@ -1,5 +1,6 @@
 """Assignment, load simulation, capacity metrics and the access penalty."""
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -19,6 +20,7 @@ from xltops import (
     fr_i,
     ftr,
     generate_s,
+    greedy_presentation_refine,
     headway_capacity_reduction,
     headway_correction,
     section_capacities,
@@ -30,8 +32,9 @@ from xltops.errors import (
     DimensionMismatch,
     NonpositiveSpeed,
 )
+import xltops.core_model as core_model
 import xltops.flow_sim as flow_sim
-from xltops.core_model import fraction_sum
+import xltops.s_family as s_family
 from xltops.flow_sim import (
     LoadProfile,
     capacity_shares,
@@ -114,10 +117,10 @@ def test_end_preference_split_fills_quiet_sections_first(fr_line_full):
 
 
 def test_capacity_shares_follow_section_capacity():
-    caps = (Fraction(1), Fraction(1), Fraction(3), Fraction(0))
-    assert capacity_shares([1, 2], caps) == ((1, Fraction(1, 4)), (2, Fraction(3, 4)))
-    assert capacity_shares([2, 3], caps) == ((2, Fraction(1)),)  # no share for zero capacity
-    assert capacity_shares([3], caps) == ((3, Fraction(1)),)  # none has capacity: even split
+    caps = (1, 1, 3, 0)
+    assert capacity_shares([1, 2], caps) == ((1, 1, 4), (2, 3, 4))
+    assert capacity_shares([2, 3], caps) == ((2, 3, 3),)  # no share for zero capacity
+    assert capacity_shares([3], caps) == ((3, 1, 1),)  # none has capacity: even split
     assert capacity_shares([], caps) == ()
 
 
@@ -128,7 +131,7 @@ def test_presented_flows_share_out_in_full():
     for z in range(4):
         for sp in range(z + 1, 4):
             shares = assignment.flows[z][sp]
-            assert len(shares) > 1 and sum(x for _, x in shares) == 1
+            assert len(shares) > 1 and sum(Fraction(p, q) for _, p, q in shares) == 1
     profile = simulate_loads(assignment, [0] * 4, line, section_capacities(fr_h()))
     assert all(x == 0 for row in profile.load for x in row)
 
@@ -143,6 +146,95 @@ def test_float_unit_capacities_read_as_line_numbers_do():
     )
     assert profile.load[0] == (Fraction(9, 10),) * 2
     assert profile.overcrowded == ()
+
+
+def written(rng, x: Fraction):
+    """x as a caller may write it: an int, a float, a "p/q" string or a Fraction."""
+    forms = [Fraction, lambda x: f"{x.numerator}/{x.denominator}"]
+    if x.denominator == 1:
+        forms.append(int)
+    if 10 % x.denominator == 0:  # a decimal, so its float reads back as x
+        forms.append(float)
+    return rng.choice(forms)(x)
+
+
+def random_capacity_spec(rng):
+    """fr_h, fr_i or ftr with unit capacities of mixed forms, zeros included; and each
+    section's capacity, summed here as ``Fraction``s."""
+    sizes = tuple(rng.randint(1, 3) for _ in range(4))
+    spec = rng.choice((fr_h(rng.randint(1, 3)), fr_i(sizes), ftr(rng.randint(1, 2))))
+    train = spec.trains[0]
+    empty = rng.sample(range(train.N), rng.randint(0, train.N))  # sections of zero capacity
+    values = [Fraction(0) if row.index(1) in empty or rng.random() < 0.2
+              else Fraction(rng.randint(1, 9), rng.choice((1, 2, 3, 5, 10))) for row in spec.u[0]]
+    caps = tuple(sum((x for x, row in zip(values, spec.u[0]) if row[n]), Fraction(0))
+                 for n in range(train.N))
+    train = replace(train, capacities=tuple(written(rng, x) for x in values))
+    return replace(spec, trains=(train,)), caps
+
+
+def test_balanced_shares_are_integers_that_follow_section_capacity():
+    """Each presented flow's shares are integer triples (n, p, q) whose p's sum to q, and
+    each share is the section's capacity over the presenting sections' total: an even
+    split if that total is 0, all of the flow for a lone presenting section."""
+    rng = random.Random(seed_from_env() + 47)
+    forms = set()
+    for _ in range(150):
+        spec, caps = random_capacity_spec(rng)
+        forms.update(map(type, spec.trains[0].capacities))
+        assert section_capacities(spec) == caps
+        S = rng.randint(2, 6)
+        types = [rng.choice(spec.stations.types) for _ in range(S)]
+        ti = spec.stations.indices(types)
+        assignment = build_assignment_split(spec, make_line(types, [[0] * S] * S))
+        for z, sp in itertools.combinations(range(S), 2):
+            shares = assignment.flows[z][sp]
+            sections = [n for n in range(len(caps)) if spec.p[0][n][ti[z]][ti[sp]]]
+            assert bool(shares) == bool(sections)
+            assert all(type(x) is int for share in shares for x in share)
+            assert all(p > 0 for _, p, _ in shares)  # a listed share is never 0
+            if shares:
+                (q,) = {q for _, _, q in shares}
+                assert sum(p for _, p, _ in shares) == q
+            total = sum((caps[n] for n in sections), Fraction(0))
+            for n in range(len(caps)):
+                if n not in sections:
+                    expected = 0
+                elif len(sections) == 1:
+                    expected = 1
+                elif total == 0:
+                    expected = Fraction(1, len(sections))
+                else:
+                    expected = caps[n] / total
+                assert assignment.share(n, z, sp) == expected
+    assert forms == {int, float, str, Fraction}
+
+
+def test_a_built_train_is_not_read_again(monkeypatch):
+    """Section capacities, both splits and the refinement take the integers the train kept
+    when it was built: no number is read again."""
+    spec = fr_h()
+    caps = (0.3, "1/2", Fraction(2, 3), 1) * 3
+    spec = replace(spec, trains=(replace(spec.trains[0], capacities=caps),))
+    line = make_line(("F", "R", "F", "R"), [[0, 1, 2, 3], [0, 0, 1, 2], [0, 0, 0, 1], [0] * 4])
+    reads = []
+
+    def counted(name, read):
+        def wrapper(*args):
+            reads.append(name)
+            return read(*args)
+        return wrapper
+
+    for module in (core_model, flow_sim, s_family):
+        for name in ("_read_numbers", "_keyed_numbers", "_as_fraction"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    C_n = section_capacities(spec)
+    for rule in ("balanced", "end_preference"):
+        build_assignment_split(spec, line, rule=rule)
+    greedy_presentation_refine(spec, line)
+    assert reads == []
+    assert C_n == (Fraction(22, 15), Fraction(9, 5), Fraction(59, 30), Fraction(13, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +670,7 @@ def test_mlp_is_scale_invariant_and_ties_go_left():
 
 def fraction_sum_max_load_point(profile):
     """The first link of maximum total load, each column summed as ``Fraction``s."""
-    totals = [fraction_sum(column) for column in zip(*profile.load)]
+    totals = [sum(column, Fraction(0)) for column in zip(*profile.load)]
     return totals.index(max(totals))
 
 
@@ -598,7 +690,7 @@ def test_max_load_point_breaks_ties_left_across_rows_of_different_scales():
             g = math.gcd(k, *row)
             rows.append((k // g, tuple(v // g for v in row)))
         profile = LoadProfile(rows=tuple(rows), C_n=(), overcrowded=(), unserved=())
-        totals = [fraction_sum(column) for column in zip(*profile.load)]
+        totals = [sum(column, Fraction(0)) for column in zip(*profile.load)]
         ties += totals.count(max(totals)) > 1
         assert max_load_point(profile) == fraction_sum_max_load_point(profile)
     assert ties >= 10  # about 30 in 300 under any seed

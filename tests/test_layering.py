@@ -7,10 +7,12 @@ a layer.  No module keeps an import it does not read, or a private
 module-level name that nothing in the package references, and every
 top-level function and class is named outside its own definition: called
 or read somewhere in the package, or exported by ``__init__``.  Outside
-``core_model``, no module reads a number with ``Fraction(x)``: a number a
-caller passes goes through ``core_model``'s one reader.  The package
-depends on the standard library alone: every absolute import names a
-standard-library module, and importing the package loads no numpy.
+``core_model``, no module reads a number with ``Fraction(x)``: a number
+a caller passes goes through ``core_model``'s one reader, and no module
+calls the memoised readers of documents and specs, ``_read_numbers`` and
+``_keyed_numbers``.  The package depends on the standard library alone:
+every absolute import names a standard-library module, and importing the
+package loads no numpy.
 """
 
 import ast
@@ -163,3 +165,18 @@ def test_only_core_model_reads_a_number_into_a_fraction():
             if name == "Fraction" and len(arguments) == 1 and not literal:
                 reads.append(f"{path.stem}:{node.lineno}: {ast.unparse(node)}")
     assert reads == []
+
+
+def test_only_core_model_calls_the_memoised_readers():
+    """``_read_numbers`` and ``_keyed_numbers`` read documents and specs once, inside
+    ``core_model``; elsewhere a spec's numbers are taken as it keeps them."""
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "core_model":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in ("_read_numbers", "_keyed_numbers"):
+                    calls.append(f"{path.stem}:{node.lineno}: {ast.unparse(node)}")
+    assert calls == []

@@ -2,8 +2,8 @@
 
 ``LineInstance`` reads each distinct number of A and ``M_min`` once and
 sums A's rows as integers over one scale.  These tests hold it against
-the per-entry reading: ``_as_fraction`` on each entry, ``fraction_sum``
-on each row and the demanded flows in (s, s') order.  Seeded lines of 2
+the per-entry reading: ``_as_fraction`` on each entry, a ``Fraction``
+sum of each row and the demanded flows in (s, s') order.  Seeded lines of 2
 to 80 stations give their entries as ints, whole floats, numpy ints,
 fractional floats, "p/q" strings and ``Fraction``s, each form on its own
 and mixed.  Their fields, their errors and the bytes ``xlt simulate``
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from xltops import LineInstance, fr_h, fr_i, main, spec_to_json
-from xltops.core_model import _as_fraction, fraction_sum
+from xltops.core_model import _as_fraction
 from xltops.errors import DimensionMismatch
 
 from conftest import seed_from_env
@@ -48,7 +48,7 @@ def per_entry(A, M_min):
     A = tuple(tuple(_as_fraction(x) for x in row) for row in A)
     flows = tuple((z, sp, x) for z, row in enumerate(A) for sp, x in enumerate(row) if x)
     M_min = tuple(_as_fraction(x) for x in M_min) or (Fraction(0),) * len(A)
-    return A, flows, tuple(fraction_sum(row) for row in A), M_min
+    return A, flows, tuple(sum(row, Fraction(0)) for row in A), M_min
 
 
 def per_entry_error(A) -> str | None:

@@ -420,9 +420,15 @@ def test_a_fixed_classification_of_the_wrong_form_is_refused():
         solve_inner_lp(fr_problem(A), ("F", "R", "F", "R", "F"), (3, 3, 3, 3))
 
 
-def test_outer_with_fewer_units_than_sections_has_no_candidate():
-    with pytest.raises(InfeasibleMinRates, match="no enumerated candidate"):
-        solve_outer(fr_problem(pairwise_demand(3, 3, 3, 3), M=3))
+@pytest.mark.parametrize("M", [0, 3, -2])
+def test_outer_with_fewer_units_than_sections_is_refused(M):
+    """fr_i's four sections need M >= 4: a typed refusal, not an empty search."""
+    for fixed_delta in (FR_TYPES, None):
+        with pytest.raises(BadSectionCount, match=f"at least 4 units, not M = {M}$"):
+            solve_outer(fr_problem(pairwise_demand(3, 3, 3, 3), M=M, fixed_delta=fixed_delta))
+    line = LineInstance(stations=("a", "b"), platform_lengths=(9, 9), H=1, A=[[0, 1], [0, 0]])
+    with pytest.raises(BadSectionCount):
+        solve_outer(MeteringProblem(line, M, 1))
 
 
 # ---------------------------------------------------------------------------
