@@ -594,7 +594,8 @@ class LineInstance:
     (k times each row sum) and ``_flows`` (each demanded flow as
     ``(s, s', k·A[s][s'])``); ``flows`` and ``demand_rate`` form their
     ``Fraction``s when read.  A number that cannot be read, or a string
-    given for a list, raises DimensionMismatch.
+    given for a list, raises DimensionMismatch.  ``classified`` gives the
+    line under another classification without reading A again.
     """
 
     stations: tuple[str, ...]
@@ -635,13 +636,7 @@ class LineInstance:
         if any(not _integer(x) or x < 1 for x in self.platform_lengths):
             raise DimensionMismatch("platform lengths must be whole numbers >= 1")
         object.__setattr__(self, "platform_lengths", tuple(map(int, self.platform_lengths)))
-        if self.station_types is not None:
-            try:
-                object.__setattr__(self, "station_types", _listed(self.station_types))
-            except TypeError as exc:
-                raise DimensionMismatch(str(exc)) from exc
-            if len(self.station_types) != S:
-                raise DimensionMismatch("station_types must have one label per station")
+        object.__setattr__(self, "station_types", _station_labels(self.station_types, S))
         if self.H <= 0:
             raise DimensionMismatch("headway must be positive")
         k, scaled = over_lcm(read.values())
@@ -683,6 +678,29 @@ class LineInstance:
         """Total demand rate A_s originating at 0-based station z (each row is summed once)."""
         return Fraction(self._sums[z], self._k)
 
+    def classified(self, station_types: Sequence[str] | None) -> LineInstance:
+        """This line under another classification, equal to ``replace(self, station_types=...)``.
+
+        The copy shares this line's read numbers and integers; only the labels are checked.
+        """
+        line = object.__new__(type(self))
+        line.__dict__.update(self.__dict__)
+        line.__dict__["station_types"] = _station_labels(station_types, self.S)
+        return line
+
+
+def _station_labels(labels: Sequence[str] | None, S: int) -> tuple[str, ...] | None:
+    """A line's station classification as a tuple of S labels, or None if it has none."""
+    if labels is None:
+        return None
+    try:
+        labels = _listed(labels)
+    except TypeError as exc:
+        raise DimensionMismatch(str(exc)) from exc
+    if len(labels) != S:
+        raise DimensionMismatch("station_types must have one label per station")
+    return labels
+
 
 # ---------------------------------------------------------------------------
 # JSON serialization
@@ -703,8 +721,9 @@ def spec_to_json(spec: ProtocolSpec) -> dict:
                 "label": t.label,
                 "M": t.M,
                 "lengths": list(t.lengths),
-                "capacities": [
-                    _num_to_json(c) if isinstance(c, Fraction) else c for c in t.capacities
+                "capacities": [  # a Fraction or string as read, so that a round trip writes the same
+                    _num_to_json(Fraction(u, t._units[0])) if isinstance(c, (Fraction, str)) else c
+                    for c, u in zip(t.capacities, t._units[1])
                 ],
                 "N": t.N,
                 "never_aligned": sorted(t.never_aligned),

@@ -14,9 +14,11 @@ So the optimal duals of one sizing's LP stay dual feasible for every
 sizing of that classification, and by weak duality bound its value by
 an affine function of the sizes (a Benders optimality cut); the outer
 search solves only the sizings that no such cut rules out.  Before any
-LP, a sizing is screened by one integer comparison per section: the
-minimum rates fit it only if each section has at least the least size
-m with c*m at or above that section's heaviest minimum-rate load.
+LP, the sizings are screened: the minimum rates fit one only if each
+section has at least the least size m with c*m at or above that
+section's heaviest minimum-rate load.  The admitted sizings are listed
+once per distinct vector of least sizes, and every classification with
+that vector walks the same list.
 
 The search runs on Python integers from the line's setup to the winner.
 What no classification changes is set up once per search: each demanded
@@ -31,6 +33,11 @@ of A_z - M_min_z, and each is divided by the gcd of its entries, B0_i and
 ck_i, which makes it the one primitive integer form of its constraint.  So a sizing's right-hand side is the integer B0_i +
 ck_i*m_n, and the scaled LP, the rational one times positive numbers
 row by row, makes the rational one's pivots and gives the same bounds.
+A load row with no nonzero entry is left out (the first rule of LP
+presolve; Andersen and Andersen 1995): its rhs c*m_n > 0 is never
+eliminated, so its slack stays basic, it never wins a ratio test and
+never binds, and the pivots, x, duals and cuts are those of every row.
+Each kept load row carries its (section, link) label.
 
 The inner solver is an exact primal simplex with Bland's rule on an
 integer dictionary (Chvatal 1983, ch. 2-3), rows over their own den_i > 0
@@ -44,16 +51,18 @@ is the full tableau's row less columns that hold den_i or 0, so every gcd,
 sign test and ratio comparison (cross-multiplied) agrees with the rational
 tableau's: same pivots, same x and duals y.  The duals, the cuts and the
 incumbent stay integers over od; ``Fraction``s are formed for the winner
-alone.  Rates are shifted by their lower bounds so the all-minimum
-solution is the starting vertex.
+alone, on a copy of the line already read (``LineInstance.classified``).
+Rates are shifted by their lower bounds so the all-minimum solution is
+the starting vertex.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from . import flow_sim
@@ -171,7 +180,7 @@ def _check_sizes(problem: MeteringProblem, section_sizes: Sequence[int]) -> tupl
 
 def _classified(line: LineInstance, station_types: Sequence[str]) -> LineInstance:
     """The line under a caller's classification, checked by the line and by fr_i's labels."""
-    line = replace(line, station_types=station_types)
+    line = line.classified(station_types)
     _SPEC.stations.indices(line.station_types)
     return line
 
@@ -192,8 +201,6 @@ class _LineLP:
         k_lo, self.lo_k = over_lcm(self.lo)  # M_min times the lcm of its denominators
         self.D, self.flows = flow_sim.unit_flows(line)
         self.scale, self.ck = k_lo * c.denominator, c.numerator * self.D * k_lo
-        # Each row's section; an upper bound's ck is 0, so its section is never read.
-        self.section = [0] * S + [n for n in range(_N) for _ in range(S - 1)]
 
 
 class _ClassificationLP:
@@ -202,10 +209,14 @@ class _ClassificationLP:
     right-hand sides, C_n less the minimum rates' loads on load rows.
 
     Row i is kept scaled (see the module docstring): the integer row, B0_i,
-    its rhs at zero sizes, and ck_i, its coefficient of m_n (0 on an upper bound)."""
+    its rhs at zero sizes, and ck_i, its coefficient of m_n (0 on an upper bound).
+    A load row with no nonzero entry is left out: its rhs c*m_n > 0 keeps its
+    slack basic in every tableau, so it changes no pivot and never binds.
+    ``labels`` holds the 0-based (section, link) of each load row kept, and
+    ``section`` the section of every row (0 on an upper bound, whose ck is 0)."""
 
     def __init__(self, line_lp: _LineLP, station_types: tuple[str, ...]) -> None:
-        self.c, self.lo, self.section = line_lp.c, line_lp.lo, line_lp.section
+        self.c, self.lo = line_lp.c, line_lp.lo
         self.station_types = types = station_types
         S, d, ck = len(self.lo), self.c.denominator, line_lp.ck
         # fr_i presents each type pair with one section: a flow rides row section*S + z.
@@ -214,10 +225,15 @@ class _ClassificationLP:
             riders[_SECTION[types[z], types[sp]] * S + z].append((z, sp, v, 1))
         sums = flow_sim.link_sums(S, riders)
         self.rows, self.B0, self.ck = list(line_lp.rows), list(line_lp.B0), [0] * S
+        self.section, self.labels = [0] * S, []
         self.least = []  # per section, the least m with c*m at or above its heaviest base load
-        for n in range(_N):  # row[z]/D: section n's load on a link per unit of E_z
+        for n in range(_N):  # row[z]/D: section n's load on link s per unit of E_z
             least = 0
-            for row in zip(*(column for _, column in sums[n * S:(n + 1) * S])):
+            for s, row in enumerate(zip(*(column for _, column in sums[n * S:(n + 1) * S]))):
+                if not any(row):
+                    continue
+                self.section.append(n)
+                self.labels.append((n, s))
                 B0 = -d * sum(a * x for a, x in zip(row, line_lp.lo_k))
                 row = [a * line_lp.scale for a in row]
                 g = math.gcd(B0, ck, *row)
@@ -234,10 +250,9 @@ class _ClassificationLP:
     def rhs(self, sizes: tuple[int, ...]) -> list[int]:
         """Scaled right-hand sides for one sizing: the demand slacks, then C_n less the loads."""
         b = [B0 + ck * sizes[n] for B0, ck, n in zip(self.B0, self.ck, self.section)]
-        S = len(self.lo)
         for n, (m, least) in enumerate(zip(sizes, self.least)):
             if m < least:
-                s = next(s for s, x in enumerate(b[S + n * (S - 1):]) if x < 0)
+                s = next(s for (k, s), x in zip(self.labels, b[len(self.lo):]) if k == n and x < 0)
                 raise InfeasibleMinRates(f"minimum rates overload section {n + 1} on link {s + 1}")
         return b
 
@@ -276,11 +291,10 @@ class _ClassificationLP:
         E = tuple(lo + value.get(z, 0) for z, lo in enumerate(self.lo))
         C_n = tuple(self.c * m for m in sizes)
         assignment = flow_sim.build_assignment(_SPEC, line)
-        tags = [BindingConstraint("upper", (z + 1,)) for z in range(S)] + [
-            BindingConstraint("load", (n + 1, s + 1)) for n in range(_N) for s in range(S - 1)
-        ]
         binding = [BindingConstraint("lower", (z + 1,)) for z in range(S) if z not in value]
-        binding += [tag for i, tag in enumerate(tags, start=S) if i not in value]
+        binding += [BindingConstraint("upper", (z + 1,)) for z in range(S) if S + z not in value]
+        binding += [BindingConstraint("load", (n + 1, s + 1))
+                    for i, (n, s) in enumerate(self.labels, start=2 * S) if i not in value]
         return MeteringSolution(
             E=E,
             station_types=line.station_types,
@@ -318,6 +332,16 @@ def _station_choices(S: int) -> list[tuple[str, ...]]:
     return [first if s == 0 else last if s == S - 1 else types for s in range(S)]
 
 
+def _admitted(lp: _ClassificationLP, sizings: list, lists: dict) -> list:
+    """The sizings that admit ``lp``'s minimum rates, in order; ``lists`` keeps
+    them per least size of each section, so each such vector screens them once.
+    Every sizing gives each section a unit, so a least size of 0 counts as 1."""
+    least = tuple(max(m, 1) for m in lp.least)
+    if least not in lists:
+        lists[least] = list(filter(lp.admits, sizings))
+    return lists[least]
+
+
 def solve_outer(problem: MeteringProblem, cap: int = 10**6) -> MeteringSolution:
     """Best (classification, sizing, rates) over every candidate.
 
@@ -326,12 +350,14 @@ def solve_outer(problem: MeteringProblem, cap: int = 10**6) -> MeteringSolution:
     ties resolve to the lexicographically smallest candidate.  Only a fixed
     classification or sizing, or else M, is checked, after the cap, which
     counts the candidates before any is listed.  The line part of the LP is
-    set up once per search, each classification's rows once, and the
-    classified line and solution for the winner only.  A sizing whose
-    minimum rates overload a section is skipped, and so is one that
-    a dual cut of an earlier sizing of the same classification bounds at
-    or below the incumbent: it can at best tie an earlier candidate, so
-    the answer is the one that solving every candidate's LP gives.
+    set up once per search, each classification's rows once (all-zero load
+    rows left out), the admitted sizings once per vector of least sizes,
+    and the classified line, a copy of the line already read, and the
+    solution for the winner only.  A sizing whose minimum rates overload a
+    section is skipped, and so is one that a dual cut of an earlier sizing
+    of the same classification bounds at or below the incumbent: it can at
+    best tie an earlier candidate, so the answer is the one that solving
+    every candidate's LP gives.
     """
     fixed_types, fixed_sizes = problem.fixed_station_types, problem.fixed_sizes
     choices = _station_choices(problem.line.S)
@@ -352,16 +378,14 @@ def solve_outer(problem: MeteringProblem, cap: int = 10**6) -> MeteringSolution:
 
     # (num, den, lp, sizes, tableau): sum(x) = num/den; sum(E) exceeds it by sum(M_min)
     best, line_lp = None, _LineLP(problem)
+    admitted = {}  # per least size of each section, the sizings that admit the minimum rates
     for delta in deltas:
         lp = _ClassificationLP(line_lp, delta)
         cuts = []  # (K, W, D) from each solved sizing's duals
-        for sizes in sizings:
-            if not lp.admits(sizes):
-                continue
+        for sizes in _admitted(lp, sizings, admitted):
             # (K + W.m) / D <= best, cross-multiplied: D and the denominator are positive.
-            if best is not None and any(
-                (K + sum(Wn * mn for Wn, mn in zip(W, sizes))) * best[1] <= best[0] * D
-                for K, W, D in cuts
+            if cuts and any(
+                (K + sum(map(mul, W, sizes))) * best[1] <= best[0] * D for K, W, D in cuts
             ):
                 continue
             tableau = lp.solve(sizes)
@@ -371,7 +395,7 @@ def solve_outer(problem: MeteringProblem, cap: int = 10**6) -> MeteringSolution:
                 best = (value, od, lp, sizes, tableau)
     if best is None:
         raise InfeasibleMinRates("no enumerated candidate admits feasible rates")
-    line = classified or replace(problem.line, station_types=best[2].station_types)
+    line = classified or problem.line.classified(best[2].station_types)
     return best[2].solution(line, *best[3:])
 
 

@@ -281,6 +281,21 @@ def test_unit_lengths_of_any_real_type_are_written_and_read_back():
     assert spec_to_json(spec_from_json(json.loads(text))) == json.loads(text)
 
 
+def test_string_unit_capacities_are_written_as_the_numbers_they_read_as():
+    """A string capacity is written as its read value, so a document written, read
+    back and written again is the first write; the train keeps the string as given."""
+    spec = fr_i()
+    M = spec.trains[0].M
+    mixed = ("0.30", "12", 1.5, Fraction(3, 4), 2, "7/2", 0, "1.25") * M
+    for caps, want in ((("0.30",) * M, ["3/10"] * M), (("12",) * M, [12] * M),
+                       (mixed[:M], ["3/10", 12, 1.5, "3/4", 2, "7/2", 0, "5/4"] * M)):
+        train = replace(spec.trains[0], capacities=caps)
+        assert train.capacities == caps
+        doc = json.loads(json.dumps(spec_to_json(replace(spec, trains=(train,)))))
+        assert doc["trains"][0]["capacities"] == want[:M]
+        assert spec_to_json(spec_from_json(doc)) == doc
+
+
 def test_integer_unit_capacities_of_any_type_are_written_and_read_back():
     """An integer capacity, numpy's too, is kept as an int; a float and a Fraction stay as
     given, so every spec document serialises and reads back as the same spec."""

@@ -23,6 +23,7 @@ from xltops.metering_opt import (
     MeteringProblem,
     _ClassificationLP,
     _LineLP,
+    _admitted,
     _compositions,
     _station_choices,
     even_density_check,
@@ -766,37 +767,147 @@ def per_classification_setup(problem, delta):
     return rows, B0s, cks, least
 
 
+def fractional_problem(rng, S, M=8):
+    """A line with fractional A, H, c and M_min, and for S > 2 an origin with no demand."""
+    A = [[Fraction(rng.randint(0, 6), rng.randint(1, 4)) if sp > z else Z
+          for sp in range(S)] for z in range(S)]
+    if S > 2:
+        A[rng.randrange(S - 1)] = [Z] * S  # an origin with no demand
+    M_min = [sum(row, Z) * Fraction(rng.randint(0, 3), rng.randint(4, 6)) for row in A]
+    line = LineInstance(
+        stations=tuple(f"s{z + 1}" for z in range(S)), platform_lengths=(9,) * S,
+        H=Fraction(rng.randint(1, 5), rng.randint(1, 4)), A=A, M_min=M_min,
+    )
+    return MeteringProblem(line=line, M=M,
+                           unit_capacity=Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+
+
 def test_line_setup_gives_each_classification_the_rows_of_its_own_setup():
     """Entry for entry, on fractional A, H, c and M_min with an origin that
     demands nothing: the primitive integer form of a row is unique, so the
-    setup shared by a line's classifications changes no pivot of any LP."""
+    setup shared by a line's classifications changes no pivot of any LP.
+    A classification keeps the reference's nonzero rows in order, each with
+    its (section, link) label, and every row it leaves out is all zero."""
     rng = random.Random(seed_from_env() + 30)
     checked = 0
     for S in (1, 2, 3, 4, 5, 6, 7):
         for _ in range(2):
-            A = [[Fraction(rng.randint(0, 6), rng.randint(1, 4)) if sp > z else Z
-                  for sp in range(S)] for z in range(S)]
-            if S > 2:
-                A[rng.randrange(S - 1)] = [Z] * S  # an origin with no demand
-            M_min = [sum(row, Z) * Fraction(rng.randint(0, 3), rng.randint(4, 6)) for row in A]
-            line = LineInstance(
-                stations=tuple(f"s{z + 1}" for z in range(S)), platform_lengths=(9,) * S,
-                H=Fraction(rng.randint(1, 5), rng.randint(1, 4)), A=A, M_min=M_min,
-            )
-            problem = MeteringProblem(line=line, M=8,
-                                      unit_capacity=Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+            problem = fractional_problem(rng, S)
             line_lp = _LineLP(problem)
             for delta in _classifications(S):
                 lp = _ClassificationLP(line_lp, delta)
-                assert (lp.rows, lp.B0, lp.ck, lp.least) == per_classification_setup(problem, delta)
+                rows, B0, ck, least = per_classification_setup(problem, delta)
+                kept = [*range(S), *(S + n * (S - 1) + s for n, s in lp.labels)]
+                assert kept == sorted(set(kept)) and all(0 <= s < S - 1 for _, s in lp.labels)
+                assert lp.rows == [rows[i] for i in kept]
+                assert (lp.B0, lp.ck) == ([B0[i] for i in kept], [ck[i] for i in kept])
+                assert lp.section == [0] * S + [n for n, _ in lp.labels]
+                assert all(not any(row) for i, row in enumerate(rows) if i not in kept)
+                assert lp.least == least
                 checked += 1
     assert checked == 2 * (1 + 1 + 2 + 4 + 8 + 16 + 32)
 
 
+def _x(tableau, S):
+    """x = E - M_min of a solved tableau."""
+    rows, den, basis = tableau[2:5]
+    value = {var: Fraction(row[-1], d) for row, d, var in zip(rows, den, basis)}
+    return tuple(value.get(z, Z) for z in range(S))
+
+
+def test_a_solve_on_the_kept_rows_is_the_solve_on_every_row():
+    """Leaving out the all-zero load rows changes no answer.  Against an LP on
+    every row of the reference setup, each solved sizing gives the same
+    objective, x, cut (K, W, D) and binding constraints, on fractional lines
+    with an origin that demands nothing."""
+    rng = random.Random(seed_from_env() + 32)
+    solved = dropped = 0
+    for S in (1, 2, 3, 4, 5, 6, 7):
+        problem = fractional_problem(rng, S)
+        line_lp = _LineLP(problem)
+        section = [0] * S + [n for n in range(4) for _ in range(S - 1)]
+        labels = [("upper", (z + 1,)) for z in range(S)] + [
+            ("load", (n + 1, s + 1)) for n in range(4) for s in range(S - 1)]
+        for delta in _classifications(S):
+            lp = _ClassificationLP(line_lp, delta)
+            rows, B0, ck, _ = per_classification_setup(problem, delta)
+            dropped += len(rows) - len(lp.rows)
+            line = replace(problem.line, station_types=delta)
+            for sizes in rng.sample(list(_compositions(problem.M, 4)), 4):
+                if not lp.admits(sizes):
+                    continue
+                kept = lp.solve(sizes)
+                full = metering_opt._simplex_max(
+                    [-1] * S + [0],
+                    [[*row, b + k * sizes[n]] for row, b, k, n in zip(rows, B0, ck, section)])
+                assert (kept[0][-1] * full[1], _x(kept, S)) == (full[0][-1] * kept[1], _x(full, S))
+                obj, od, _, _, basis, nonbasic = full
+                y = {var - S: obj[j] for j, var in enumerate(nonbasic) if var >= S}
+                W = [sum(y[i] * ck[i] for i in y if section[i] == n) for n in range(4)]
+                assert lp.cut(kept) == (sum(y[i] * B0[i] for i in y), W, od)
+                value = {var for row, var in zip(full[2], basis) if row[-1]}
+                binding = [("lower", (z + 1,)) for z in range(S) if z not in value]
+                binding += [tag for i, tag in enumerate(labels, start=S) if i not in value]
+                solution = lp.solution(line, sizes, kept)
+                assert [(b.kind, b.indices) for b in solution.binding] == binding
+                solved += 1
+    assert solved and dropped
+
+
+def test_the_admitted_sizings_are_listed_once_per_least_vector():
+    """Each classification is handed exactly the sizings ``admits`` passes, in
+    lexicographic order, from one list per distinct vector of least sizes
+    (a least size of 0 counts as 1, since every section has a unit)."""
+    rng = random.Random(seed_from_env() + 33)
+    shared = screened = 0
+    for S in (1, 2, 3, 4, 5, 6, 7):
+        for c in (Fraction(1, 4), Fraction(1), None):
+            problem = fractional_problem(rng, S)
+            if c is not None:
+                problem = replace(problem, unit_capacity=c)
+            line_lp, sizings, lists = _LineLP(problem), list(_compositions(problem.M, 4)), {}
+            least = set()
+            for delta in _classifications(S):
+                lp = _ClassificationLP(line_lp, delta)
+                admitted = _admitted(lp, sizings, lists)
+                assert admitted == [m for m in _compositions(problem.M, 4) if lp.admits(m)]
+                least.add(tuple(max(m, 1) for m in lp.least))
+                screened += len(admitted) < len(sizings)
+            assert len(lists) == len(least)
+            shared += len(least) > 1
+    assert shared and screened
+
+
+def test_a_classified_line_is_the_line_read_again_with_its_labels():
+    """``LineInstance.classified`` equals ``replace(line, station_types=...)``,
+    derived integers included, and refuses bad labels with the same errors."""
+    rng = random.Random(seed_from_env() + 34)
+    for S in (1, 2, 3, 4, 5, 6, 7):
+        line = fractional_problem(rng, S).line
+        for delta in [*_classifications(S), None]:
+            for labels in (delta, None if delta is None else list(delta)):
+                copy, fresh = line.classified(labels), replace(line, station_types=labels)
+                assert copy == fresh and copy.station_types == delta
+                assert (copy._k, copy._sums, copy._flows) == (fresh._k, fresh._sums, fresh._flows)
+                assert copy.flows == fresh.flows and copy.A is line.A
+        delta = next(iter(_classifications(S)))
+        for labels in ("F" * S, delta + ("F",), delta[1:]):
+            with pytest.raises(DimensionMismatch) as want:
+                replace(line, station_types=labels)
+            with pytest.raises(DimensionMismatch, match="one label per station|not the string"):
+                line.classified(labels)
+            with pytest.raises(DimensionMismatch) as got:
+                metering_opt._classified(line, labels)
+            assert str(got.value) == str(want.value)
+        with pytest.raises(UnknownStationType, match="'Z'"):
+            metering_opt._classified(line, ("Z",) + delta[1:])
+
+
 def test_the_search_builds_one_assignment_and_thins_the_line_at_most_twice(monkeypatch):
     """Once for the rows of every classification, once for the winner's loads.
-    The winner's classified line is the one line a search builds, and the one
-    that reads fr_i's presentation, with a free classification and a fixed one."""
+    The winner's classified line is a copy of the line already read, so a
+    search reads no line again; it is the one line that reads fr_i's
+    presentation, with a free classification and a fixed one."""
     problem = metering_workload_problem(random.Random(seed_from_env() + 31), 5, 8)
     owners = {"build_assignment": flow_sim, "type_pair_sections": flow_sim, "_thinned": flow_sim,
               "__post_init__": LineInstance}
@@ -814,7 +925,7 @@ def test_the_search_builds_one_assignment_and_thins_the_line_at_most_twice(monke
     assert fixed == free
     for search, count in counts.items():
         assert count["build_assignment"] == count["type_pair_sections"] == 1, search
-        assert count["__post_init__"] <= 1 and count["_thinned"] <= 2, search
+        assert count["__post_init__"] == 0 and count["_thinned"] <= 2, search
 
 
 def test_each_fr_i_type_pair_rides_the_one_section_that_presents_it():
