@@ -61,13 +61,15 @@ def check(spec: ProtocolSpec) -> FeasibilityReport:
     out: list[Violation] = []
     types = spec.stations.types
     d = spec.stations.lengths()
+    zero = (0,) * spec.C
     for k, train in enumerate(spec.trains):
         ak, vk, pk, sk = spec.a[k], spec.v[k], spec.p[k], spec.s[k]
 
-        # E2: a_kni = 1 requires s_ki = 1.
+        # E2: a_kni = 1 requires s_ki = 1; only skipped types' columns can fail.
+        skipped = [i for i, x in enumerate(sk) if not x]
         for n, row in enumerate(ak):
-            for i, x in enumerate(row):
-                if x and not sk[i]:
+            for i in skipped:
+                if row[i]:
                     out.append(
                         Violation(
                             "E2",
@@ -110,8 +112,10 @@ def check(spec: ProtocolSpec) -> FeasibilityReport:
                     )
                 )
 
-        # E5: v_kni = 1 requires a_kni = 1.
+        # E5: v_kni = 1 requires a_kni = 1; a door row equal to its alignment row holds.
         for n, (vrow, arow) in enumerate(zip(vk, ak)):
+            if vrow == arow:
+                continue
             for i, (x, y) in enumerate(zip(vrow, arow)):
                 if x and not y:
                     out.append(
@@ -125,7 +129,7 @@ def check(spec: ProtocolSpec) -> FeasibilityReport:
         # E6: p_knij = 1 requires doors open at both i and j.
         for n, (rows, vrow) in enumerate(zip(pk, vk)):
             for i, row in enumerate(rows):
-                if 1 not in row or (vrow[i] and row == vrow):
+                if row == zero or (vrow[i] and row == vrow):
                     continue
                 for j, x in enumerate(row):
                     if x and not (vrow[i] and vrow[j]):

@@ -107,24 +107,33 @@ def gate_door_consistency(spec: ProtocolSpec) -> list[str]:
     """
     problems: list[str] = []
     types = spec.stations.types
+    zero = (0,) * spec.C
     for k, train in enumerate(spec.trains):
-        ak, vk, pk = spec.a[k], spec.v[k], spec.p[k]
-        presented = ((n, i, j) for n, rows in enumerate(pk) for i, row in enumerate(rows)
-                     if 1 in row for j, x in enumerate(row) if x)
-        for n, i, j in presented:
-            where = f"train {train.label}, section {n + 1}"
-            if not (ak[n][i] and vk[n][i]):
-                problems.append(
-                    f"{where}: advertises {types[j]} at {types[i]} without an open gate"
-                )
-            if not vk[n][j]:
-                problems.append(
-                    f"{where}: advertises {types[j]} at {types[i]} but cannot open at {types[j]}"
-                )
-            if not spec.s[k][j]:
-                problems.append(
-                    f"{where}: advertises {types[j]} but the train skips that type"
-                )
+        ak, vk, pk, sk = spec.a[k], spec.v[k], spec.p[k], spec.s[k]
+        skipped = [j for j, x in enumerate(sk) if not x]
+        for n, (rows, arow, vrow) in enumerate(zip(pk, ak, vk)):
+            # A row equal to the door row, at an open gate, of a train that
+            # stops wherever those doors open, advertises nothing it cannot honour.
+            stops = not any(vrow[j] for j in skipped)
+            for i, row in enumerate(rows):
+                if row == zero or (row == vrow and arow[i] and vrow[i] and stops):
+                    continue
+                where = f"train {train.label}, section {n + 1}"
+                for j, x in enumerate(row):
+                    if not x:
+                        continue
+                    if not (arow[i] and vrow[i]):
+                        problems.append(
+                            f"{where}: advertises {types[j]} at {types[i]} without an open gate"
+                        )
+                    if not vrow[j]:
+                        problems.append(
+                            f"{where}: advertises {types[j]} at {types[i]} but cannot open at {types[j]}"
+                        )
+                    if not sk[j]:
+                        problems.append(
+                            f"{where}: advertises {types[j]} but the train skips that type"
+                        )
     return problems
 
 

@@ -46,24 +46,32 @@ class ConnectivityGraph:
 
     @cached_property
     def _adjacency(self) -> dict[str, list[tuple[str, str]]]:
-        """Each type's (train, other type) pairs, in sorted edge order."""
-        adjacency: dict[str, list[tuple[str, str]]] = {}
+        """Each type's (train, other type) pairs, in sorted edge order; [] if isolated."""
+        adjacency: dict[str, list[tuple[str, str]]] = {t: [] for t in self.types}
         for train, i, j in sorted(self.riding_edges):
             adjacency.setdefault(i, []).append((train, j))
             adjacency.setdefault(j, []).append((train, i))
         return adjacency
 
+    def _adjacent(self, station_type: str) -> list[tuple[str, str]]:
+        try:
+            return self._adjacency[station_type]
+        except KeyError:
+            raise UnknownStationType(f"unknown station type {station_type!r}") from None
+
     def neighbors(self, station_type: str) -> list[tuple[str, str]]:
         """(train, other type) pairs reachable in one riding leg."""
-        return list(self._adjacency.get(station_type, ()))
+        return list(self._adjacent(station_type))
 
     def distances(self, origin: str) -> dict[str, int]:
         """Fewest riding legs from ``origin`` to every type it reaches."""
+        self._adjacent(origin)  # UnknownStationType for a type the graph lacks
+        adjacency = self._adjacency
         dist = {origin: 0}
         queue = deque([origin])
         while queue:
             node = queue.popleft()
-            for _, other in self._adjacency.get(node, ()):
+            for _, other in adjacency[node]:
                 if other not in dist:
                     dist[other] = dist[node] + 1
                     queue.append(other)
@@ -73,6 +81,14 @@ class ConnectivityGraph:
 def build_graph(chart: BarChart | MultiTrainChart) -> ConnectivityGraph:
     """Riding edges are bar pairs overlapping by >= 1 whole unit.
 
+    Each train's unskipped bars are sorted by their span clipped to
+    [0, M], and each bar is paired with the later bars that start at
+    least one unit before it ends; the scan stops at the first later bar
+    that does not, as every bar after it starts later still.  No overlap
+    test is needed: an unskipped bar of a valid chart with M >= 1 covers
+    a unit, so a later bar that starts before this one ends shares its
+    own first unit with it (and with M <= 0 no bar ends above 0).
+
     Same-label connectors across train types need no explicit edges:
     paths may switch train type freely at any station type, and only
     boardings are counted.
@@ -81,11 +97,15 @@ def build_graph(chart: BarChart | MultiTrainChart) -> ConnectivityGraph:
     types = charts[0][1].labels()
     edges = set()
     for train, c in charts:
-        for a in range(len(types)):
-            for b in range(a + 1, len(types)):
-                i, j = sorted((types[a], types[b]))
-                if c.pair_overlap(i, j) >= 1:
-                    edges.add((train, i, j))
+        M = c.M
+        spans = sorted(
+            (max(bar.b - bar.d, 0), min(bar.b, M), bar.label) for bar in c.bars if not bar.skipped
+        )
+        for a, (_, hi, i) in enumerate(spans):
+            for lo2, _, j in spans[a + 1 :]:
+                if lo2 > hi - 1:
+                    break
+                edges.add((train, i, j) if i < j else (train, j, i))
     return ConnectivityGraph(
         types=types,
         riding_edges=frozenset(edges),

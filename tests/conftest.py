@@ -29,11 +29,16 @@ from xltops import (
     StationTypeCatalog,
     TrainTypeSpec,
     build_protocol,
+    build_s52_2,
+    chart_to_protocol,
+    compose_skip_stop,
+    fr_h,
     fr_i,
+    generate_s,
     section_capacities,
     solve_inner_lp,
 )
-from xltops.errors import AmbiguousAssignment, InfeasibleMinRates
+from xltops.errors import AmbiguousAssignment, InfeasibleMinRates, XltError
 from xltops.flow_sim import type_pair_sections
 
 
@@ -105,6 +110,63 @@ def float_e4_specs() -> dict[str, ProtocolSpec]:
             StationTypeCatalog(types=types, d=dict(zip(types, d))), [train],
             u=[u], s=[[1] * len(types)], a=[a], v=[a], p=[p],
         )
+    return specs
+
+
+def _base_protocol(rng: random.Random) -> ProtocolSpec:
+    kind = rng.choice(["fr_h", "fr_i", "chart", "classified chart", "s52", "skip-stop"])
+    if kind == "fr_h":
+        return fr_h(rng.randint(1, 3))
+    if kind == "fr_i":
+        return fr_i([rng.randint(1, 3) for _ in range(4)])
+    if kind == "s52":
+        return chart_to_protocol(build_s52_2())
+    chart = generate_s(rng.randint(2, 6), rng.choice([2, 3]), 6)
+    if kind == "skip-stop":
+        labels = chart.labels()
+        return chart_to_protocol(
+            compose_skip_stop(chart, [("1", labels), ("2", ("Z",) + labels[1:])])
+        )
+    classification = None
+    if kind == "classified chart":
+        classification = [rng.choice(chart.labels()) for _ in range(rng.randint(2, 6))]
+    return chart_to_protocol(chart, classification)
+
+
+def flipped_specs(rng: random.Random, count: int) -> list[ProtocolSpec]:
+    """Seeded fr_h, fr_i and chart_to_protocol specs with a few a, v, s or p bits changed.
+
+    A change sets one entry to its complement, or copies a section's
+    door row into one of its presentation rows.  Specs whose changes
+    break a structural invariant are left out, so fewer than ``count``
+    may be returned.
+    """
+    specs = []
+    for _ in range(count):
+        spec = _base_protocol(rng)
+        s = [list(row) for row in spec.s]
+        a = [[list(row) for row in table] for table in spec.a]
+        v = [[list(row) for row in table] for table in spec.v]
+        p = [[[list(row) for row in rows] for rows in table] for table in spec.p]
+        for _ in range(rng.randint(0, 4)):
+            k = rng.randrange(spec.K)
+            n, i = rng.randrange(spec.trains[k].N), rng.randrange(spec.C)
+            table = rng.choice(["s", "a", "v", "p", "p", "p = v"])
+            if table == "s":
+                s[k][i] ^= 1
+            elif table == "p = v":
+                p[k][n][i] = list(v[k][n])
+            elif table == "p":
+                p[k][n][i][rng.randrange(spec.C)] ^= 1
+            else:
+                (a if table == "a" else v)[k][n][i] ^= 1
+        try:
+            specs.append(build_protocol(
+                spec.stations, spec.trains, u=spec.u, s=s, a=a, v=v, p=p,
+                delta=spec.delta, epsilon=spec.epsilon, eol_rule=spec.eol_rule,
+            ))
+        except XltError:
+            continue
     return specs
 
 

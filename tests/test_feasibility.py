@@ -10,8 +10,11 @@ from xltops import check, check_eol, check_presentation_standard, fr_h, fr_i, ft
 from xltops.core_model import StationTypeCatalog, TrainTypeSpec, build_protocol
 from xltops.errors import NonConsecutiveSection
 
+from xltops.feasibility import Violation
+
 from conftest import (
     exactly_one_ftr,
+    flipped_specs,
     float_e4_specs,
     make_line,
     oracle_violations,
@@ -27,6 +30,37 @@ def as_tuples(report):
 @pytest.mark.parametrize("ctor", [fr_h, fr_i, ftr])
 def test_builtin_constructors_are_feasible(ctor):
     assert check(ctor()).feasible
+
+
+def per_entry_e2_e5(spec):
+    """E2 and E5 entry by entry, in check's order and with its details."""
+    out = []
+    types = spec.stations.types
+    for k in range(spec.K):
+        for n, row in enumerate(spec.a[k]):
+            for i, x in enumerate(row):
+                if x and not spec.s[k][i]:
+                    out.append(Violation("E2", (k, n + 1, types[i]),
+                                         f"section {n + 1} aligned at skipped type {types[i]}"))
+        for n, row in enumerate(spec.v[k]):
+            for i, x in enumerate(row):
+                if x and not spec.a[k][n][i]:
+                    out.append(Violation(
+                        "E5", (k, n + 1, types[i]),
+                        f"section {n + 1} opens doors at type {types[i]} without alignment"))
+    return out
+
+
+def test_e2_and_e5_match_the_per_entry_rule_on_changed_specs():
+    specs = flipped_specs(random.Random(seed_from_env() + 8), 300)
+    assert len(specs) > 250
+    found = {"E2": 0, "E5": 0}
+    for spec in specs:
+        expected = per_entry_e2_e5(spec)
+        assert [v for v in check(spec).violations if v.constraint in found] == expected
+        for v in expected:
+            found[v.constraint] += 1
+    assert min(found.values()) > 50
 
 
 def test_random_specs_match_oracle_exactly():

@@ -31,7 +31,7 @@ from xltops.flow_sim import LoadProfile
 from xltops.render_io import main
 from xltops.s_family import build_ftr3, chart_to_protocol
 
-from conftest import exactly_one_ftr, make_line, seed_from_env
+from conftest import exactly_one_ftr, flipped_specs, make_line, seed_from_env
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +106,40 @@ def test_gate_door_closure_catches_a_sign_without_an_open_gate():
     )
     assert gate_door_consistency(broken) == [
         "train xlt, section 1: advertises F at R without an open gate"]
+
+
+def per_entry_gate_problems(spec):
+    """gate_door_consistency's rule, entry by presented entry."""
+    problems = []
+    types = spec.stations.types
+    for k, train in enumerate(spec.trains):
+        for n, rows in enumerate(spec.p[k]):
+            for i, row in enumerate(rows):
+                for j, x in enumerate(row):
+                    if not x:
+                        continue
+                    where = f"train {train.label}, section {n + 1}"
+                    if not (spec.a[k][n][i] and spec.v[k][n][i]):
+                        problems.append(
+                            f"{where}: advertises {types[j]} at {types[i]} without an open gate")
+                    if not spec.v[k][n][j]:
+                        problems.append(f"{where}: advertises {types[j]} at {types[i]} "
+                                        f"but cannot open at {types[j]}")
+                    if not spec.s[k][j]:
+                        problems.append(
+                            f"{where}: advertises {types[j]} but the train skips that type")
+    return problems
+
+
+def test_gate_door_closure_matches_the_per_entry_rule_on_changed_specs():
+    specs = flipped_specs(random.Random(seed_from_env() + 7), 300)
+    assert len(specs) > 250
+    found = 0
+    for spec in specs:
+        problems = gate_door_consistency(spec)
+        assert problems == per_entry_gate_problems(spec)
+        found += bool(problems)
+    assert 50 < found < len(specs) - 50
 
 
 def test_gate_signs_of_an_unknown_train_are_a_key_error(fr_line_full):

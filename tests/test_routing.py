@@ -19,6 +19,8 @@ from xltops import (
     worst_pair,
 )
 from xltops.errors import UnknownStationType, UnreachableError
+from xltops.routing import ConnectivityGraph
+from xltops.s_family import MultiTrainChart
 
 from conftest import oracle_min_transfers, oracle_optimal_plans, seed_from_env
 
@@ -168,6 +170,98 @@ def test_unknown_station_type_raises_typed_error(origin, destination):
         min_transfers(graph, origin, destination)
     with pytest.raises(UnknownStationType):
         optimal_plans(graph, origin, destination)
+
+
+def test_unknown_type_has_no_distances_or_neighbors():
+    graph = build_graph(BarChart(M=8, bars=(Bar("A", 4, 4), Bar("B", 6, 4), Bar("C", 0, 4))))
+    for call in (graph.distances, graph.neighbors):
+        with pytest.raises(UnknownStationType):
+            call("ZZ")
+    # a type the graph has but no bar reaches is isolated, not unknown
+    assert graph.distances("C") == {"C": 0}
+    assert graph.neighbors("C") == []
+    assert graph.distances("A") == {"A": 0, "B": 1}
+    assert graph.neighbors("A") == [("1", "B")]
+
+
+def _random_bars(rng, labels, M):
+    """Bars over one universe, mixing the shapes a sweep over spans could get wrong."""
+    bars = []
+    for label in labels:
+        d = rng.randint(1, 6)
+        shape = rng.choice(["skip", "low", "high", "any", "copy", "same start"])
+        if shape == "skip" or M + d - 1 < 1:
+            b = 0
+        elif shape == "low":  # clipped at 0
+            b = rng.randint(1, min(d, M + d - 1))
+        elif shape == "high":  # clipped at M
+            b = rng.randint(max(1, M), M + d - 1)
+        elif shape in ("copy", "same start") and bars and bars[-1].b:
+            prev = bars[-1]
+            if shape == "copy":  # nested in, or equal to, the bar before
+                d = rng.randint(1, prev.d)
+                b = rng.randint(prev.b - prev.d + d, prev.b)
+            else:  # starts at the same unit as the bar before
+                b = prev.b - prev.d + d
+            if not 1 <= b <= M + d - 1:
+                b = 0
+        else:
+            b = rng.randint(1, M + d - 1)
+        bars.append(Bar(label, b, d))
+    rng.shuffle(bars)
+    return tuple(bars)
+
+
+def _random_multichart(rng):
+    C = rng.randint(1, 9)
+    labels = [f"T{c}" for c in rng.sample(range(40), C)]
+    if rng.random() < 0.25:  # a D <= 1 step puts every bar past the one below it
+        base = generate_s(C, rng.choice([Fraction(1), Fraction(1, 2), Fraction(2, 3)]), 2)
+        M = int(base.M)
+        bars = [Bar(label, int(bar.b), bar.d) for label, bar in zip(labels, base.bars)]
+        charts = [tuple(rng.sample(bars, C))]
+        charts += [_random_bars(rng, labels, M) for _ in range(rng.randint(0, 2))]
+    else:
+        M = rng.choice([0, 1, 2, rng.randint(3, 12)])  # M = 0 bars cover no unit
+        charts = [_random_bars(rng, labels, M) for _ in range(rng.randint(1, 3))]
+    trains = [str(k + 1) for k in range(len(charts))]
+    return MultiTrainChart(
+        charts=tuple((train, BarChart(M=M, bars=bars)) for train, bars in zip(trains, charts)),
+        rotation=tuple(trains),
+    )
+
+
+def _all_pairs_graph(multichart):
+    types = multichart.charts[0][1].labels()
+    edges = {
+        (train, *sorted((x, y)))
+        for train, chart in multichart.charts
+        for a, x in enumerate(types)
+        for y in types[a + 1 :]
+        if chart.pair_overlap(x, y) >= 1
+    }
+    return ConnectivityGraph(
+        types=types,
+        riding_edges=frozenset(edges),
+        train_labels=tuple(train for train, _ in multichart.charts),
+    )
+
+
+def test_riding_edges_match_the_all_pairs_rule():
+    rng = random.Random(seed_from_env() + 5)
+    edges = 0
+    for _ in range(200):
+        multichart = _random_multichart(rng)
+        graph = build_graph(multichart)
+        assert graph == _all_pairs_graph(multichart)
+        edges += len(graph.riding_edges)
+    assert edges > 1000
+
+
+@pytest.mark.parametrize("M", [0, -1])
+def test_bars_of_a_train_without_units_share_none(M):
+    chart = BarChart(M=M, bars=(Bar("A", 1, 4), Bar("B", 2, 4), Bar("C", 1, 3)))
+    assert build_graph(chart).riding_edges == frozenset()
 
 
 def _plan_legs(plans):
