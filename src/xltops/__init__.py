@@ -58,10 +58,10 @@ from .routing import (
     ConnectivityGraph,
     RoutePlan,
     build_graph,
+    matrix_worst_pair,
     min_transfers,
     optimal_plans,
     transfer_matrix,
-    worst_pair,
 )
 from .s_family import (
     Bar,

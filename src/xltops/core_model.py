@@ -288,10 +288,6 @@ class ProtocolSpec:
         """Unit counts per section of train type k."""
         return tuple(map(sum, zip(*self.u[k])))
 
-    def section_units(self, k: int, n: int) -> tuple[int, ...]:
-        """1-based unit indices of section n (1-based) of train type k."""
-        return tuple(m + 1 for m, row in enumerate(self.u[k]) if row[n - 1])
-
 
 def build_protocol(
     stations: StationTypeCatalog,

@@ -39,6 +39,10 @@ class UnknownStationType(XltError, KeyError):
     __str__ = Exception.__str__  # the message, not KeyError's quoted repr of it
 
 
+class UnknownMode(XltError, ValueError):
+    """A mode or rule string names none of the options the function offers."""
+
+
 class SubsetCoverage(XltError):
     """Skip-stop subsets fail to cover the station-type universe."""
 

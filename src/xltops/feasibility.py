@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core_model import LineInstance, ProtocolSpec
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, UnknownMode
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,6 @@ class FeasibilityReport:
     @property
     def feasible(self) -> bool:
         return not self.violations
-
-    def by_constraint(self, constraint: str) -> list[Violation]:
-        return [v for v in self.violations if v.constraint == constraint]
 
     def __len__(self) -> int:
         return len(self.violations)
@@ -81,6 +78,8 @@ def check(spec: ProtocolSpec) -> FeasibilityReport:
         # E3: per station type, aligned section indices form one run.
         for i, column in enumerate(zip(*ak)):
             aligned = [n for n, x in enumerate(column) if x]
+            if aligned and aligned[-1] - aligned[0] + 1 == len(aligned):
+                continue  # one run already: no pair can have a gap
             for ia, na in enumerate(aligned):
                 for nb in aligned[ia + 1 :]:
                     if 0 in column[na : nb + 1]:
@@ -156,7 +155,7 @@ def check_presentation_standard(
     mode "exactly_one": each pair served by exactly one section (PS_EXACT).
     """
     if mode not in ("at_least_one", "exactly_one"):
-        raise ValueError(f"unknown presentation mode {mode!r}")
+        raise UnknownMode(f"unknown presentation mode {mode!r}")
     out: list[Violation] = []
     for k in range(spec.K):
         pk = spec.p[k]

@@ -49,7 +49,7 @@ from .core_model import (
     _number,
     _real,
 )
-from .errors import AmbiguousAssignment, DimensionMismatch, NonpositiveSpeed
+from .errors import AmbiguousAssignment, DimensionMismatch, NonpositiveSpeed, UnknownMode
 
 
 Shares = tuple[tuple[int, int, int], ...]  # (n, p, q): p/q of one flow rides section n
@@ -193,7 +193,7 @@ def build_assignment_split(
     a multiple of the line's demand scale times H's denominator.
     """
     if rule not in ("balanced", "end_preference"):
-        raise ValueError(f"unknown split rule {rule!r}")
+        raise UnknownMode(f"unknown split rule {rule!r}")
     ti, presenting = type_pair_sections(spec, line)
     if rule == "balanced":
         return _balanced(spec, ti, presenting)

@@ -310,7 +310,11 @@ def solve_inner_lp(
     station_types: Sequence[str],
     section_sizes: Sequence[int],
 ) -> MeteringSolution:
-    """Optimal entry rates for a fixed classification and sizing."""
+    """Optimal entry rates for a fixed classification and sizing.
+
+    It is the one-candidate solve that names the overloaded section and link in its
+    ``InfeasibleMinRates``, which ``solve_outer`` never reports.
+    """
     sizes = _check_sizes(problem, section_sizes)
     line = _classified(problem.line, station_types)
     lp = _ClassificationLP(_LineLP(problem), line.station_types)

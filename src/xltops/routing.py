@@ -179,8 +179,3 @@ def matrix_worst_pair(
     worst = max(matrix.values())
     witness = min(pair for pair, t in matrix.items() if t == worst)
     return witness, worst
-
-
-def worst_pair(graph: ConnectivityGraph) -> tuple[tuple[str, str], int]:
-    """Hardest ordered pair (lexicographically smallest witness) and its cost."""
-    return matrix_worst_pair(transfer_matrix(graph))  # raises UnreachableError if disconnected

@@ -128,15 +128,6 @@ class BarChart:
         lo, hi = bar.span()
         return tuple(range(max(lo, 0) + 1, min(hi, self.M) + 1))
 
-    def pair_overlap(self, label_i: str, label_j: str) -> int:
-        """Whole units shared by two bars on the train (riding feasibility)."""
-        bi, bj = self.bar(label_i), self.bar(label_j)
-        if bi.skipped or bj.skipped:
-            return 0
-        lo = max(bi.b - bi.d, bj.b - bj.d, 0)
-        hi = min(bi.b, bj.b, self.M)
-        return max(0, hi - lo)
-
 
 @dataclass(frozen=True)
 class MultiTrainChart:
@@ -221,9 +212,6 @@ class SFamilySpec:
     @property
     def M(self) -> int:
         return self.d + (self.C - 1) * self.h
-
-    def chart(self) -> BarChart:
-        return generate_s(self.C, self.D, self.d)
 
 
 def generate_s(C: int, D: Fraction | int | str, d: int) -> BarChart:

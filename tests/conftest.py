@@ -313,6 +313,16 @@ def oracle_end_preference(spec: ProtocolSpec, line: LineInstance) -> AssignmentT
 # ---------------------------------------------------------------------------
 
 
+def oracle_pair_overlap(chart: BarChart, label_i: str, label_j: str) -> int:
+    """Whole units shared by two bars on the train (riding feasibility)."""
+    bi, bj = chart.bar(label_i), chart.bar(label_j)
+    if bi.skipped or bj.skipped:
+        return 0
+    lo = max(bi.b - bi.d, bj.b - bj.d, 0)
+    hi = min(bi.b, bj.b, chart.M)
+    return max(0, hi - lo)
+
+
 def oracle_min_transfers(charts, origin: str, destination: str):
     """Enumerate all simple leg sequences; None when unreachable.
 
@@ -332,7 +342,7 @@ def oracle_min_transfers(charts, origin: str, destination: str):
             for other in types:
                 if other in visited:
                     continue
-                if chart.pair_overlap(at, other) >= 1:
+                if oracle_pair_overlap(chart, at, other) >= 1:
                     if other == destination:
                         cand = legs + 1 - 1
                         if best is None or cand < best:
@@ -347,7 +357,7 @@ def oracle_min_transfers(charts, origin: str, destination: str):
 def oracle_optimal_plans(charts, origin: str, destination: str):
     """Every minimum-leg plan as (train, board, alight) triples; None when unreachable.
 
-    Extends every simple leg sequence straight from ``pair_overlap``,
+    Extends every simple leg sequence straight from ``oracle_pair_overlap``,
     capped at the fewest legs ``oracle_min_transfers`` finds, and sorts
     the plans by their (board, alight, train) legs.
     """
@@ -368,7 +378,7 @@ def oracle_optimal_plans(charts, origin: str, destination: str):
             return
         for train, chart in charts:
             for other in types:
-                if other not in visited and chart.pair_overlap(at, other) >= 1:
+                if other not in visited and oracle_pair_overlap(chart, at, other) >= 1:
                     extend(other, visited | {other}, legs + ((train, at, other),))
 
     extend(origin, frozenset({origin}), ())

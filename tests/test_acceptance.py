@@ -25,6 +25,7 @@ from xltops import (
     generate_s,
     headway_capacity_reduction,
     headway_correction,
+    matrix_worst_pair,
     max_connected_classes,
     max_length_with_transfers,
     section_capacities,
@@ -34,7 +35,6 @@ from xltops import (
     train_length_ratio,
     transfer_matrix,
     worst_case_transfers,
-    worst_pair,
 )
 from xltops.metering_opt import MeteringProblem, solve_inner_lp, solve_outer
 from xltops.s_family import chart_to_protocol
@@ -97,7 +97,7 @@ def test_criterion_3_step_family_formulas():
         d = integral_d(D)
         chart = generate_s(C, D, d)
         ok &= Fraction(chart.M, d) == train_length_ratio(C, D)
-        _, worst = worst_pair(build_graph(chart))
+        _, worst = matrix_worst_pair(transfer_matrix(build_graph(chart)))
         ok &= worst == worst_case_transfers(C, D)
         ok &= worst == next(
             T for T in range(C + 1) if max_connected_classes(T, D) >= C
@@ -121,7 +121,7 @@ def test_criterion_4_strict_length_bound():
     for C, D in itertools.product(range(1, 9), SWEEP_D):
         d = integral_d(D)
         chart = generate_s(C, D, d)
-        _, worst = worst_pair(build_graph(chart))
+        _, worst = matrix_worst_pair(transfer_matrix(build_graph(chart)))
         ok &= chart.M < (2 + worst) * d
         ok &= max_length_with_transfers(worst, D) < 2 + worst
     report(4, "strict train-length bound", ok)
@@ -130,9 +130,10 @@ def test_criterion_4_strict_length_bound():
 def test_criterion_5_multi_train_claims():
     union_ok = set(transfer_matrix(build_graph(build_ftr3())).values()) == {0}
     mtc = build_s52_2()
-    pair_ok = worst_pair(build_graph(mtc))[1] == 1
+    pair_ok = matrix_worst_pair(transfer_matrix(build_graph(mtc)))[1] == 1
     singles_ok = all(
-        worst_pair(build_graph(mtc.chart(label)))[1] == 3 for label in ("1", "2")
+        matrix_worst_pair(transfer_matrix(build_graph(mtc.chart(label))))[1] == 3
+        for label in ("1", "2")
     )
     report(5, "multi-train connectivity claims", union_ok and pair_ok and singles_ok)
 

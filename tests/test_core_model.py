@@ -320,7 +320,7 @@ def test_constructors_produce_consistent_geometry(ctor):
     sizes = spec.section_sizes(0)
     assert sum(sizes) == spec.trains[0].M
     for n in range(1, spec.trains[0].N + 1):
-        units = spec.section_units(0, n)
+        units = tuple(m + 1 for m, row in enumerate(spec.u[0]) if row[n - 1])
         assert units == tuple(range(units[0], units[0] + len(units)))
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from xltops import check, check_eol, check_presentation_standard, fr_h, fr_i, ftr
 from xltops.core_model import StationTypeCatalog, TrainTypeSpec, build_protocol
-from xltops.errors import NonConsecutiveSection
+from xltops.errors import NonConsecutiveSection, XltError
 
 from xltops.feasibility import Violation
 
@@ -25,6 +25,10 @@ from conftest import (
 
 def as_tuples(report):
     return {(v.constraint, *v.indices) for v in report.violations}
+
+
+def by_constraint(report, constraint):
+    return [v for v in report.violations if v.constraint == constraint]
 
 
 @pytest.mark.parametrize("ctor", [fr_h, fr_i, ftr])
@@ -124,25 +128,25 @@ def _single_train(a=None, v=None, p=None, s=None, d=6, M=4, N=2):
 def test_alignment_at_skipped_type_is_flagged():
     spec = _single_train(s=[[1, 0]])
     report = check(spec)
-    assert {v.indices for v in report.by_constraint("E2")} == {(0, 1, "R"), (0, 2, "R")}
+    assert {v.indices for v in by_constraint(report, "E2")} == {(0, 1, "R"), (0, 2, "R")}
 
 
 def test_nonconsecutive_alignment_is_flagged():
     spec = _single_train(a=[[1, 0], [0, 0], [1, 0]], M=6, N=3)
     report = check(spec)
-    assert [v.indices for v in report.by_constraint("E3")] == [(0, "F", 1, 3)]
+    assert [v.indices for v in by_constraint(report, "E3")] == [(0, "F", 1, 3)]
 
 
 def test_platform_overrun_is_flagged():
     spec = _single_train(d=3)  # two aligned 2-unit sections on a 3-unit platform
     report = check(spec)
-    assert {v.indices for v in report.by_constraint("E4")} == {(0, "F"), (0, "R")}
+    assert {v.indices for v in by_constraint(report, "E4")} == {(0, "F"), (0, "R")}
 
 
 def test_doors_without_alignment_flagged():
     spec = _single_train(a=[[1, 0], [1, 0]], v=[[1, 1], [1, 0]], p=np.zeros((2, 2, 2)))
     report = check(spec)
-    assert [v.indices for v in report.by_constraint("E5")] == [(0, 1, "R")]
+    assert [v.indices for v in by_constraint(report, "E5")] == [(0, 1, "R")]
 
 
 def test_presentation_without_doors_flagged():
@@ -150,7 +154,7 @@ def test_presentation_without_doors_flagged():
     p[0, 0, 1] = 1  # section 1 presents R at F but has no doors at R
     spec = _single_train(a=[[1, 0], [1, 1]], p=p)
     report = check(spec)
-    assert [v.indices for v in report.by_constraint("E6")] == [(0, 1, "F", "R")]
+    assert [v.indices for v in by_constraint(report, "E6")] == [(0, 1, "F", "R")]
 
 
 ALL_PAIRS = [("F", "F"), ("F", "R"), ("R", "F"), ("R", "R")]
@@ -167,8 +171,10 @@ def test_presentation_standards_distinguish_protocol_variants():
 
 
 def test_presentation_standard_rejects_unknown_mode():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         check_presentation_standard(fr_h(), "at_most_one", ALL_PAIRS)
+    assert isinstance(raised.value, XltError)
+    assert str(raised.value) == "unknown presentation mode 'at_most_one'"
 
 
 def test_eol_rule_requires_rear_first_and_front_last():
@@ -200,8 +206,8 @@ def test_removing_alignment_never_creates_e2_violations():
         spec2 = build_protocol(
             spec.stations, spec.trains, u=spec.u, s=spec.s, a=a2, v=v2, p=p2
         )
-        before = {v.indices for v in check(spec).by_constraint("E2")}
-        after = {v.indices for v in check(spec2).by_constraint("E2")}
+        before = {v.indices for v in by_constraint(check(spec), "E2")}
+        after = {v.indices for v in by_constraint(check(spec2), "E2")}
         assert after <= before
         checked += 1
     assert checked > 150
@@ -228,8 +234,8 @@ def test_removing_boundary_alignment_never_creates_e3_violations():
         spec2 = build_protocol(
             spec.stations, spec.trains, u=spec.u, s=spec.s, a=a2, v=spec.v, p=spec.p
         )
-        before = {v.indices for v in check(spec).by_constraint("E3")}
-        after = {v.indices for v in check(spec2).by_constraint("E3")}
+        before = {v.indices for v in by_constraint(check(spec), "E3")}
+        after = {v.indices for v in by_constraint(check(spec2), "E3")}
         assert after <= before
         checked += 1
     assert checked > 100

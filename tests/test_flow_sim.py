@@ -31,6 +31,7 @@ from xltops.errors import (
     AmbiguousAssignment,
     DimensionMismatch,
     NonpositiveSpeed,
+    XltError,
 )
 import xltops.core_model as core_model
 import xltops.flow_sim as flow_sim
@@ -50,6 +51,7 @@ from conftest import (
     make_line,
     oracle_end_preference,
     oracle_loads,
+    oracle_pair_overlap,
     seed_from_env,
 )
 
@@ -112,8 +114,10 @@ def test_end_preference_split_fills_quiet_sections_first(fr_line_full):
         for sp in range(z + 1, 4):
             total = sum(assignment.share(n, z, sp) for n in range(4))
             assert total in (0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         build_assignment_split(spec, fr_line_full, rule="nearest")
+    assert isinstance(raised.value, XltError)
+    assert str(raised.value) == "unknown split rule 'nearest'"
 
 
 def test_capacity_shares_follow_section_capacity():
@@ -531,7 +535,7 @@ def test_unserved_matches_a_per_flow_oracle(rule):
         expected = []
         for z in range(S):
             for sp in range(z + 1, S):
-                if A[z][sp] and rates[z] and chart.pair_overlap(types[z], types[sp]) == 0:
+                if A[z][sp] and rates[z] and oracle_pair_overlap(chart, types[z], types[sp]) == 0:
                     A_z = sum(A[z], Fraction(0))
                     expected.append((z, sp, line.H * rates[z] * A[z][sp] / A_z))
         assert profile.unserved == tuple(expected)

@@ -5,8 +5,10 @@ s_family -> routing / metering_opt -> render_io.  A module may import
 only from a lower layer.  ``__init__`` re-exports everything and is not
 a layer.  No module keeps an import it does not read, or a private
 module-level name that nothing in the package references, and every
-top-level function and class is named outside its own definition: called
-or read somewhere in the package, or exported by ``__init__``.  Outside
+top-level function and class, and every method and property of a
+top-level class (dunders aside), is named outside its own definition:
+called or read somewhere in the package, exported by ``__init__``, or
+listed in ``PUBLIC_ACCESSORS``.  Outside
 ``core_model``, no module reads a number with ``Fraction(x)``: a number
 a caller passes goes through ``core_model``'s one reader, and no module
 calls the memoised readers of documents and specs, ``_read_numbers`` and
@@ -19,6 +21,7 @@ import ast
 import graphlib
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "xltops"
@@ -33,6 +36,19 @@ LAYER = {
     "metering_opt": 4,
     "render_io": 5,
 }
+
+# Read-side methods kept for the package's users, though nothing in the package calls them.
+PUBLIC_ACCESSORS = frozenset({
+    "AssignmentTensor.share",  # named in the README; the benchmark's oracle reads shares through it
+    "GateSignTable.gates",  # one train's gate signs at one station
+    "LoadProfile.load",  # the Fraction load rows; otherwise alive only by json.load's name
+})
+
+
+def package_trees() -> dict[str, ast.Module]:
+    """Each module's parsed source, by module name."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in PACKAGE.glob("*.py")}
 
 
 def package_imports() -> dict[str, set[str]]:
@@ -71,15 +87,22 @@ def _reads(tree: ast.AST) -> set[str]:
             if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
 
 
-def _references(tree: ast.AST) -> set[str]:
-    """Names a module reads, reads as an attribute, or imports by name."""
-    names = _reads(tree)
+def _named(tree: ast.AST) -> Counter[str]:
+    """How often a tree reads each name, reads it as an attribute, or imports it by name."""
+    names = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            names.add(node.attr)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
     return names
+
+
+def _attributes(tree: ast.AST) -> Counter[str]:
+    """How often a tree reads each name as an attribute: the only way code names a method."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
 
 
 def _module_names(node: ast.stmt) -> list[str]:
@@ -94,9 +117,8 @@ def _module_names(node: ast.stmt) -> list[str]:
 def test_no_unused_imports_or_private_names():
     """Every import is read by its module (``__init__`` re-exports, so it is exempt),
     and every module-level private name is referenced somewhere in the package."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in PACKAGE.glob("*.py")}
-    referenced = set().union(*map(_references, trees.values()))
+    trees = package_trees()
+    referenced = set().union(*map(_named, trees.values()))
     unused = []
     for module, tree in sorted(trees.items()):
         reads = _reads(tree)
@@ -115,14 +137,62 @@ def test_no_unused_imports_or_private_names():
     assert unused == []
 
 
+def _methods(cls: ast.ClassDef) -> list[ast.FunctionDef]:
+    """A class's methods and properties, dunders aside."""
+    return [node for node in cls.body if isinstance(node, ast.FunctionDef)
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def dead_definitions(trees: dict[str, ast.Module], allowed: frozenset[str]) -> list[str]:
+    """Top-level functions and classes whose name nothing reads outside their own definition,
+    and methods of top-level classes, unless ``allowed`` lists them as ``Class.method``,
+    whose name nothing reads as an attribute outside their own definition."""
+    named, attributes = Counter(), Counter()
+    for tree in trees.values():
+        named.update(_named(tree))
+        attributes.update(_attributes(tree))
+    dead = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if named[node.name] == _named(node)[node.name]:
+                    dead.append(f"{module}: {node.name}")
+            if isinstance(node, ast.ClassDef):
+                dead += [f"{module}: {node.name}.{method.name}" for method in _methods(node)
+                         if f"{node.name}.{method.name}" not in allowed
+                         and attributes[method.name] == _attributes(method)[method.name]]
+    return dead
+
+
 def test_every_top_level_function_and_class_is_named_elsewhere():
-    statements = [(path.stem, node) for path in sorted(PACKAGE.glob("*.py"))
-                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
-    named = [(node, _references(node)) for _, node in statements]
-    dead = [f"{module}: {node.name}" for module, node in statements
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not any(node.name in names for other, names in named if other is not node)]
-    assert dead == []
+    """Methods and properties too: each is read outside its definition or is a public accessor."""
+    assert dead_definitions(package_trees(), PUBLIC_ACCESSORS) == []
+
+
+def test_dead_definitions_reports_only_the_dead_method():
+    box = ast.parse(
+        "class Box:\n"
+        "    def __init__(self, x):\n"
+        "        self.x = x\n"
+        "    def used(self):\n"
+        "        return self.x\n"
+        "    def dead(self):\n"
+        "        return self.dead()\n"
+        "    def listed(self):\n"
+        "        return self.x\n"
+        "def make():\n"
+        "    return Box(1).used()\n"
+    )
+    trees = {"box": box, "__init__": ast.parse("from .box import Box, make")}
+    assert dead_definitions(trees, frozenset({"Box.listed"})) == ["box: Box.dead"]
+    assert dead_definitions(trees, frozenset()) == ["box: Box.dead", "box: Box.listed"]
+
+
+def test_public_accessors_name_existing_methods():
+    methods = {f"{node.name}.{method.name}" for tree in package_trees().values()
+               for node in tree.body if isinstance(node, ast.ClassDef)
+               for method in _methods(node)}
+    assert PUBLIC_ACCESSORS <= methods
 
 
 def test_absolute_imports_are_standard_library():

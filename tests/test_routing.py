@@ -13,16 +13,21 @@ from xltops import (
     build_graph,
     build_s52_2,
     generate_s,
+    matrix_worst_pair,
     min_transfers,
     optimal_plans,
     transfer_matrix,
-    worst_pair,
 )
 from xltops.errors import UnknownStationType, UnreachableError
 from xltops.routing import ConnectivityGraph
 from xltops.s_family import MultiTrainChart
 
-from conftest import oracle_min_transfers, oracle_optimal_plans, seed_from_env
+from conftest import (
+    oracle_min_transfers,
+    oracle_optimal_plans,
+    oracle_pair_overlap,
+    seed_from_env,
+)
 
 
 def test_staggered_chart_edge_set(fig4_routing_chart):
@@ -65,14 +70,14 @@ def test_unreachable_pair_raises():
     with pytest.raises(UnreachableError):
         min_transfers(graph, "A", "B")
     with pytest.raises(UnreachableError):
-        worst_pair(graph)
+        matrix_worst_pair(transfer_matrix(graph))
     with pytest.raises(KeyError):
         min_transfers(graph, "A", "Z")
 
 
 def test_worst_pair_witness_is_lexicographically_smallest():
     graph = build_graph(generate_s(5, 2, 4))
-    pair, worst = worst_pair(graph)
+    pair, worst = matrix_worst_pair(transfer_matrix(graph))
     matrix = transfer_matrix(graph)
     assert worst == max(matrix.values())
     assert pair == min(p for p, t in matrix.items() if t == worst)
@@ -80,12 +85,12 @@ def test_worst_pair_witness_is_lexicographically_smallest():
 
 def test_s52_single_chart_worst_is_three():
     graph = build_graph(build_s52_2().chart("1"))
-    assert worst_pair(graph)[1] == 3
+    assert matrix_worst_pair(transfer_matrix(graph))[1] == 3
 
 
 def test_s52_pair_worst_is_one_with_two_a_to_e_plans():
     graph = build_graph(build_s52_2())
-    assert worst_pair(graph)[1] == 1
+    assert matrix_worst_pair(transfer_matrix(graph))[1] == 1
     plans = optimal_plans(graph, "A", "E")
     routes = {tuple((l.train, l.board, l.alight) for l in p.legs) for p in plans}
     assert routes == {
@@ -238,7 +243,7 @@ def _all_pairs_graph(multichart):
         for train, chart in multichart.charts
         for a, x in enumerate(types)
         for y in types[a + 1 :]
-        if chart.pair_overlap(x, y) >= 1
+        if oracle_pair_overlap(chart, x, y) >= 1
     }
     return ConnectivityGraph(
         types=types,
@@ -316,7 +321,7 @@ def test_s60_3_transfers_and_worst_pair_plans():
     for (i, j), transfers in matrix.items():
         gap = abs(position[i] - position[j])
         assert transfers == (-(-gap // 2) - 1 if gap else 0)
-    (origin, destination), worst = worst_pair(graph)
+    (origin, destination), worst = matrix_worst_pair(transfer_matrix(graph))
     assert worst == 29
     assert {position[origin], position[destination]} == {0, 59}
     plans = optimal_plans(graph, origin, destination)

@@ -92,7 +92,7 @@ def test_generate_s_rejects_fractional_steps():
 def test_sfamily_spec_derived_quantities():
     params = SFamilySpec(C=5, D=Fraction(2), d=4)
     assert params.h == 2 and params.M == 12
-    assert params.chart().M == 12
+    assert generate_s(params.C, params.D, params.d).M == 12
 
 
 def test_bar_chart_validation():
@@ -202,7 +202,7 @@ def test_formula_sweep_matches_chart_enumeration(C, D):
     chart = generate_s(C, D, d)
     assert Fraction(chart.M, d) == train_length_ratio(C, D)
     graph = routing.build_graph(chart)
-    _, worst = routing.worst_pair(graph)
+    _, worst = routing.matrix_worst_pair(routing.transfer_matrix(graph))
     assert worst == worst_case_transfers(C, D)
     # the formula triple agrees: smallest T whose reach covers C types
     by_reach = next(T for T in range(C + 1) if max_connected_classes(T, D) >= C)
